@@ -13,7 +13,6 @@ from .bcd import (
     SolverFailure,
     assign_step,
     bcd_solve,
-    fit_cluster_params,
     stationarity_check,
 )
 from .dataio import load_dataset, load_model, save_dataset, save_model
@@ -84,7 +83,6 @@ __all__ = [
     "check_partition_condition",
     "classification_error",
     "consistency_sweep",
-    "fit_cluster_params",
     "generate_random_scenario",
     "load_dataset",
     "load_model",

@@ -18,25 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Dataset, SLModel, objective_integer, residual_matrix
+from .model import (
+    Assignment,
+    Dataset,
+    SLModel,
+    fit_clusters,
+    objective_integer,
+    residual_matrix,
+)
 
 
 class SolverFailure(RuntimeError):
     """Every restart collapsed a cluster; no usable fit was produced."""
 
 
-class EmptyClusterError(ValueError):
-    """A parameter update was requested for an empty cluster."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for :func:`bcd_solve`.
 
-    ``init`` is "random-labels" (every restart starts from uniform random
-    labels) or "provided" (restart 0 starts from ``init_labels``, the rest
-    random).  ``keep_history`` retains per-iteration parameters and labels
-    of the winning restart for trace output.
+    Every restart starts from uniform random labels, except restart 0 when
+    ``init_labels`` is given: it starts from those.  ``keep_history``
+    retains per-iteration parameters and labels of the winning restart for
+    trace output.
     """
 
     S: int
@@ -44,7 +47,6 @@ class SolverConfig:
     obj_tol: float = 1e-12
     restarts: int = 10
     seed: int | None = 0
-    init: str = "random-labels"
     init_labels: Assignment | None = None
     keep_history: bool = False
 
@@ -55,10 +57,6 @@ class SolverConfig:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.obj_tol < 0:
             raise ValueError("obj_tol must be >= 0")
-        if self.init not in ("random-labels", "provided"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "provided" and self.init_labels is None:
-            raise ValueError("init='provided' requires init_labels")
 
 
 @dataclass(frozen=True)
@@ -104,20 +102,6 @@ class SolveReport:
         }
 
 
-def fit_cluster_params(data: Dataset, a: Assignment, s: int) -> np.ndarray:
-    """Least-squares parameters for cluster s.
-
-    Uses the minimum-norm solution when the cluster Gram is singular, so the
-    update is defined for any nonempty cluster.  Raises
-    :class:`EmptyClusterError` on an empty cluster so the caller can reseed.
-    """
-    idx = a.indices_of(s)
-    if idx.size == 0:
-        raise EmptyClusterError(f"cluster {s} is empty")
-    theta, *_ = np.linalg.lstsq(data.regressors[idx], data.outputs[idx], rcond=None)
-    return theta
-
-
 def assign_step(data: Dataset, model: SLModel) -> Assignment:
     """Relabel every sample to its smallest-residual subsystem.
 
@@ -142,23 +126,8 @@ def _fit_all(
     parameter bank and the degeneracy flag.  ``labels`` is modified in place
     when reseeding occurs.
     """
-    X, y = data.regressors, data.outputs
-    n = X.shape[1]
-    params = np.zeros((S, n))
-    fitted = np.zeros(S, dtype=bool)
-
-    def fit(s: int) -> None:
-        idx = np.flatnonzero(labels == s + 1)
-        theta, *_ = np.linalg.lstsq(X[idx], y[idx], rcond=None)
-        params[s] = theta
-        fitted[s] = True
-
-    empty = []
-    for s in range(S):
-        if np.any(labels == s + 1):
-            fit(s)
-        else:
-            empty.append(s)
+    params, _, empty_mask = fit_clusters(data, labels, range(1, S + 1))
+    empty = np.flatnonzero(empty_mask).tolist()
 
     repairs = 0
     while empty:
@@ -167,16 +136,12 @@ def _fit_all(
             return params, True
         reseeded.add(s)
         repairs += 1
-        preds = np.einsum("ij,ij->i", X, params[labels - 1])
-        residual = np.where(fitted[labels - 1], np.abs(y - preds), np.inf)
-        k = int(np.argmax(residual))
+        preds = np.einsum("ij,ij->i", data.regressors, params[labels - 1])
+        k = int(np.argmax(np.abs(data.outputs - preds)))
         donor = labels[k] - 1
         labels[k] = s + 1
-        fit(s)
-        if np.any(labels == donor + 1):
-            fit(donor)
-        else:
-            fitted[donor] = False
+        params[[s, donor]], _, now_empty = fit_clusters(data, labels, (s + 1, donor + 1))
+        if now_empty[1]:
             empty.append(donor)
     return params, False
 
@@ -248,7 +213,7 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     best_index = -1
     degenerate_count = 0
     for r in range(cfg.restarts):
-        if cfg.init == "provided" and r == 0:
+        if cfg.init_labels is not None and r == 0:
             init = cfg.init_labels.labels.copy()
             if init.size != data.N:
                 raise ValueError("init_labels length does not match dataset")
@@ -290,13 +255,11 @@ def stationarity_check(data: Dataset, report: SolveReport) -> bool:
     relabeling; a fixed point reproduces both blocks (parameters bitwise up
     to refit rounding, labels exactly).
     """
-    S = report.model.S
-    params = np.zeros_like(report.model.params)
-    for s in range(1, S + 1):
-        try:
-            params[s - 1] = fit_cluster_params(data, report.assignment, s)
-        except EmptyClusterError:
-            return False
+    params, _, empty = fit_clusters(
+        data, report.assignment.labels, range(1, report.model.S + 1)
+    )
+    if empty.any():
+        return False
     if not np.allclose(params, report.model.params, rtol=0.0, atol=1e-12):
         return False
     redo = assign_step(data, SLModel(params))

@@ -22,7 +22,7 @@ from . import bench, fixtures
 from .bcd import SolverConfig, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import NoiseSpec, generate_random_scenario
-from .oracle import EnumerationLimitError, oracle_global, oracle_unique
+from .oracle import EnumerationLimitError, oracle_global, unique_optimum
 from .order import OrderSelectConfig, SweepScenario, consistency_sweep, select_order
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
@@ -123,7 +123,7 @@ def _cmd_oracle(args) -> int:
     payload = {
         "optimum": optimum,
         "classes": [c.to_dict() for c in classes],
-        "unique": oracle_unique(data, args.S, limit=args.limit),
+        "unique": unique_optimum(classes),
     }
     _emit(args, _json(payload), "oracle.json")
     return EXIT_OK
@@ -281,7 +281,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("pe-check", help="excitation certificate for labeled data")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--model", required=need("model"))
-    p.add_argument("--labels", choices=("from-data",), default="from-data")
     p.add_argument("--tol", type=float, default=1e-10)
     add_output(p)
     p.set_defaults(func=_cmd_pe_check)

@@ -5,7 +5,9 @@ subsystems: y_k = x_k . theta_{z_k} + e_k, where z_k is the per-sample
 subsystem label.  This module holds the value types (dataset, parameter
 bank, label sequence, relaxed membership weights, noise description) and
 the two objectives: the integer assignment objective and its penalty
-relaxation over fractional memberships.
+relaxation over fractional memberships.  ``fit_clusters`` is the one
+per-cluster least-squares kernel, shared by the descent's parameter
+half-step, order selection and the exhaustive oracle.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
@@ -14,9 +16,12 @@ construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .partitions import GRAM_RTOL, gram_full_rank
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -114,6 +119,10 @@ class Dataset:
                 f"outputs length {outputs.size} does not match "
                 f"{regressors.shape[0]} regressor rows"
             )
+        finite = np.isfinite(regressors)
+        if not (finite.all() and np.isfinite(outputs).all()):
+            k = int(np.argmin(finite.all(axis=1) & np.isfinite(outputs)))
+            raise ValueError(f"sample {k + 1} (1-based) holds a NaN or infinite value")
         if self.truth is not None and len(self.truth) != regressors.shape[0]:
             raise ValueError("truth labels length does not match sample count")
         object.__setattr__(self, "regressors", regressors)
@@ -244,6 +253,36 @@ def generate_random_scenario(
     model = SLModel(params)
     data = simulate(model, regressors, Assignment(labels), noise)
     return model, data
+
+
+def fit_clusters(
+    data: Dataset, labels: np.ndarray, clusters: Sequence[int], rtol: float = GRAM_RTOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares parameters of each listed cluster.
+
+    For every label s in ``clusters`` the rows with ``labels == s``, in
+    ascending row order, get the minimum-norm least-squares solution, which
+    is defined for any nonempty cluster.
+
+    Returns ``(theta, full_rank, empty)``, one row or entry per listed
+    cluster: the parameters, whether the cluster's Gram has full rank (by
+    :func:`gram_full_rank` on the squared singular values of its rows),
+    and whether no row carries the label.  Empty clusters are not fitted:
+    their parameters are zero and their rank flag False.
+    """
+    X, y = data.regressors, data.outputs
+    n = X.shape[1]
+    theta = np.zeros((len(clusters), n))
+    full_rank = np.zeros(len(clusters), dtype=bool)
+    empty = np.zeros(len(clusters), dtype=bool)
+    for i, s in enumerate(clusters):
+        idx = (labels == s).nonzero()[0]
+        if idx.size == 0:
+            empty[i] = True
+            continue
+        theta[i], _, _, svals = np.linalg.lstsq(X[idx], y[idx], rcond=None)
+        full_rank[i] = gram_full_rank(svals**2, n, rtol)
+    return theta, full_rank, empty
 
 
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:

@@ -22,8 +22,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import Assignment, Dataset
-from .partitions import GRAM_RTOL
+from .model import Dataset, fit_clusters
+from .partitions import GRAM_RTOL, gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
 
@@ -67,16 +67,6 @@ def canonical_labels(labels: np.ndarray) -> tuple[int, ...]:
             mapping[lab] = len(mapping) + 1
         out.append(mapping[lab])
     return tuple(out)
-
-
-def _cluster_fit(X: np.ndarray, y: np.ndarray, rank_tol: float):
-    """Least-squares fit of one cluster: (theta, sse, degenerate)."""
-    if X.shape[0] == 0:
-        return np.zeros(X.shape[1]), 0.0, True
-    theta, _, _, svals = np.linalg.lstsq(X, y, rcond=None)
-    r = y - X @ theta
-    full_rank = svals.size == X.shape[1] and svals[-1] ** 2 > rank_tol * svals[0] ** 2
-    return theta, float(r @ r), not full_rank
 
 
 def _mixed_radix_gray(N: int, S: int):
@@ -141,7 +131,7 @@ def oracle_global(
             return
         gram, moment = grams[s], moments[s]
         svals = np.linalg.svd(gram, compute_uv=False)
-        degenerate[s] = not (svals[0] > 0.0 and svals[-1] > rank_tol * svals[0])
+        degenerate[s] = not gram_full_rank(svals, n, rank_tol)
         theta, *_ = np.linalg.lstsq(gram, moment, rcond=None)
         r = y[idx] - X[idx] @ theta
         sse[s] = float(r @ r)
@@ -186,26 +176,29 @@ def oracle_global(
         if canon in classes:
             continue
         canon_arr = np.asarray(canon)
-        used = canon_arr.max()
-        params = np.zeros((S, n))
+        # canonical labels use 1..used, so clusters above used are the empty
+        # ones, which count as degenerate through their rank flag
+        params, full_rank, _ = fit_clusters(data, canon_arr, range(1, S + 1), rank_tol)
         exact_obj = 0.0
-        deg_exact = used < S
-        for s in range(1, used + 1):
-            idx = np.flatnonzero(canon_arr == s)
-            theta, cluster_sse, cluster_deg = _cluster_fit(X[idx], y[idx], rank_tol)
-            params[s - 1] = theta
-            exact_obj += cluster_sse
-            deg_exact = deg_exact or cluster_deg
+        for s in range(1, canon_arr.max() + 1):
+            idx = (canon_arr == s).nonzero()[0]
+            r = y[idx] - X[idx] @ params[s - 1]
+            exact_obj += float(r @ r)
         order = np.lexsort(params.T[::-1])
         classes[canon] = SolutionClass(
             labels=canon,
             params=params,
             params_sorted=params[order],
             objective=exact_obj,
-            degenerate=deg_exact,
+            degenerate=not full_rank.all(),
         )
     ordered = [classes[key] for key in sorted(classes)]
     return best, ordered
+
+
+def unique_optimum(classes: list[SolutionClass]) -> bool:
+    """Whether the optimal classes are a single well-posed one."""
+    return len(classes) == 1 and not classes[0].degenerate
 
 
 def oracle_unique(
@@ -216,16 +209,7 @@ def oracle_unique(
     rank_tol: float = GRAM_RTOL,
 ) -> bool:
     """Whether the optimum is attained by a single well-posed class."""
-    _, classes = oracle_global(data, S, tol, limit, rank_tol)
-    clean = [c for c in classes if not c.degenerate]
-    degenerate = [c for c in classes if c.degenerate]
-    return len(clean) == 1 and not degenerate
-
-
-def relabeled(a: Assignment, perm: tuple[int, ...]) -> Assignment:
-    """Apply a subsystem relabeling: label j becomes perm[j-1]."""
-    lookup = np.asarray(perm, dtype=int)
-    return Assignment(lookup[a.labels - 1])
+    return unique_optimum(oracle_global(data, S, tol, limit, rank_tol)[1])
 
 
 def same_param_set(A: np.ndarray, B: np.ndarray, atol: float = 1e-7) -> bool:

@@ -24,6 +24,7 @@ from .model import (
     Dataset,
     NoiseSpec,
     SLModel,
+    fit_clusters,
     generate_random_scenario,
     objective_integer,
 )
@@ -124,13 +125,7 @@ def _refit_state(data: Dataset, labels: Assignment, S: int) -> SolveReport:
     split-off sample ties at zero residual and flips back, emptying the new
     cluster); the split state itself already certifies the monotone fit.
     """
-    params = np.zeros((S, data.n))
-    for s in range(1, S + 1):
-        idx = labels.indices_of(s)
-        if idx.size:
-            params[s - 1], *_ = np.linalg.lstsq(
-                data.regressors[idx], data.outputs[idx], rcond=None
-            )
+    params, _, _ = fit_clusters(data, labels.labels, range(1, S + 1))
     model = SLModel(params)
     obj = objective_integer(data, model, labels)
     return SolveReport(
@@ -155,7 +150,7 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
         raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={data.N}")
     reports: list[SolveReport] = []
     for s_prime in range(1, cfg.S_bar + 1):
-        solver_cfg = replace(cfg.solver, S=s_prime, init="random-labels", init_labels=None)
+        solver_cfg = replace(cfg.solver, S=s_prime, init_labels=None)
         try:
             report = bcd_solve(data, solver_cfg)
         except SolverFailure:
@@ -164,9 +159,7 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
         if reports:
             warm = _split_warm_start(data, reports[-1], s_prime)
             if warm is not None:
-                warm_cfg = replace(
-                    solver_cfg, init="provided", init_labels=warm, restarts=1
-                )
+                warm_cfg = replace(solver_cfg, init_labels=warm, restarts=1)
                 try:
                     warm_report = bcd_solve(data, warm_cfg)
                 except SolverFailure:

@@ -1,62 +1,43 @@
-"""Set-partition enumeration via restricted-growth strings.
+"""Gram rank test and the rank-deficient partition search.
 
-``set_partitions`` yields every partition of a finite sequence into at most
-a given number of nonempty blocks.  ``min_rank_deficient_partition`` is the
-adversarial search used by the excitation checker: the smallest number of
-nonempty blocks into which a set of regressor rows can be split with every
-block's Gram matrix rank-deficient.  The search walks restricted-growth
-strings depth-first and prunes any branch as soon as one block reaches full
-rank, since adding rows to a full-rank block cannot lower its rank.
+``gram_full_rank`` is the one rank decision of the package: the Gram
+matrix of a set of regressor rows has full rank when its smallest singular
+value exceeds a relative tolerance times its largest.
+``min_rank_deficient_partition`` is the adversarial search used by the
+excitation checker: the smallest number of nonempty blocks into which a set
+of regressor rows can be split with every block's Gram matrix
+rank-deficient.  The search walks restricted-growth strings depth-first and
+prunes any branch as soon as one block reaches full rank, since adding rows
+to a full-rank block cannot lower its rank.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Sequence
 
 import numpy as np
 
 GRAM_RTOL = 1e-10
 
 
-def set_partitions(items: Sequence, max_blocks: int) -> Iterator[list[list]]:
-    """Yield all partitions of ``items`` into 1..max_blocks nonempty blocks.
+def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
+    """Whether a Gram matrix with singular values ``svals`` has full rank n.
 
-    Partitions are produced in restricted-growth-string order, each as a
-    list of blocks; blocks preserve the input ordering of their elements.
+    ``svals`` are in descending order, as numpy returns them; fewer than n
+    of them (a least-squares fit on fewer rows than columns) means rank
+    below n.  Scale-invariant: the smallest value must exceed ``rtol``
+    times the largest.
     """
-    items = list(items)
-    m = len(items)
-    if m == 0 or max_blocks < 1:
-        return
-    code = [0] * m
-
-    def rec(i: int, used: int):
-        if i == m:
-            blocks: list[list] = [[] for _ in range(used)]
-            for idx, b in enumerate(code):
-                blocks[b].append(items[idx])
-            yield blocks
-            return
-        cap = min(used + 1, max_blocks)
-        for b in range(cap):
-            code[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    # the first element always opens block 0
-    yield from rec(1, 1)
+    return bool(svals.size == n and svals[0] > 0.0 and svals[-1] > rtol * svals[0])
 
 
 def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
     """Whether sum_k x_k x_k^T over the given rows has full rank n.
 
-    The decision is scale-invariant: the Gram is nonsingular when its
-    smallest singular value exceeds ``rtol`` times its largest.
+    The decision is :func:`gram_full_rank` on the Gram's singular values.
     """
     if rows.shape[0] == 0:
         return False
     gram = rows.T @ rows
-    svals = np.linalg.svd(gram, compute_uv=False)
-    return bool(svals[0] > 0.0 and svals[-1] > rtol * svals[0])
+    return gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol)
 
 
 def min_rank_deficient_partition(

@@ -86,6 +86,13 @@ def _check_ns(n: int, S: int) -> None:
         raise ValueError("n and S must both be >= 1")
 
 
+def _check_assignment(data: Dataset, a: Assignment, S: int) -> None:
+    if len(a) != data.N:
+        raise ValueError("assignment length does not match dataset")
+    if a.labels.max() > S:
+        raise ValueError(f"assignment uses label {a.labels.max()}, above S={S}")
+
+
 def check_distinct_params(model: SLModel, tol: float = 1e-9) -> bool:
     """True when all pairwise parameter differences have norm above tol."""
     for i, j in combinations(range(model.S), 2):
@@ -174,10 +181,7 @@ def check_partition_condition(
     from the f values alone; the reported permutation is the lexicographically
     smallest certificate.
     """
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    _check_assignment(data, a, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
     oversized = [s for s, idx in members.items() if idx.size > limits.max_block_size]
     if oversized:
@@ -249,11 +253,10 @@ def check_genericity_sufficient(
     cluster sizes, sorted descending, dominate n + (n-1)(S-s).  Returns None
     when the subset enumeration would exceed the guard.
     """
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
-    n = data.n
     if S is None:
         S = int(a.labels.max())
+    _check_assignment(data, a, S)
+    n = data.n
     sizes = sorted(a.cluster_sizes(S), reverse=True)
     for s, size in enumerate(sizes, start=1):
         if size < n + (n - 1) * (S - s):
@@ -319,9 +322,8 @@ def pe_report(
         a = data.truth
     if a is None:
         raise ValueError("no assignment given and dataset carries no truth labels")
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
     S = model.S
+    _check_assignment(data, a, S)
     cond1 = check_distinct_params(model)
     cond2, violations = check_no_separating_regressor(data, model, tol)
     cluster_pe = tuple(check_cluster_pe(data, a, s, tol) for s in range(1, S + 1))

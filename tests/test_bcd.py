@@ -12,7 +12,6 @@ from slsid import (
     SolverConfig,
     assign_step,
     bcd_solve,
-    fit_cluster_params,
     generate_random_scenario,
     objective_integer,
     objective_relaxed,
@@ -20,7 +19,7 @@ from slsid import (
     stationarity_check,
 )
 from slsid import fixtures
-from slsid.bcd import EmptyClusterError
+from slsid.model import fit_clusters
 from slsid.oracle import same_param_set
 
 EXAMPLE2_ALT = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
@@ -32,27 +31,34 @@ def assert_trace_descends(trace):
 
 
 class TestFitClusterParams:
+    """The per-cluster least-squares kernel behind the parameter half-step."""
+
     def test_example_two_second_cluster_exact(self):
         model, data = fixtures.example_two()
-        theta = fit_cluster_params(data, data.truth, 2)
-        np.testing.assert_allclose(theta, [-2.0, 4.0, 1.0], atol=1e-9)
+        theta, full_rank, empty = fit_clusters(data, data.truth.labels, [2])
+        np.testing.assert_allclose(theta[0], [-2.0, 4.0, 1.0], atol=1e-9)
+        assert full_rank[0] and not empty[0]
 
     def test_single_sample_minimum_norm(self):
         data = Dataset(np.array([[1.0, 0.0]]), np.array([2.0]))
-        theta = fit_cluster_params(data, Assignment(np.array([1])), 1)
-        np.testing.assert_allclose(theta, [2.0, 0.0], atol=1e-12)
+        theta, full_rank, empty = fit_clusters(data, np.array([1]), [1])
+        np.testing.assert_allclose(theta[0], [2.0, 0.0], atol=1e-12)
+        assert not full_rank[0] and not empty[0]
 
     def test_whole_data_single_system(self):
         rng = np.random.default_rng(0)
         model = SLModel(rng.uniform(-2, 2, size=(1, 3)))
         data = simulate(model, rng.uniform(-2, 2, size=(20, 3)), Assignment(np.ones(20, int)))
-        theta = fit_cluster_params(data, data.truth, 1)
-        np.testing.assert_allclose(theta, model.params[0], atol=1e-9)
+        theta, full_rank, _ = fit_clusters(data, data.truth.labels, [1])
+        np.testing.assert_allclose(theta[0], model.params[0], atol=1e-9)
+        assert full_rank[0]
 
     def test_empty_cluster_signalled(self):
         _, data = fixtures.example_one()
-        with pytest.raises(EmptyClusterError):
-            fit_cluster_params(data, data.truth, 3)
+        theta, full_rank, empty = fit_clusters(data, data.truth.labels, [1, 3, 2])
+        np.testing.assert_array_equal(empty, [False, True, False])
+        np.testing.assert_array_equal(theta[1], [0.0, 0.0])
+        assert not full_rank[1]
 
 
 class TestAssignStep:
@@ -88,7 +94,7 @@ class TestBcdSolve:
         init = Assignment(np.array([1, 1, 2, 1, 1, 1, 1, 2]))
         report = bcd_solve(
             data,
-            SolverConfig(S=2, restarts=1, init="provided", init_labels=init, seed=0),
+            SolverConfig(S=2, restarts=1, init_labels=init, seed=0),
         )
         assert report.objective < 1e-12
         assert report.iterations <= 5
@@ -117,8 +123,8 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=1, restarts=1, seed=0))
         assert report.iterations == 1
         assert report.converged
-        theta = fit_cluster_params(data, Assignment(np.ones(30, int)), 1)
-        np.testing.assert_array_equal(report.model.params[0], theta)
+        theta, _, _ = fit_clusters(data, np.ones(30, int), [1])
+        np.testing.assert_array_equal(report.model.params[0], theta[0])
         assert stationarity_check(data, report)
 
     def test_returned_assignment_is_fixed_point(self):
@@ -160,7 +166,7 @@ class TestBcdSolve:
         model, data = fixtures.example_two()
         init = Assignment(np.ones(8, int))
         report = bcd_solve(
-            data, SolverConfig(S=2, restarts=1, init="provided", init_labels=init)
+            data, SolverConfig(S=2, restarts=1, init_labels=init)
         )
         assert set(np.unique(report.assignment.labels)) == {1, 2}
         assert_trace_descends(report.trace)

@@ -183,6 +183,48 @@ def test_repro_mismatch_exit_code(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_pe_check_label_above_S_is_usage_error(tmp_path, capsys):
+    from slsid import Assignment, Dataset, fixtures, save_dataset, save_model
+
+    model, data = fixtures.example_one_augmented()
+    extra = Dataset(
+        np.vstack([data.regressors, [2.0, 1.0]]),
+        np.append(data.outputs, 0.5),
+        Assignment(np.append(data.truth.labels, 3)),
+    )
+    save_dataset(tmp_path / "extra.csv", extra)
+    save_model(tmp_path / "model.json", model)
+    code = run(["pe-check", "--data", str(tmp_path / "extra.csv"),
+                "--model", str(tmp_path / "model.json")])
+    assert code == 1
+    assert "above S=2" in capsys.readouterr().err
+
+
+def test_non_finite_dataset_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,y\n1.0,2.0\n2.0,nan\n3.0,1.0\n")
+    assert run(["fit", "--data", str(path), "--S", "1"]) == 1
+    assert "sample 2 " in capsys.readouterr().err
+
+
+def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
+    from slsid import cli, oracle
+
+    calls = []
+    scan = oracle.oracle_global
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    # both names: the command's own and the one oracle_unique resolves
+    monkeypatch.setattr(cli, "oracle_global", counting)
+    monkeypatch.setattr(oracle, "oracle_global", counting)
+    run(["simulate", "--example", "1", "--output", str(tmp_path)])
+    assert run(["oracle", "--data", str(tmp_path / "example1.csv"), "--S", "2"]) == 0
+    assert len(calls) == 1
+
+
 def test_pe_check_undecided_exit_code(tmp_path):
     # a single cluster above the enumeration guard yields an undecided
     # verdict, reported with exit code 3

@@ -24,6 +24,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             Dataset(np.ones((3, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("where", ["output", "regressor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite(self, where, bad):
+        X, y = np.ones((5, 2)), np.ones(5)
+        if where == "output":
+            y[3] = bad
+        else:
+            X[3, 1] = bad
+        X[4, 0] = np.nan  # a later bad row: the first one is named
+        with pytest.raises(ValueError, match="sample 4 "):
+            Dataset(X, y)
+
     def test_assignment_labels_one_based(self):
         with pytest.raises(ValueError):
             Assignment(np.array([0, 1]))

@@ -13,10 +13,15 @@ from slsid import (
 )
 from slsid import fixtures
 from slsid.model import SLModel
-from slsid.oracle import canonical_labels, relabeled, same_param_set
+from slsid.oracle import canonical_labels, same_param_set
 
 EXAMPLE1_ALT = np.array([[-0.5, 1.0], [1.0, 5.5]])
 EXAMPLE2_ALT = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
+
+
+def relabeled(a: Assignment, perm: tuple[int, ...]) -> Assignment:
+    """Apply a subsystem relabeling: label j becomes perm[j-1]."""
+    return Assignment(np.asarray(perm, dtype=int)[a.labels - 1])
 
 
 def test_canonical_labels_permutation_invariant():

@@ -2,11 +2,35 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsid.partitions import (
-    gram_nonsingular,
-    min_rank_deficient_partition,
-    set_partitions,
-)
+from slsid.partitions import gram_nonsingular, min_rank_deficient_partition
+
+
+def set_partitions(items, max_blocks):
+    """Yield all partitions of ``items`` into 1..max_blocks nonempty blocks.
+
+    Brute-force reference for the partition search.  Partitions come in
+    restricted-growth-string order, each as a list of blocks; blocks keep
+    the input order of their elements.
+    """
+    items = list(items)
+    m = len(items)
+    if m == 0 or max_blocks < 1:
+        return
+    code = [0] * m
+
+    def rec(i, used):
+        if i == m:
+            blocks = [[] for _ in range(used)]
+            for idx, b in enumerate(code):
+                blocks[b].append(items[idx])
+            yield blocks
+            return
+        for b in range(min(used + 1, max_blocks)):
+            code[i] = b
+            yield from rec(i + 1, max(used, b + 1))
+
+    # the first element always opens block 0
+    yield from rec(1, 1)
 
 
 def _stirling(m, j):
@@ -110,3 +134,35 @@ class TestMinRankDeficientPartition:
             assert count == len(blocks)
             for block in blocks:
                 assert not gram_nonsingular(rows[block], n)
+
+
+def _mixed_rows(rng, m, n):
+    """m rows in R^n: generic draws, exact repeats and scaled copies."""
+    rows = rng.uniform(-3, 3, size=(m, n))
+    for i in range(1, m):
+        kind = rng.integers(3)
+        if kind == 1:
+            rows[i] = rows[rng.integers(i)]
+        elif kind == 2:
+            rows[i] = rng.choice([-2.0, 0.5, 3.0]) * rows[rng.integers(i)]
+    return rows
+
+
+def test_search_matches_brute_force_reference():
+    # the search must return the smallest all-deficient block count and,
+    # for it, the first witness in restricted-growth order
+    rng = np.random.default_rng(3)
+    for trial in range(150):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        max_blocks = int(rng.integers(1, 5))
+        rows = _mixed_rows(rng, m, n)
+        expected = None
+        for blocks in set_partitions(range(m), max_blocks):
+            if all(not gram_nonsingular(rows[b], n) for b in blocks):
+                if expected is None or len(blocks) < len(expected):
+                    expected = blocks
+        found = min_rank_deficient_partition(rows, max_blocks)
+        if expected is None:
+            assert found is None, f"trial {trial}"
+        else:
+            assert found == (len(expected), expected), f"trial {trial}"

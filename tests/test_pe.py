@@ -268,3 +268,19 @@ class TestPEReport:
         bare = Dataset(data.regressors, data.outputs)
         with pytest.raises(ValueError):
             pe_report(bare, model)
+
+    def test_label_above_S_rejected(self):
+        # a sixth sample labelled 3 under a two-subsystem model must not be
+        # dropped from the certificate
+        model, data = fixtures.example_one_augmented()
+        extra = Dataset(
+            np.vstack([data.regressors, [2.0, 1.0]]),
+            np.append(data.outputs, 0.5),
+            Assignment(np.append(data.truth.labels, 3)),
+        )
+        with pytest.raises(ValueError, match="above S=2"):
+            pe_report(extra, model)
+        with pytest.raises(ValueError, match="above S=2"):
+            check_partition_condition(extra, extra.truth, 2)
+        with pytest.raises(ValueError, match="above S=2"):
+            check_genericity_sufficient(extra, extra.truth, 2)
