@@ -34,21 +34,38 @@ def save_dataset(path, data: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset CSV; a malformed row raises ValueError naming its line."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    has_labels = bool(header) and header[-1] == "zeta"
-    n = len(header) - (2 if has_labels else 1)
-    if n < 1 or header[:n] != [f"x{j + 1}" for j in range(n)] or header[n] != "y":
-        raise ValueError(f"{path}: malformed dataset header {header!r}")
-    regressors = np.array([[float(v) for v in row[:n]] for row in rows])
-    outputs = np.array([float(row[n]) for row in rows])
-    truth = None
-    if has_labels:
-        truth = Assignment(np.array([int(row[n + 1]) for row in rows]))
-    return Dataset(regressors, outputs, truth=truth)
+        header = next(reader, [])
+        has_labels = bool(header) and header[-1] == "zeta"
+        n = len(header) - (2 if has_labels else 1)
+        if n < 1 or header[:n] != [f"x{j + 1}" for j in range(n)] or header[n] != "y":
+            raise ValueError(f"{path}: malformed dataset header {header!r}")
+        regressors, outputs, labels = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: {len(row)} fields, the header has {len(header)}"
+                )
+            try:
+                regressors.append([float(v) for v in row[:n]])
+                outputs.append(float(row[n]))
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {row!r}") from None
+            if has_labels:
+                try:
+                    labels.append(int(row[n + 1]))
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: zeta {row[n + 1]!r} is not an integer"
+                    ) from None
+    truth = Assignment(np.array(labels)) if has_labels else None
+    return Dataset(np.array(regressors), np.array(outputs), truth=truth)
 
 
 def save_model(path, model: SLModel) -> None:

@@ -1,12 +1,15 @@
 """Exhaustive ground truth on small instances.
 
-Enumerates every one of the S^N label sequences, fits each nonempty cluster
-by least squares, and reports the global minimum of the hard-assignment
-objective together with all optimal solutions grouped into classes under
-subsystem relabeling.  Enumeration follows a mixed-radix Gray code so each
-step moves a single sample between clusters and only the two affected
-cluster fits are recomputed from incrementally maintained Gram and moment
-accumulators.
+Scans every split of the samples into at most S clusters, fits each
+nonempty cluster by least squares, and reports the global minimum of the
+hard-assignment objective together with all optimal solutions grouped into
+classes under subsystem relabeling.  Splits are restricted-growth label
+strings (the first sample is in cluster 1 and each later label is at most
+one above the largest before it), which visit each relabeling class once.
+They are scanned in fixed-size chunks: one matmul of the chunk's one-hot
+memberships against per-sample ``x x^T`` and ``x y`` gives every cluster's
+Gram and moment, one batched pseudo-inverse gives the minimum-norm fits, and
+each assignment's objective is summed from its explicit residuals.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -23,9 +26,11 @@ from itertools import permutations
 import numpy as np
 
 from .model import Dataset, fit_clusters
-from .partitions import GRAM_RTOL, gram_full_rank
+from .partitions import GRAM_RTOL
 
 DEFAULT_ENUM_LIMIT = 2_000_000
+# label strings per batched solve; sized for memory, not speed
+_CHUNK = 1024
 
 
 class EnumerationLimitError(RuntimeError):
@@ -69,24 +74,24 @@ def canonical_labels(labels: np.ndarray) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mixed_radix_gray(N: int, S: int):
-    """Yield (position, old_digit, new_digit) single-digit Gray steps."""
-    digits = [0] * N
-    offsets = [1] * N
-    focus = list(range(N + 1))
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == N:
-            return
-        old = digits[j]
-        new = old + offsets[j]
-        digits[j] = new
-        if new == 0 or new == S - 1:
-            offsets[j] = -offsets[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        yield j, old, new
+def _rgs_chunks(N: int, S: int):
+    """Restricted-growth label strings with at most S blocks, in chunks.
+
+    Labels are 0-based.  Codes 0..S^(N-1)-1 are the digits of samples
+    2..N, most significant first, so chunks come in ascending
+    lexicographic order; a code is kept when each label is at most one
+    above the largest label before it.
+    """
+    total = S ** (N - 1)
+    place = S ** np.arange(N - 2, -1, -1)
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total))
+        labels = np.zeros((codes.size, N), dtype=np.intp)
+        labels[:, 1:] = codes[:, None] // place % S
+        ceiling = np.maximum.accumulate(labels, axis=1)[:, :-1] + 1
+        valid = (labels[:, 1:] <= ceiling).all(axis=1)
+        if valid.any():
+            yield labels[valid]
 
 
 def oracle_global(
@@ -98,10 +103,10 @@ def oracle_global(
 ) -> tuple[float, list[SolutionClass]]:
     """Global minimum of the hard-assignment objective and all optimal classes.
 
-    Every assignment within ``tol`` of the global minimum contributes; the
-    returned classes are deduplicated under relabeling and sorted by their
-    canonical label sequence.  Raises :class:`EnumerationLimitError` when
-    S^N exceeds ``limit``.
+    Every assignment within ``tol`` of the global minimum contributes one
+    class; the classes are sorted by their canonical label sequence and
+    their ``degenerate`` flags use ``rank_tol``.  Raises
+    :class:`EnumerationLimitError` when S^N exceeds ``limit``.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -112,88 +117,55 @@ def oracle_global(
             f"S^N = {total} exceeds the enumeration limit {limit}"
         )
     X, y = data.regressors, data.outputs
-
-    labels = np.zeros(N, dtype=int)
-    grams = np.zeros((S, n, n))
-    moments = np.zeros((S, n))
-    counts = np.zeros(S, dtype=int)
-    grams[0] = X.T @ X
-    moments[0] = X.T @ y
-    counts[0] = N
-    sse = np.zeros(S)
-    degenerate = np.zeros(S, dtype=bool)
-
-    def refresh(s: int) -> None:
-        idx = np.flatnonzero(labels == s)
-        if idx.size == 0:
-            sse[s] = 0.0
-            degenerate[s] = True
-            return
-        gram, moment = grams[s], moments[s]
-        svals = np.linalg.svd(gram, compute_uv=False)
-        degenerate[s] = not gram_full_rank(svals, n, rank_tol)
-        theta, *_ = np.linalg.lstsq(gram, moment, rcond=None)
-        r = y[idx] - X[idx] @ theta
-        sse[s] = float(r @ r)
-
-    for s in range(S):
-        refresh(s)
+    outer = (X[:, :, None] * X[:, None, :]).reshape(N, n * n)
+    xy = X * y[:, None]
+    # lstsq's default cutoff for an n x n system
+    rcond = n * np.finfo(float).eps
+    clusters = np.arange(S)[:, None]
 
     best = np.inf
-    kept: list[tuple[float, bool, np.ndarray]] = []
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    for labels in _rgs_chunks(N, S):
+        member = (labels[:, None, :] == clusters).astype(float)
+        grams = (member @ outer).reshape(-1, S, n, n)
+        pinv = np.linalg.pinv(grams, rcond=rcond, hermitian=True)
+        theta = (pinv @ (member @ xy)[..., None])[..., 0]
+        # explicit residuals: y'y - m'theta would cancel on exact fits
+        own = np.take_along_axis(theta, labels[..., None], axis=1)
+        r = y - np.einsum("bkj,kj->bk", own, X)
+        sse = np.einsum("bk,bk->b", r, r)
+        if sse.min() < best:
+            best = float(sse.min())
+            kept = [(o[o <= best + tol], lab[o <= best + tol]) for o, lab in kept]
+        near = sse <= best + tol
+        kept.append((sse[near], labels[near]))
 
-    def consider():
-        nonlocal best, kept
-        obj = float(sse.sum())
-        if obj < best:
-            best = obj
-            kept = [(o, d, lab) for o, d, lab in kept if o <= best + tol]
-        if obj <= best + tol:
-            kept.append((obj, bool(degenerate.any()), labels.copy()))
-
-    consider()
-    if S > 1:
-        for k, old, new in _mixed_radix_gray(N, S):
-            xk = X[k]
-            outer = np.outer(xk, xk)
-            xy = xk * y[k]
-            grams[old] -= outer
-            moments[old] -= xy
-            counts[old] -= 1
-            grams[new] += outer
-            moments[new] += xy
-            counts[new] += 1
-            labels[k] = new
-            refresh(old)
-            refresh(new)
-            consider()
-
-    classes: dict[tuple[int, ...], SolutionClass] = {}
-    for obj, deg, lab in kept:
-        if obj > best + tol:
-            continue
-        canon = canonical_labels(lab)
-        if canon in classes:
-            continue
-        canon_arr = np.asarray(canon)
-        # canonical labels use 1..used, so clusters above used are the empty
-        # ones, which count as degenerate through their rank flag
-        params, full_rank, _ = fit_clusters(data, canon_arr, range(1, S + 1), rank_tol)
-        exact_obj = 0.0
-        for s in range(1, canon_arr.max() + 1):
-            idx = (canon_arr == s).nonzero()[0]
-            r = y[idx] - X[idx] @ params[s - 1]
-            exact_obj += float(r @ r)
-        order = np.lexsort(params.T[::-1])
-        classes[canon] = SolutionClass(
-            labels=canon,
-            params=params,
-            params_sorted=params[order],
-            objective=exact_obj,
-            degenerate=not full_rank.all(),
-        )
-    ordered = [classes[key] for key in sorted(classes)]
-    return best, ordered
+    # restricted-growth strings are canonical and scanned in ascending
+    # order, so every kept string is its own class, already sorted
+    classes = []
+    for _, labs in kept:
+        for canon in labs + 1:
+            # canonical labels use 1..used, so clusters above used are the
+            # empty ones, which count as degenerate through their rank flag
+            params, full_rank, _ = fit_clusters(
+                data, canon, range(1, S + 1), rank_tol
+            )
+            exact_obj = 0.0
+            for s in range(1, canon.max() + 1):
+                idx = (canon == s).nonzero()[0]
+                r = y[idx] - X[idx] @ params[s - 1]
+                exact_obj += float(r @ r)
+            order = np.lexsort(params.T[::-1])
+            classes.append(
+                SolutionClass(
+                    labels=tuple(canon.tolist()),
+                    params=params,
+                    params_sorted=params[order],
+                    objective=exact_obj,
+                    degenerate=not full_rank.all(),
+                )
+            )
+    return best, classes
 
 
 def unique_optimum(classes: list[SolutionClass]) -> bool:

@@ -207,6 +207,15 @@ def test_non_finite_dataset_is_usage_error(tmp_path, capsys):
     assert "sample 2 " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["3.0,4.0,2,9", "3.0,4.0", "3.0,4.0,1.5"])
+def test_malformed_dataset_row_is_usage_error(tmp_path, capsys, bad_row):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"x1,y,zeta\n1.0,2.0,1\n{bad_row}\n5.0,6.0,2\n")
+    assert run(["oracle", "--data", str(path), "--S", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3" in err
+
+
 def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
     from slsid import cli, oracle
 

@@ -50,6 +50,29 @@ def test_malformed_header_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+    path.write_text("")
+    with pytest.raises(ValueError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1.0,2.0,1\n3.0,4.0,2,9\n", "4 fields, the header has 3"),
+        ("1.0,2.0,1\n3.0,4.0\n", "2 fields, the header has 3"),
+        ("1.0,2.0,1\n3.0,4.0,1.5\n", "zeta '1.5' is not an integer"),
+        ("1.0,2.0,1\n3.0,4.0,b\n", "zeta 'b' is not an integer"),
+        ("1.0,2.0,1\nx,4.0,2\n", "non-numeric field"),
+    ],
+    ids=["extra-field", "short-row", "fractional-zeta", "text-zeta", "text-x"],
+)
+def test_malformed_row_rejected_with_its_line(tmp_path, rows, message):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,y,zeta\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    assert f"{path}, line 3: " in str(exc.value)
+    assert message in str(exc.value)
 
 
 def test_round_trip_preserves_exact_fit(tmp_path):

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
     Assignment,
@@ -11,8 +15,9 @@ from slsid import (
     oracle_global,
     oracle_unique,
 )
-from slsid import fixtures
+from slsid import fixtures, oracle
 from slsid.model import SLModel
+from slsid.partitions import gram_nonsingular
 from slsid.oracle import canonical_labels, same_param_set
 
 EXAMPLE1_ALT = np.array([[-0.5, 1.0], [1.0, 5.5]])
@@ -184,3 +189,130 @@ def test_appending_consistent_sample_keeps_optimum_zero():
     optimum, classes = oracle_global(grown, 2)
     assert optimum <= 1e-12
     assert len(classes) == 1
+
+
+def _reference_degenerate(data, labels, S):
+    """Whether some cluster 1..S is empty or has a singular Gram."""
+    X = data.regressors
+    return not all(gram_nonsingular(X[labels == s], data.n) for s in range(1, S + 1))
+
+
+def _random_instance(rng, S, n, N, kind):
+    X = rng.uniform(-3, 3, size=(N, n))
+    if kind == "repeated" and N > 1:
+        X[-1] = X[0]
+    if kind == "collinear" and N > 1:
+        X[1:] = X[0] * rng.uniform(-2, 2, size=(N - 1, 1))
+    y = np.zeros(N) if kind == "zero" else rng.normal(0, 1.0, size=N)
+    return Dataset(X, y)
+
+
+def test_random_instances_match_reference_enumeration():
+    rng = np.random.default_rng(2024)
+    # N = 1, N < S and N > S for every S and n
+    cases = [
+        (S, n, N)
+        for S in range(1, 5)
+        for n in range(1, 4)
+        for N in sorted({1, S - 1, 5} - {0})
+    ]
+    kinds = ("generic", "repeated", "collinear", "zero")
+    for trial, (S, n, N) in enumerate(cases):
+        kind = kinds[trial % len(kinds)]
+        data = _random_instance(rng, S, n, N, kind)
+        optimum, classes = oracle_global(data, S)
+        ref_opt, ref_classes = _reference_scan(data, S)
+        where = f"S={S} n={n} N={N} {kind}"
+        assert optimum == pytest.approx(ref_opt, abs=1e-9), where
+        assert [c.labels for c in classes] == sorted(ref_classes), where
+        for c in classes:
+            want = _reference_degenerate(data, np.asarray(c.labels), S)
+            assert c.degenerate == want, f"{where} {c.labels}"
+
+
+def _stirling_sum(N, S):
+    """S(N,1) + ... + S(N,S), second-kind Stirling numbers by recurrence."""
+    row = [1] + [0] * S  # S(0, k)
+    for _ in range(N):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, S + 1)]
+    return sum(row[1:])
+
+
+def _same_classes(a, b):
+    assert a[0] == b[0]
+    assert len(a[1]) == len(b[1])
+    for c, d in zip(a[1], b[1]):
+        assert c.labels == d.labels and c.degenerate == d.degenerate
+        assert c.objective == d.objective
+        np.testing.assert_array_equal(c.params, d.params)
+        np.testing.assert_array_equal(c.params_sorted, d.params_sorted)
+
+
+def test_small_chunks_give_identical_results(monkeypatch):
+    rng = np.random.default_rng(3)
+    noisy = Dataset(rng.uniform(-3, 3, size=(8, 2)), rng.normal(0, 1.0, size=8))
+    zero = Dataset(rng.uniform(-3, 3, size=(7, 2)), np.zeros(7))
+    tol = 0.5
+    default = oracle_global(noisy, 2, tol=tol), oracle_global(zero, 3)
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    small = oracle_global(noisy, 2, tol=tol), oracle_global(zero, 3)
+    # the first 3-string chunk (all ones, then a lone 2 in the last or the
+    # second-to-last place) keeps candidates a later chunk's optimum drops
+    first = [np.ones(8, dtype=int) for _ in range(3)]
+    first[1][-1] = first[2][-2] = 2
+    assert min(_objective_of(noisy, lab, 2) for lab in first) > default[0][0] + tol
+    for a, b in zip(default, small):
+        _same_classes(a, b)
+    # _reference_scan tracks its minimum only to within tol, so filter here
+    objectives = {
+        canonical_labels(lab): _objective_of(noisy, np.asarray(lab), 2)
+        for lab in itertools.product((1, 2), repeat=8)
+    }
+    optimum = min(objectives.values())
+    assert default[0][0] == pytest.approx(optimum, abs=1e-12)
+    want = sorted(lab for lab, obj in objectives.items() if obj <= optimum + tol)
+    assert [c.labels for c in small[0][1]] == want
+    assert len(small[1][1]) == _stirling_sum(7, 3)
+
+
+def test_no_least_squares_call_per_assignment(monkeypatch):
+    rng = np.random.default_rng(8)
+    S, N = 2, 10
+    labels = Assignment(rng.permutation(np.resize(np.arange(1, S + 1), N)))
+    model = SLModel(rng.uniform(-5, 5, size=(S, 2)))
+    X = rng.uniform(-5, 5, size=(N, 2))
+    data = Dataset(X, np.einsum("ij,ij->i", X, model.params[labels.labels - 1]))
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    _, classes = oracle_global(data, S)
+    assert len(classes) == 1
+    assert len(calls) == S * len(classes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 100_000),
+    st.integers(2, 3),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_sample_permutation_permutes_classes(seed, S, n, N, zero):
+    rng = np.random.default_rng(seed)
+    data = _random_instance(rng, S, n, N, "zero" if zero else "generic")
+    perm = rng.permutation(N)
+    moved = Dataset(data.regressors[perm], data.outputs[perm])
+    _, classes = oracle_global(data, S)
+    _, moved_classes = oracle_global(moved, S)
+    back = {}
+    for c in moved_classes:
+        labels = np.empty(N, dtype=int)
+        labels[perm] = c.labels
+        back[canonical_labels(labels)] = c.degenerate
+    assert back == {c.labels: c.degenerate for c in classes}
