@@ -32,7 +32,6 @@ from .oracle import (
     EnumerationLimitError,
     SolutionClass,
     oracle_global,
-    oracle_unique,
 )
 from .order import (
     OrderSelectConfig,
@@ -94,7 +93,6 @@ __all__ = [
     "objective_integer",
     "objective_relaxed",
     "oracle_global",
-    "oracle_unique",
     "pe_report",
     "save_dataset",
     "save_model",

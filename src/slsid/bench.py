@@ -19,7 +19,7 @@ from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import classification_error, nmse
 from .model import NoiseSpec, generate_random_scenario
-from .oracle import oracle_global, oracle_unique, same_param_set, unique_optimum
+from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_table, pe_report
 
 SUMMARY_COLUMNS = [
@@ -238,7 +238,7 @@ def repro_example1_oracle() -> list[str]:
     report_aug = pe_report(data_aug, model_aug)
     if not report_aug.certified:
         mismatches.append("augmented fixture not certified")
-    if not oracle_unique(data_aug, 2):
+    if not unique_optimum(oracle_global(data_aug, 2)[1]):
         mismatches.append("augmented fixture not unique")
     return mismatches
 

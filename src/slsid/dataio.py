@@ -64,6 +64,8 @@ def load_dataset(path) -> Dataset:
                     raise ValueError(
                         f"{where}: zeta {row[n + 1]!r} is not an integer"
                     ) from None
+    if not outputs:
+        raise ValueError(f"{path}: no data rows after the header")
     truth = Assignment(np.array(labels)) if has_labels else None
     return Dataset(np.array(regressors), np.array(outputs), truth=truth)
 

@@ -5,9 +5,10 @@ subsystems: y_k = x_k . theta_{z_k} + e_k, where z_k is the per-sample
 subsystem label.  This module holds the value types (dataset, parameter
 bank, label sequence, relaxed membership weights, noise description) and
 the two objectives: the integer assignment objective and its penalty
-relaxation over fractional memberships.  ``fit_clusters`` is the one
+relaxation over fractional memberships.  ``fit_clusters`` is the
 per-cluster least-squares kernel, shared by the descent's parameter
-half-step, order selection and the exhaustive oracle.
+half-step and order selection; the exhaustive oracle solves whole chunks of
+label strings at once on their Gram matrices instead.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after

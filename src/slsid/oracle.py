@@ -9,7 +9,12 @@ one above the largest before it), which visit each relabeling class once.
 They are scanned in fixed-size chunks: one matmul of the chunk's one-hot
 memberships against per-sample ``x x^T`` and ``x y`` gives every cluster's
 Gram and moment, one batched pseudo-inverse gives the minimum-norm fits, and
-each assignment's objective is summed from its explicit residuals.
+each assignment's objective is summed from its explicit residuals.  A
+string within ``tol`` of the optimum keeps what its chunk computed: the fits
+become the class parameters, the residual sum its objective, and the
+singular values of its Grams, from one batched decomposition per chunk,
+give its rank flags.  Because the fits are solved on the Gram, they agree
+with a per-cluster ``lstsq`` on the rows to rounding, not bitwise.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -25,8 +30,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import Dataset, fit_clusters
-from .partitions import GRAM_RTOL
+from .model import Dataset
+from .partitions import GRAM_RTOL, gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
 # label strings per batched solve; sized for memory, not speed
@@ -60,18 +65,6 @@ class SolutionClass:
             "objective": self.objective,
             "degenerate": self.degenerate,
         }
-
-
-def canonical_labels(labels: np.ndarray) -> tuple[int, ...]:
-    """Renumber labels by first appearance; permutation-invariant."""
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        lab = int(lab)
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        out.append(mapping[lab])
-    return tuple(out)
 
 
 def _rgs_chunks(N: int, S: int):
@@ -124,7 +117,9 @@ def oracle_global(
     clusters = np.arange(S)[:, None]
 
     best = np.inf
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    # per chunk: objective, labels, fits and Gram singular values of the
+    # strings within tol of the running best
+    kept: list[tuple[np.ndarray, ...]] = []
     for labels in _rgs_chunks(N, S):
         member = (labels[:, None, :] == clusters).astype(float)
         grams = (member @ outer).reshape(-1, S, n, n)
@@ -136,33 +131,25 @@ def oracle_global(
         sse = np.einsum("bk,bk->b", r, r)
         if sse.min() < best:
             best = float(sse.min())
-            kept = [(o[o <= best + tol], lab[o <= best + tol]) for o, lab in kept]
+            kept = [tuple(a[c[0] <= best + tol] for a in c) for c in kept]
         near = sse <= best + tol
-        kept.append((sse[near], labels[near]))
+        # an empty cluster has a zero Gram, so it fits theta = 0 and fails
+        # the rank test, which makes its class degenerate
+        svals = np.linalg.svd(grams[near], compute_uv=False)
+        kept.append((sse[near], labels[near], theta[near], svals))
 
     # restricted-growth strings are canonical and scanned in ascending
     # order, so every kept string is its own class, already sorted
     classes = []
-    for _, labs in kept:
-        for canon in labs + 1:
-            # canonical labels use 1..used, so clusters above used are the
-            # empty ones, which count as degenerate through their rank flag
-            params, full_rank, _ = fit_clusters(
-                data, canon, range(1, S + 1), rank_tol
-            )
-            exact_obj = 0.0
-            for s in range(1, canon.max() + 1):
-                idx = (canon == s).nonzero()[0]
-                r = y[idx] - X[idx] @ params[s - 1]
-                exact_obj += float(r @ r)
-            order = np.lexsort(params.T[::-1])
+    for objectives, labs, thetas, svals in kept:
+        for obj, canon, params, sv in zip(objectives, labs + 1, thetas, svals):
             classes.append(
                 SolutionClass(
                     labels=tuple(canon.tolist()),
                     params=params,
-                    params_sorted=params[order],
-                    objective=exact_obj,
-                    degenerate=not full_rank.all(),
+                    params_sorted=params[np.lexsort(params.T[::-1])],
+                    objective=float(obj),
+                    degenerate=not all(gram_full_rank(s, n, rank_tol) for s in sv),
                 )
             )
     return best, classes
@@ -171,17 +158,6 @@ def oracle_global(
 def unique_optimum(classes: list[SolutionClass]) -> bool:
     """Whether the optimal classes are a single well-posed one."""
     return len(classes) == 1 and not classes[0].degenerate
-
-
-def oracle_unique(
-    data: Dataset,
-    S: int,
-    tol: float = 1e-9,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    rank_tol: float = GRAM_RTOL,
-) -> bool:
-    """Whether the optimum is attained by a single well-posed class."""
-    return unique_optimum(oracle_global(data, S, tol, limit, rank_tol)[1])
 
 
 def same_param_set(A: np.ndarray, B: np.ndarray, atol: float = 1e-7) -> bool:

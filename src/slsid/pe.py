@@ -281,7 +281,6 @@ class PEReport:
     cond2_violations: tuple[tuple[int, int, int], ...]
     cluster_pe: tuple[bool, ...]
     cond3_partition: PartitionCheck
-    genericity_sufficient: bool | None
     sizes: tuple[int, ...]
     certified: bool
     undecided: bool
@@ -303,7 +302,6 @@ class PEReport:
             "cond3_status": part.status,
             "cond3_permutation": list(part.permutation) if part.permutation else None,
             "cond3_witness": witness,
-            "genericity_sufficient": self.genericity_sufficient,
             "sizes": list(self.sizes),
             "certified": self.certified,
             "undecided": self.undecided,
@@ -317,7 +315,11 @@ def pe_report(
     tol: float = GRAM_RTOL,
     limits: Limits = Limits(),
 ) -> PEReport:
-    """Run all excitation checks; certified iff conditions 1-3 all pass."""
+    """Run conditions 1-3 and per-cluster excitation; certified iff 1-3 pass.
+
+    The n-genericity certificate is not part of the report, since the
+    verdict does not read it; :func:`check_genericity_sufficient` gives it.
+    """
     if a is None:
         a = data.truth
     if a is None:
@@ -328,14 +330,12 @@ def pe_report(
     cond2, violations = check_no_separating_regressor(data, model, tol)
     cluster_pe = tuple(check_cluster_pe(data, a, s, tol) for s in range(1, S + 1))
     part = check_partition_condition(data, a, S, tol, limits)
-    genericity = check_genericity_sufficient(data, a, S, tol, limits)
     return PEReport(
         cond1_distinct_params=cond1,
         cond2_no_separating_regressor=cond2,
         cond2_violations=tuple(violations),
         cluster_pe=cluster_pe,
         cond3_partition=part,
-        genericity_sufficient=genericity,
         sizes=a.cluster_sizes(S),
         certified=cond1 and cond2 and part.status == CERTIFIED,
         undecided=part.status == UNDECIDED,

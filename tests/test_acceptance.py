@@ -29,7 +29,6 @@ from slsid import (
     objective_integer,
     objective_relaxed,
     oracle_global,
-    oracle_unique,
     pe_report,
     simulate,
     stationarity_check,
@@ -43,7 +42,7 @@ from slsid.bench import (
     run_cell,
 )
 from slsid.model import residual_matrix
-from slsid.oracle import same_param_set
+from slsid.oracle import same_param_set, unique_optimum
 
 
 class budget:
@@ -93,8 +92,8 @@ def test_example2_identification():
 def test_tightness_seven_sample_variant():
     with budget("tightness-seven-sample", 1.0):
         model, data = fixtures.example_two_seven()
-        assert not oracle_unique(data, 2)
         _, classes = oracle_global(data, 2)
+        assert not unique_optimum(classes)
         exact = [c for c in classes if abs(c.objective) <= 1e-12]
         assert any(same_param_set(c.params, model.params) for c in exact)
         assert any(same_param_set(c.params, EXAMPLE2_ALT_PARAMS) for c in exact)
@@ -114,7 +113,7 @@ def test_example1_pipeline():
         assert any(same_param_set(c.params, EXAMPLE1_ALT_PARAMS) for c in clean)
         model_aug, data_aug = fixtures.example_one_augmented()
         assert pe_report(data_aug, model_aug).certified
-        assert oracle_unique(data_aug, 2)
+        assert unique_optimum(oracle_global(data_aug, 2)[1])
 
 
 def test_theorem1_property_suite():
@@ -134,7 +133,8 @@ def test_theorem1_property_suite():
             report = pe_report(data, model)
             if report.certified:
                 certified += 1
-                assert oracle_unique(data, S), f"trial {trial}: certified but not unique"
+                unique = unique_optimum(oracle_global(data, S)[1])
+                assert unique, f"trial {trial}: certified but not unique"
         assert certified >= 15, f"only {certified} certified instances; suite too weak"
 
 

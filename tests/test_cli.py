@@ -216,6 +216,14 @@ def test_malformed_dataset_row_is_usage_error(tmp_path, capsys, bad_row):
     assert err.startswith("error: ") and "line 3" in err
 
 
+def test_header_only_dataset_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text("x1,x2,y,zeta\n")
+    assert run(["oracle", "--data", str(path), "--S", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "no data rows" in err
+
+
 def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
     from slsid import cli, oracle
 
@@ -226,7 +234,8 @@ def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
         calls.append(args)
         return scan(*args, **kwargs)
 
-    # both names: the command's own and the one oracle_unique resolves
+    # both names: the command's own and the module's, so a second scan
+    # through any slsid.oracle helper is counted too
     monkeypatch.setattr(cli, "oracle_global", counting)
     monkeypatch.setattr(oracle, "oracle_global", counting)
     run(["simulate", "--example", "1", "--output", str(tmp_path)])

@@ -56,6 +56,17 @@ def test_malformed_header_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text", ["x1,y\n", "x1,x2,y,zeta\n\n\n"], ids=["header", "blank-lines"]
+)
+def test_header_only_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no data rows") as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize(
     "rows, message",
     [
         ("1.0,2.0,1\n3.0,4.0,2,9\n", "4 fields, the header has 3"),

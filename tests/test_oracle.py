@@ -13,15 +13,26 @@ from slsid import (
     bcd_solve,
     objective_integer,
     oracle_global,
-    oracle_unique,
 )
 from slsid import fixtures, oracle
-from slsid.model import SLModel
+from slsid.model import SLModel, fit_clusters
 from slsid.partitions import gram_nonsingular
-from slsid.oracle import canonical_labels, same_param_set
+from slsid.oracle import same_param_set, unique_optimum
 
 EXAMPLE1_ALT = np.array([[-0.5, 1.0], [1.0, 5.5]])
 EXAMPLE2_ALT = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
+
+
+def canonical_labels(labels: np.ndarray) -> tuple[int, ...]:
+    """Renumber labels by first appearance; permutation-invariant."""
+    mapping: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        lab = int(lab)
+        if lab not in mapping:
+            mapping[lab] = len(mapping) + 1
+        out.append(mapping[lab])
+    return tuple(out)
 
 
 def relabeled(a: Assignment, perm: tuple[int, ...]) -> Assignment:
@@ -45,7 +56,7 @@ class TestExampleOne:
         assert len(clean) >= 2
         assert any(same_param_set(c.params, model.params) for c in clean)
         assert any(same_param_set(c.params, EXAMPLE1_ALT) for c in clean)
-        assert not oracle_unique(data, 2)
+        assert not unique_optimum(classes)
 
     def test_augmented_unique(self):
         model, data = fixtures.example_one_augmented()
@@ -53,7 +64,7 @@ class TestExampleOne:
         assert optimum <= 1e-12
         assert len(classes) == 1 and not classes[0].degenerate
         assert same_param_set(classes[0].params, model.params)
-        assert oracle_unique(data, 2)
+        assert unique_optimum(classes)
 
 
 class TestExampleTwo:
@@ -64,13 +75,13 @@ class TestExampleTwo:
         assert len(classes) == 1
         assert same_param_set(classes[0].params, model.params)
         assert classes[0].labels == tuple(fixtures.EXAMPLE2_LABELS)
-        assert oracle_unique(data, 2)
+        assert unique_optimum(classes)
 
     def test_seven_samples_two_classes(self):
         model, data = fixtures.example_two_seven()
         optimum, classes = oracle_global(data, 2)
         assert optimum <= 1e-12
-        assert not oracle_unique(data, 2)
+        assert not unique_optimum(classes)
         exact = [c for c in classes if abs(c.objective) <= 1e-12]
         assert any(same_param_set(c.params, model.params) for c in exact)
         alt = [c for c in exact if same_param_set(c.params, EXAMPLE2_ALT)]
@@ -97,7 +108,7 @@ def test_degenerate_single_cluster_flagged():
     optimum, classes = oracle_global(data, 2)
     assert optimum <= 1e-12
     assert classes and all(c.degenerate for c in classes)
-    assert not oracle_unique(data, 2)
+    assert not unique_optimum(classes)
 
 
 def test_enumeration_limit_refused():
@@ -230,6 +241,37 @@ def test_random_instances_match_reference_enumeration():
             assert c.degenerate == want, f"{where} {c.labels}"
 
 
+def test_classes_match_per_cluster_least_squares():
+    # the scan's Gram-based fits against lstsq on each cluster's rows:
+    # equal to rounding, looser where a rank-deficient Gram is solved
+    rng = np.random.default_rng(31)
+    cases = [
+        (S, n, N)
+        for S in range(1, 5)
+        for n in range(1, 4)
+        for N in sorted({1, S - 1, 5} - {0})
+    ]
+    for S, n, N in cases:
+        for kind in ("generic", "repeated", "collinear", "zero"):
+            data = _random_instance(rng, S, n, N, kind)
+            X, y = data.regressors, data.outputs
+            for c in oracle_global(data, S)[1]:
+                where = f"S={S} n={n} N={N} {kind} {c.labels}"
+                labels = np.asarray(c.labels)
+                params, full_rank, _ = fit_clusters(data, labels, range(1, S + 1))
+                assert c.degenerate == (not full_rank.all()), where
+                rtol = 1e-7 if c.degenerate else 1e-10
+                np.testing.assert_allclose(
+                    c.params, params, rtol=rtol,
+                    atol=rtol * np.abs(params).max(), err_msg=where,
+                )
+                exact = 0.0
+                for s in range(1, S + 1):
+                    r = y[labels == s] - X[labels == s] @ params[s - 1]
+                    exact += float(r @ r)
+                assert abs(c.objective - exact) <= 1e-12 * (1 + abs(c.objective)), where
+
+
 def _stirling_sum(N, S):
     """S(N,1) + ... + S(N,S), second-kind Stirling numbers by recurrence."""
     row = [1] + [0] * S  # S(0, k)
@@ -292,7 +334,7 @@ def test_no_least_squares_call_per_assignment(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     _, classes = oracle_global(data, S)
     assert len(classes) == 1
-    assert len(calls) == S * len(classes)
+    assert len(calls) == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,7 +17,7 @@ from slsid import (
     min_samples_vidal,
     pe_report,
 )
-from slsid import fixtures
+from slsid import fixtures, pe
 from slsid.partitions import gram_nonsingular
 from slsid.pe import CERTIFIED, REFUTED, UNDECIDED
 
@@ -240,7 +240,16 @@ class TestPEReport:
         report = pe_report(data, model)
         assert report.certified
         assert report.sizes == (3, 2)
-        assert report.genericity_sufficient is True
+
+    def test_report_skips_genericity_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pe_report ran the genericity scan")
+
+        monkeypatch.setattr(pe, "check_genericity_sufficient", refuse)
+        model, data = fixtures.example_one_augmented()
+        report = pe_report(data, model)
+        assert report.certified
+        assert "genericity_sufficient" not in report.to_dict()
 
     def test_example_two_conditions(self):
         # the dependent triple {1,2,4} defeats the partition condition even
