@@ -7,9 +7,20 @@ subsystem, ties to the smallest index).  The inner relabeling problem of
 the penalty relaxation always has a binary minimizer, so the solver works
 directly with hard labels and the returned membership is exactly binary.
 
+Each iteration works on sufficient statistics.  ``bcd_solve`` builds the
+dataset's moment table once and shares it across restarts, so the
+parameter half-step is one membership matmul and one batched Gram solve
+(``model.fit_clusters``).  One squared residual matrix per iteration,
+computed as ``residual_matrix`` computes it, then gives the fit objective
+by a label gather and the relabeling with its objective by a row-wise
+minimum, so the reported objective equals ``objective_integer`` bit for
+bit.  ``assign_step`` is the same relabeling as a public call; the loop
+does not call it.
+
 Each restart is deterministic from a seed derived from the config seed and
 the restart index; the winner is the restart with the lowest final
-objective, ties to the lowest index.
+objective, ties to the lowest index.  A half-step that raises the
+objective beyond rounding raises :class:`DescentError`.
 """
 
 from __future__ import annotations
@@ -23,13 +34,32 @@ from .model import (
     Dataset,
     SLModel,
     fit_clusters,
-    objective_integer,
+    moment_table,
+    objective_integer,  # unused here; perfbench/tracing.py wraps it under this name
     residual_matrix,
 )
 
 
 class SolverFailure(RuntimeError):
     """Every restart collapsed a cluster; no usable fit was produced."""
+
+
+class DescentError(RuntimeError):
+    """A half-step raised the objective, so an update is broken.
+
+    Carries the restart index, the 1-based iteration, and the objective
+    before and after the offending half-step.
+    """
+
+    def __init__(self, restart: int, iteration: int, before: float, after: float):
+        super().__init__(
+            f"restart {restart}, iteration {iteration}: objective rose from "
+            f"{before!r} to {after!r}; descent broken"
+        )
+        self.restart = restart
+        self.iteration = iteration
+        self.before = before
+        self.after = after
 
 
 @dataclass(frozen=True)
@@ -102,6 +132,21 @@ class SolveReport:
         }
 
 
+def _relabel(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based label of each column's smallest row of ``sq``, and that value.
+
+    Ties go to the smallest index: a column's label counts the rows above
+    its minimum before the first row that attains it.
+    """
+    best = sq.min(axis=0)
+    labels = np.zeros(sq.shape[1], dtype=np.intp)
+    above = np.ones(sq.shape[1], dtype=bool)
+    for row in sq[:-1]:
+        above &= row > best
+        labels += above
+    return labels, best
+
+
 def assign_step(data: Dataset, model: SLModel) -> Assignment:
     """Relabel every sample to its smallest-residual subsystem.
 
@@ -109,7 +154,7 @@ def assign_step(data: Dataset, model: SLModel) -> Assignment:
     deterministic.
     """
     r = residual_matrix(data, model)
-    return Assignment(np.argmin(r * r, axis=0) + 1)
+    return Assignment(_relabel(r * r)[0] + 1)
 
 
 def _fit_all(
@@ -117,8 +162,9 @@ def _fit_all(
     labels: np.ndarray,
     S: int,
     reseeded: set[int],
+    table: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
-    """Parameter half-step with empty-cluster repair.
+    """Parameter half-step with empty-cluster repair, on 0-based labels.
 
     Empty clusters are reseeded with the currently worst-fit sample (largest
     residual against its own cluster's fresh parameters); a cluster that has
@@ -126,7 +172,7 @@ def _fit_all(
     parameter bank and the degeneracy flag.  ``labels`` is modified in place
     when reseeding occurs.
     """
-    params, _, empty_mask = fit_clusters(data, labels, range(1, S + 1))
+    params, _, empty_mask = fit_clusters(data, labels, range(S), table=table)
     empty = np.flatnonzero(empty_mask).tolist()
 
     repairs = 0
@@ -136,20 +182,22 @@ def _fit_all(
             return params, True
         reseeded.add(s)
         repairs += 1
-        preds = np.einsum("ij,ij->i", data.regressors, params[labels - 1])
+        preds = np.einsum("ij,ij->i", data.regressors, params[labels])
         k = int(np.argmax(np.abs(data.outputs - preds)))
-        donor = labels[k] - 1
-        labels[k] = s + 1
-        params[[s, donor]], _, now_empty = fit_clusters(data, labels, (s + 1, donor + 1))
+        donor = labels[k]
+        labels[k] = s
+        params[[s, donor]], _, now_empty = fit_clusters(data, labels, (s, donor), table=table)
         if now_empty[1]:
             empty.append(donor)
     return params, False
 
 
 def _run_single(
-    data: Dataset, cfg: SolverConfig, init_labels: np.ndarray
+    data: Dataset, cfg: SolverConfig, init_labels: np.ndarray, table: np.ndarray, restart: int
 ) -> tuple[dict, bool]:
-    labels = init_labels.copy()
+    X, y = data.regressors, data.outputs
+    samples = np.arange(data.N)
+    labels = init_labels - 1
     reseeded: set[int] = set()
     trace: list[float] = []
     history: list[IterationRecord] = []
@@ -162,24 +210,26 @@ def _run_single(
         # both half-steps are exact minimizations, so the objective may not
         # rise beyond rounding; a violation means a broken update
         if trace and value > trace[-1] + 1e-9 * (1.0 + abs(trace[-1])):
-            raise AssertionError(
-                f"objective rose from {trace[-1]} to {value}; descent broken"
-            )
+            raise DescentError(restart, iteration, trace[-1], value)
         trace.append(value)
 
     for iteration in range(1, cfg.max_iters + 1):
-        params, degenerate = _fit_all(data, labels, cfg.S, reseeded)
-        model = SLModel(params)
-        record(objective_integer(data, model, Assignment(labels)))
+        params, degenerate = _fit_all(data, labels, cfg.S, reseeded, table)
+        # squared residual_matrix, computed as it does, so both objectives
+        # below equal objective_integer bit for bit
+        sq = params @ X.T
+        np.subtract(y, sq, out=sq)
+        np.multiply(sq, sq, out=sq)
+        record(float(np.sum(sq.take(labels * data.N + samples))))
         if degenerate:
             break
-        new = assign_step(data, model)
-        obj = objective_integer(data, model, new)
+        new, minima = _relabel(sq)
+        obj = float(np.sum(minima))
         record(obj)
-        unchanged = np.array_equal(new.labels, labels)
-        labels = new.labels
+        unchanged = np.array_equal(new, labels)
+        labels = new
         if cfg.keep_history:
-            history.append(IterationRecord(iteration, params.copy(), labels.copy(), obj))
+            history.append(IterationRecord(iteration, params.copy(), labels + 1, obj))
         if unchanged:
             converged = True
             break
@@ -189,7 +239,7 @@ def _run_single(
 
     result = {
         "params": params,
-        "labels": labels,
+        "labels": labels + 1,
         "objective": trace[-1],
         "trace": np.asarray(trace),
         "iterations": iteration,
@@ -204,11 +254,13 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
 
     Runs ``cfg.restarts`` independent descents and returns the one with the
     lowest final objective.  Raises :class:`SolverFailure` when every
-    restart degenerates (a cluster emptied twice), and ValueError when the
+    restart degenerates (a cluster emptied twice), :class:`DescentError`
+    when a half-step raises the objective, and ValueError when the
     dataset has fewer samples than subsystems.
     """
     if data.N < cfg.S:
         raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
+    table = moment_table(data)
     best: dict | None = None
     best_index = -1
     degenerate_count = 0
@@ -224,7 +276,7 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
             )
             init = rng.integers(1, cfg.S + 1, size=data.N)
-        result, degenerate = _run_single(data, cfg, init)
+        result, degenerate = _run_single(data, cfg, init, table, r)
         if degenerate:
             degenerate_count += 1
             continue

@@ -6,7 +6,7 @@ stable key order, so a rerun with the same seed is byte-identical apart
 from wall-clock timing columns.
 
 Exit codes: 0 success, 1 usage error, 2 reproduction mismatch,
-3 enumeration limit exceeded.
+3 enumeration limit exceeded, 4 no usable fit (every restart degenerated).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bench, fixtures
-from .bcd import SolverConfig, bcd_solve
+from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import NoiseSpec, generate_random_scenario
 from .oracle import EnumerationLimitError, oracle_global, unique_optimum
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_ENUM_LIMIT = 3
+EXIT_NO_FIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENUM_LIMIT
+    except SolverFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_FIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,16 @@ subsystems: y_k = x_k . theta_{z_k} + e_k, where z_k is the per-sample
 subsystem label.  This module holds the value types (dataset, parameter
 bank, label sequence, relaxed membership weights, noise description) and
 the two objectives: the integer assignment objective and its penalty
-relaxation over fractional memberships.  ``fit_clusters`` is the
-per-cluster least-squares kernel, shared by the descent's parameter
-half-step and order selection; the exhaustive oracle solves whole chunks of
-label strings at once on their Gram matrices instead.
+relaxation over fractional memberships.  Least squares runs on sufficient
+statistics: ``moment_table`` holds each sample's x x^T (upper triangle)
+and x y, one matmul with a membership matrix sums them per cluster, and
+``gram_solve`` solves a whole stack of cluster Gram matrices with one
+batched symmetric eigendecomposition, giving minimum-norm fits and the
+singular values for the rank test.  ``fit_clusters`` wraps the two for
+the descent's parameter half-step, order selection and the stationarity
+check; the exhaustive oracle calls ``gram_solve`` on whole chunks of label
+strings.  The fits agree with a per-cluster ``lstsq`` on the rows to
+rounding, not bitwise.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
@@ -256,34 +262,82 @@ def generate_random_scenario(
     return model, data
 
 
+def _upper_triangle(n: int) -> tuple[list[int], list[int]]:
+    """Row and column indices of an n x n upper triangle, row by row."""
+    # as np.triu_indices, without its cost on every half-step
+    rows = [i for i in range(n) for _ in range(i, n)]
+    cols = [j for i in range(n) for j in range(i, n)]
+    return rows, cols
+
+
+def moment_table(data: Dataset) -> np.ndarray:
+    """Per-sample least-squares moments, one column per sample.
+
+    The first n(n+1)/2 rows hold the upper triangle of x_k x_k^T, row by
+    row, the last n rows x_k y_k.  Summing the columns of a cluster (one
+    matmul with its membership row) gives its Gram matrix and moment
+    vector.
+    """
+    X, y = data.regressors, data.outputs
+    n = data.n
+    rows, cols = _upper_triangle(n)
+    table = np.empty((len(rows) + n, data.N))
+    # one row at a time, so no N x n^2 temporary
+    for t, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(X[:, i], X[:, j], out=table[t])
+    np.multiply(X.T, y, out=table[len(rows) :])
+    return table
+
+
+def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares fits from summed moment-table columns.
+
+    ``sums[..., :]`` is one cluster's sum of :func:`moment_table` columns,
+    with clusters stacked along the leading axes.  One batched symmetric
+    eigendecomposition of the Gram matrices gives both the fits and, in
+    descending order, the Grams' singular values for
+    :func:`gram_full_rank`.  Eigenvalues at or below n * eps times the
+    largest are dropped, lstsq's default cutoff for an n x n system, so a
+    rank-deficient or empty (zero) Gram gets its minimum-norm solution.
+    """
+    tri = n * (n + 1) // 2
+    grams = np.zeros(sums.shape[:-1] + (n, n))
+    grams[(...,) + _upper_triangle(n)] = sums[..., :tri]
+    w, V = np.linalg.eigh(grams, UPLO="U")
+    svals = np.abs(w)
+    keep = svals > n * np.finfo(float).eps * svals.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
+    theta = np.einsum("...ij,...j->...i", V, coef)
+    return theta, -np.sort(-svals, axis=-1)
+
+
 def fit_clusters(
-    data: Dataset, labels: np.ndarray, clusters: Sequence[int], rtol: float = GRAM_RTOL
+    data: Dataset,
+    labels: np.ndarray,
+    clusters: Sequence[int],
+    rtol: float = GRAM_RTOL,
+    table: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares parameters of each listed cluster.
 
-    For every label s in ``clusters`` the rows with ``labels == s``, in
-    ascending row order, get the minimum-norm least-squares solution, which
-    is defined for any nonempty cluster.
+    For every label s in ``clusters`` the rows with ``labels == s`` get the
+    minimum-norm least-squares solution of :func:`gram_solve`, which is
+    defined for any nonempty cluster.  ``table`` is the dataset's
+    :func:`moment_table`; callers that fit the same data repeatedly pass it
+    in, otherwise it is built here.
 
     Returns ``(theta, full_rank, empty)``, one row or entry per listed
     cluster: the parameters, whether the cluster's Gram has full rank (by
-    :func:`gram_full_rank` on the squared singular values of its rows),
-    and whether no row carries the label.  Empty clusters are not fitted:
-    their parameters are zero and their rank flag False.
+    :func:`gram_full_rank`), and whether no row carries the label.  Empty
+    clusters have a zero Gram: their parameters are zero and their rank
+    flag False.
     """
-    X, y = data.regressors, data.outputs
-    n = X.shape[1]
-    theta = np.zeros((len(clusters), n))
-    full_rank = np.zeros(len(clusters), dtype=bool)
-    empty = np.zeros(len(clusters), dtype=bool)
-    for i, s in enumerate(clusters):
-        idx = (labels == s).nonzero()[0]
-        if idx.size == 0:
-            empty[i] = True
-            continue
-        theta[i], _, _, svals = np.linalg.lstsq(X[idx], y[idx], rcond=None)
-        full_rank[i] = gram_full_rank(svals**2, n, rtol)
-    return theta, full_rank, empty
+    if table is None:
+        table = moment_table(data)
+    member = labels == np.asarray(clusters)[:, None]
+    theta, svals = gram_solve((table @ member.T.astype(float)).T, data.n)
+    return theta, gram_full_rank(svals, data.n, rtol), ~member.any(axis=1)
 
 
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:

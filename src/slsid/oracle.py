@@ -7,14 +7,15 @@ classes under subsystem relabeling.  Splits are restricted-growth label
 strings (the first sample is in cluster 1 and each later label is at most
 one above the largest before it), which visit each relabeling class once.
 They are scanned in fixed-size chunks: one matmul of the chunk's one-hot
-memberships against per-sample ``x x^T`` and ``x y`` gives every cluster's
-Gram and moment, one batched pseudo-inverse gives the minimum-norm fits, and
-each assignment's objective is summed from its explicit residuals.  A
-string within ``tol`` of the optimum keeps what its chunk computed: the fits
-become the class parameters, the residual sum its objective, and the
-singular values of its Grams, from one batched decomposition per chunk,
-give its rank flags.  Because the fits are solved on the Gram, they agree
-with a per-cluster ``lstsq`` on the rows to rounding, not bitwise.
+memberships against the dataset's ``model.moment_table`` gives every
+cluster's Gram and moment, ``model.gram_solve`` (the descent's Gram solve,
+one batched eigendecomposition per chunk) gives the minimum-norm fits and
+the Grams' singular values, and each assignment's objective is summed from
+its explicit residuals.  A string within ``tol`` of the optimum keeps what
+its chunk computed: the fits become the class parameters, the residual sum
+its objective, and the singular values its rank flags.  Because the fits
+are solved on the Gram, they agree with a per-cluster ``lstsq`` on the
+rows to rounding, not bitwise.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -30,7 +31,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, gram_solve, moment_table
 from .partitions import GRAM_RTOL, gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
@@ -110,21 +111,16 @@ def oracle_global(
             f"S^N = {total} exceeds the enumeration limit {limit}"
         )
     X, y = data.regressors, data.outputs
-    outer = (X[:, :, None] * X[:, None, :]).reshape(N, n * n)
-    xy = X * y[:, None]
-    # lstsq's default cutoff for an n x n system
-    rcond = n * np.finfo(float).eps
+    table = moment_table(data).T
     clusters = np.arange(S)[:, None]
 
     best = np.inf
-    # per chunk: objective, labels, fits and Gram singular values of the
+    # per chunk: objective, labels, fits and degenerate flags of the
     # strings within tol of the running best
     kept: list[tuple[np.ndarray, ...]] = []
     for labels in _rgs_chunks(N, S):
-        member = (labels[:, None, :] == clusters).astype(float)
-        grams = (member @ outer).reshape(-1, S, n, n)
-        pinv = np.linalg.pinv(grams, rcond=rcond, hermitian=True)
-        theta = (pinv @ (member @ xy)[..., None])[..., 0]
+        member = (labels[:, None, :] == clusters).reshape(-1, N).astype(float)
+        theta, svals = gram_solve((member @ table).reshape(len(labels), S, -1), n)
         # explicit residuals: y'y - m'theta would cancel on exact fits
         own = np.take_along_axis(theta, labels[..., None], axis=1)
         r = y - np.einsum("bkj,kj->bk", own, X)
@@ -135,21 +131,22 @@ def oracle_global(
         near = sse <= best + tol
         # an empty cluster has a zero Gram, so it fits theta = 0 and fails
         # the rank test, which makes its class degenerate
-        svals = np.linalg.svd(grams[near], compute_uv=False)
-        kept.append((sse[near], labels[near], theta[near], svals))
+        full = gram_full_rank(svals[near].reshape(-1, n), n, rank_tol)
+        degenerate = ~full.reshape(-1, S).all(axis=1)
+        kept.append((sse[near], labels[near], theta[near], degenerate))
 
     # restricted-growth strings are canonical and scanned in ascending
     # order, so every kept string is its own class, already sorted
     classes = []
-    for objectives, labs, thetas, svals in kept:
-        for obj, canon, params, sv in zip(objectives, labs + 1, thetas, svals):
+    for objectives, labs, thetas, flags in kept:
+        for obj, canon, params, flag in zip(objectives, labs + 1, thetas, flags):
             classes.append(
                 SolutionClass(
                     labels=tuple(canon.tolist()),
                     params=params,
                     params_sorted=params[np.lexsort(params.T[::-1])],
                     objective=float(obj),
-                    degenerate=not all(gram_full_rank(s, n, rank_tol) for s in sv),
+                    degenerate=bool(flag),
                 )
             )
     return best, classes

@@ -18,15 +18,20 @@ import numpy as np
 GRAM_RTOL = 1e-10
 
 
-def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
+def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> np.ndarray:
     """Whether a Gram matrix with singular values ``svals`` has full rank n.
 
-    ``svals`` are in descending order, as numpy returns them; fewer than n
-    of them (a least-squares fit on fewer rows than columns) means rank
-    below n.  Scale-invariant: the smallest value must exceed ``rtol``
-    times the largest.
+    ``svals`` holds one Gram's values in descending order, or one Gram per
+    row of a 2-D array; the result is a numpy bool, or one per row.  Fewer
+    than n values means rank below n.  Scale-invariant: the smallest value
+    must exceed ``rtol`` times the largest.
     """
-    return bool(svals.size == n and svals[0] > 0.0 and svals[-1] > rtol * svals[0])
+    if svals.shape[-1] != n:
+        return np.zeros(svals.shape[:-1], dtype=bool)
+    # .T[k] reads column k of a stack, or item k of a single Gram's values
+    # as a numpy scalar, which keeps the single-Gram call cheap
+    top, low = svals.T[0], svals.T[-1]
+    return (top > 0.0) & (low > rtol * top)
 
 
 def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
@@ -37,7 +42,7 @@ def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
     if rows.shape[0] == 0:
         return False
     gram = rows.T @ rows
-    return gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol)
+    return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol))
 
 
 def min_rank_deficient_partition(

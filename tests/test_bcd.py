@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
     Assignment,
@@ -15,12 +17,15 @@ from slsid import (
     generate_random_scenario,
     objective_integer,
     objective_relaxed,
+    oracle_global,
     simulate,
     stationarity_check,
 )
-from slsid import fixtures
+from slsid import bcd, fixtures
+from slsid.bcd import DescentError
 from slsid.model import fit_clusters
 from slsid.oracle import same_param_set
+from slsid.partitions import gram_full_rank
 
 EXAMPLE2_ALT = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
 
@@ -59,6 +64,113 @@ class TestFitClusterParams:
         np.testing.assert_array_equal(empty, [False, True, False])
         np.testing.assert_array_equal(theta[1], [0.0, 0.0])
         assert not full_rank[1]
+
+
+def _kernel_cases(rng, n):
+    """Rows and labels holding one cluster of each shape the kernel meets.
+
+    1 generic, 2 one row repeated, 3 collinear rows, 4 a single row,
+    5 fewer rows than n (none at n = 1), 6 empty.
+    """
+    v = rng.uniform(-3, 3, size=n)
+    blocks = [
+        rng.uniform(-3, 3, size=(2 * n + 3, n)),
+        np.tile(v, (4, 1)),
+        rng.uniform(-2, 2, size=(5, 1)) * rng.uniform(-3, 3, size=n),
+        rng.uniform(-3, 3, size=(1, n)),
+        rng.uniform(-3, 3, size=(n - 1, n)),
+    ]
+    labels = np.concatenate([np.full(len(b), s) for s, b in enumerate(blocks, start=1)])
+    perm = rng.permutation(labels.size)
+    return np.vstack(blocks)[perm], labels[perm]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_matches_per_cluster_lstsq(n, scale):
+    # the Gram-based kernel against lstsq on each cluster's rows: rank and
+    # empty flags exact, parameters equal to rounding, looser where a
+    # rank-deficient Gram is solved
+    rng = np.random.default_rng(100 * n + int(np.log10(scale)))
+    for _ in range(5):
+        X, labels = _kernel_cases(rng, n)
+        data = Dataset(scale * X, scale * rng.normal(0, 1, size=labels.size))
+        clusters = [6, 1, 2, 3, 4, 5]
+        theta, full_rank, empty = fit_clusters(data, labels, clusters)
+        for i, s in enumerate(clusters):
+            idx = labels == s
+            where = f"n={n} scale={scale} cluster {s}"
+            assert empty[i] == (not idx.any()), where
+            if not idx.any():
+                assert not full_rank[i] and not theta[i].any(), where
+                continue
+            ref, _, _, svals = np.linalg.lstsq(data.regressors[idx], data.outputs[idx], rcond=None)
+            assert full_rank[i] == gram_full_rank(svals**2, n), where
+            rtol = 1e-10 if full_rank[i] else 1e-7
+            np.testing.assert_allclose(
+                theta[i], ref, rtol=rtol, atol=rtol * np.abs(ref).max(), err_msg=where
+            )
+        # the shapes above are what make the test: check they came out
+        one = n == 1
+        assert full_rank.tolist() == [False, True, one, one, one, False]
+
+
+def test_solve_builds_moments_once_and_calls_no_lstsq(monkeypatch):
+    _, data = generate_random_scenario(3, 3, 300, (-5, 5), NoiseSpec("gaussian", 0.1), 6)
+    tables, lstsq_calls = [], []
+    moment_table, lstsq = bcd.moment_table, np.linalg.lstsq
+
+    def counting_table(*args, **kwargs):
+        tables.append(1)
+        return moment_table(*args, **kwargs)
+
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(bcd, "moment_table", counting_table)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    report = bcd_solve(data, SolverConfig(S=3, restarts=6, seed=2))
+    assert report.degenerate_restarts < 6
+    assert len(tables) == 1
+    assert lstsq_calls == []
+
+
+def test_rising_objective_raises_descent_error(monkeypatch):
+    # a parameter half-step that goes wrong on its second call raises the
+    # objective at iteration 2 of restart 0
+    _, data = generate_random_scenario(2, 2, 100, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
+    fit_all, calls = bcd._fit_all, []
+
+    def broken(*args):
+        params, degenerate = fit_all(*args)
+        calls.append(1)
+        return (params + 100.0 if len(calls) == 2 else params), degenerate
+
+    monkeypatch.setattr(bcd, "_fit_all", broken)
+    with pytest.raises(DescentError) as info:
+        bcd_solve(data, SolverConfig(S=2, restarts=3, seed=4))
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.restart, err.iteration) == (0, 2)
+    assert err.after > err.before + 1e-9 * (1.0 + err.before)
+    assert "restart 0, iteration 2" in str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 100_000), st.integers(2, 3), st.integers(1, 2), st.integers(1, 5))
+def test_objective_never_below_oracle(seed, S, n, extra):
+    rng = np.random.default_rng(seed)
+    N = S + extra
+    model = SLModel(rng.uniform(-3, 3, size=(S, n)))
+    X = rng.uniform(-3, 3, size=(N, n))
+    labels = Assignment(rng.integers(1, S + 1, size=N))
+    y = np.einsum("ij,ij->i", X, model.params[labels.labels - 1]) + rng.normal(0, 0.3, N)
+    data = Dataset(X, y)
+    optimum, _ = oracle_global(data, S)
+    report = bcd_solve(data, SolverConfig(S=S, restarts=4, seed=seed))
+    assert report.objective >= optimum - 1e-9
+    assert report.objective == objective_integer(data, report.model, report.assignment)
 
 
 class TestAssignStep:

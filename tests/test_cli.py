@@ -224,6 +224,29 @@ def test_header_only_dataset_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(path) in err and "no data rows" in err
 
 
+def test_fit_without_usable_fit_exits_4(tmp_path, capsys):
+    # identical samples: every restart keeps emptying its spare clusters
+    path = tmp_path / "same.csv"
+    path.write_text("x1,y\n" + "1,0\n" * 6)
+    assert run(["fit", "--data", str(path), "--S", "3"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "degenerated" in err[0]
+
+
+def test_select_order_without_usable_fit_exits_4(tmp_path, capsys, monkeypatch):
+    from slsid import cli
+    from slsid.bcd import SolverFailure
+
+    def failing(data, cfg):
+        raise SolverFailure("candidate S'=2: every restart collapsed clusters")
+
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    monkeypatch.setattr(cli, "select_order", failing)
+    code = run(["select-order", "--data", str(tmp_path / "example2.csv"), "--s-bar", "3"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: candidate S'=2")
+
+
 def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
     from slsid import cli, oracle
 

@@ -242,8 +242,9 @@ def test_random_instances_match_reference_enumeration():
 
 
 def test_classes_match_per_cluster_least_squares():
-    # the scan's Gram-based fits against lstsq on each cluster's rows:
-    # equal to rounding, looser where a rank-deficient Gram is solved
+    # the scan's chunked fits against fit_clusters on each class's labels
+    # (test_bcd holds the kernel's lstsq reference): equal to rounding,
+    # looser where a rank-deficient Gram is solved
     rng = np.random.default_rng(31)
     cases = [
         (S, n, N)
