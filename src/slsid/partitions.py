@@ -1,21 +1,46 @@
-"""Gram rank test and the rank-deficient partition search.
+"""Gram rank test, the n-subset rank scan and the rank-deficient partition search.
 
 ``gram_full_rank`` is the one rank decision of the package: the Gram
 matrix of a set of regressor rows has full rank when its smallest singular
 value exceeds a relative tolerance times its largest.
+``subset_gram_svals`` yields the Gram singular values of every n-row subset
+of a set of rows, one batched SVD per fixed-size chunk.
 ``min_rank_deficient_partition`` is the adversarial search used by the
 excitation checker: the smallest number of nonempty blocks into which a set
 of regressor rows can be split with every block's Gram matrix
 rank-deficient.  The search walks restricted-growth strings depth-first and
 prunes any branch as soon as one block reaches full rank, since adding rows
 to a full-rank block cannot lower its rank.
+
+Before the walk, one subset scan bounds the size h of any rank-deficient
+block: every n-subset of a deficient block of b >= n rows is deficient, so
+each of its rows lies in at least C(b-1, n-1) deficient n-subsets.  A split
+into k blocks of at most h rows holds at most k*h rows, so block counts k
+with k*h below the row count are skipped without a walk; generic rows have
+h = n-1, which is the capacity argument behind the sample count
+((n-1)S^2 + (n+1)S)/2.  This rests on the same monotonicity (a subset of a
+deficient block is deficient) as the full-rank prune.  The relative test is
+not monotone when rows differ widely in scale, since added rows raise the
+largest singular value too; the scan therefore counts a subset as possibly
+deficient unless its smallest singular value clears the tolerance against
+the squared norm of all rows, which bounds every block's largest value.
+Skipped counts are exactly those whose walk finds no split, so the result
+is the one the unpruned walk returns.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import chain, combinations, islice
+
 import numpy as np
 
 GRAM_RTOL = 1e-10
+# n-subsets per batched SVD: the chunk's Grams hold n*n floats per subset
+SCAN_CHUNK = 4096
+# relative room above the rounding of a Gram and its singular values, so a
+# subset that clears the capacity floor keeps every superset's Gram full rank
+_ROUNDING_SLACK = 1e-12
 
 
 def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> np.ndarray:
@@ -45,6 +70,54 @@ def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
     return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol))
 
 
+def subset_gram_svals(rows: np.ndarray):
+    """Gram singular values of every n-row subset of ``rows``, chunk by chunk.
+
+    Yields ``(subsets, svals)``: at most ``SCAN_CHUNK`` subsets as an
+    index array of shape (c, n), in :func:`itertools.combinations` order,
+    and their Grams' singular values in descending order, shape (c, n),
+    from one batched SVD.  ``gram_full_rank(svals, n, rtol)`` then gives the
+    same decisions as :func:`gram_nonsingular` on each subset.  Yields
+    nothing when there are fewer than n rows.
+    """
+    m, n = rows.shape
+    pending = combinations(range(m), n)
+    while True:
+        flat = chain.from_iterable(islice(pending, SCAN_CHUNK))
+        subsets = np.fromiter(flat, dtype=np.intp).reshape(-1, n)
+        if subsets.shape[0] == 0:
+            return
+        sub = rows[subsets]
+        grams = np.swapaxes(sub, 1, 2) @ sub
+        yield subsets, np.linalg.svd(grams, compute_uv=False)
+
+
+def deficient_block_capacity(rows: np.ndarray, rtol: float = GRAM_RTOL) -> int:
+    """Upper bound on the row count of any rank-deficient block of ``rows``.
+
+    An n-subset is possibly deficient when its smallest Gram singular value
+    is at most ``rtol`` (plus rounding slack) times the squared norm of all
+    rows, which bounds the largest singular value of any block's Gram.  A
+    block of b >= n rows whose Gram fails :func:`gram_nonsingular` has every
+    n-subset possibly deficient, so each of its rows lies in at least
+    C(b-1, n-1) such subsets; the bound is the largest b with at least b
+    rows meeting that count, and at least min(m, n-1).  It is n-1 for
+    generic rows and m when m < n.
+    """
+    m, n = rows.shape
+    if m < n:
+        return m
+    floor = (rtol + _ROUNDING_SLACK) * float(np.einsum("ij,ij->", rows, rows))
+    hits = np.zeros(m, dtype=np.int64)
+    for subsets, svals in subset_gram_svals(rows):
+        hits += np.bincount(subsets[svals[:, -1] <= floor].ravel(), minlength=m)
+    hits[::-1].sort()  # descending
+    for b in range(m, n - 1, -1):
+        if hits[b - 1] >= math.comb(b - 1, n - 1):
+            return b
+    return n - 1
+
+
 def min_rank_deficient_partition(
     rows: np.ndarray, max_blocks: int, rtol: float = GRAM_RTOL
 ) -> tuple[int, list[list[int]]] | None:
@@ -53,11 +126,15 @@ def min_rank_deficient_partition(
     Returns ``(block_count, blocks)`` where blocks hold 0-based row indices,
     or None when every partition with at most ``max_blocks`` nonempty blocks
     contains a block of full rank.  Deterministic: for each block count the
-    first witness in restricted-growth order is returned.
+    first witness in restricted-growth order is returned.  Block counts k
+    with k * :func:`deficient_block_capacity` below the row count are
+    skipped unwalked, so generic rows with m > max_blocks*(n-1) return None
+    without a single block check; the scan costs C(m, n) Grams.
     """
     m, n = rows.shape
     if m == 0:
         return 0, []
+    capacity = deficient_block_capacity(rows, rtol)
     singular_cache: dict[frozenset[int], bool] = {}
 
     def block_singular(members: tuple[int, ...]) -> bool:
@@ -88,6 +165,8 @@ def min_rank_deficient_partition(
         return [list(b) for b in blocks] if rec(0) else None
 
     for count in range(1, max_blocks + 1):
+        if count * capacity < m:
+            continue
         found = search(count)
         if found is not None:
             return len(found), found

@@ -15,7 +15,9 @@ enough.  This module implements the checkable conditions:
 It also provides the three competing minimum-sample-count formulas and a
 sufficient certificate based on n-genericity plus cluster-size thresholds.
 All verdicts are exact; when an enumeration guard is hit the result is an
-explicit "undecided", never a guess.
+explicit "undecided", never a guess.  The rank tolerance ``tol`` must be
+finite with 0 <= tol < 1, and the model's n must match the dataset's;
+anything else raises ValueError before a check runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from itertools import combinations
 import numpy as np
 
 from .model import Assignment, Dataset, SLModel
-from .partitions import GRAM_RTOL, gram_nonsingular, min_rank_deficient_partition
+from .partitions import (
+    GRAM_RTOL,
+    gram_full_rank,
+    gram_nonsingular,
+    min_rank_deficient_partition,
+    subset_gram_svals,
+)
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -86,6 +94,19 @@ def _check_ns(n: int, S: int) -> None:
         raise ValueError("n and S must both be >= 1")
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN tolerance makes every comparison False, a negative one makes
+    # every nonzero Gram full rank: both give confident wrong verdicts.  The
+    # chained comparison is False for NaN and infinities too.
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol}")
+
+
+def _check_model(data: Dataset, model: SLModel) -> None:
+    if model.n != data.n:
+        raise ValueError(f"model has n={model.n} but the dataset has n={data.n}")
+
+
 def _check_assignment(data: Dataset, a: Assignment, S: int) -> None:
     if len(a) != data.N:
         raise ValueError("assignment length does not match dataset")
@@ -111,6 +132,8 @@ def check_no_separating_regressor(
     the same output there.  Returns the verdict and the list of violating
     (k, i, j), all 1-based.
     """
+    _check_tol(tol)
+    _check_model(data, model)
     violations: list[tuple[int, int, int]] = []
     xnorm = np.linalg.norm(data.regressors, axis=1)
     for i, j in combinations(range(model.S), 2):
@@ -127,6 +150,7 @@ def check_cluster_pe(
     data: Dataset, a: Assignment, s: int, tol: float = GRAM_RTOL
 ) -> bool:
     """Classical single-system excitation of cluster s: full-rank Gram."""
+    _check_tol(tol)
     if len(a) != data.N:
         raise ValueError("assignment length does not match dataset")
     if s < 1:
@@ -181,6 +205,7 @@ def check_partition_condition(
     from the f values alone; the reported permutation is the lexicographically
     smallest certificate.
     """
+    _check_tol(tol)
     _check_assignment(data, a, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
     oversized = [s for s, idx in members.items() if idx.size > limits.max_block_size]
@@ -251,8 +276,12 @@ def check_genericity_sufficient(
 
     True when every n-subset of every cluster has a full-rank Gram and the
     cluster sizes, sorted descending, dominate n + (n-1)(S-s).  Returns None
-    when the subset enumeration would exceed the guard.
+    when the subset enumeration would exceed the guard.  The subsets are
+    decided by :func:`partitions.subset_gram_svals`, one batched SVD per
+    fixed-size chunk, so memory stays bounded at any guard; the scan stops
+    at the first chunk holding a deficient subset.
     """
+    _check_tol(tol)
     if S is None:
         S = int(a.labels.max())
     _check_assignment(data, a, S)
@@ -265,9 +294,8 @@ def check_genericity_sufficient(
     if total > limits.max_genericity_subsets:
         return None
     for s in range(1, S + 1):
-        rows = data.regressors[a.indices_of(s)]
-        for subset in combinations(range(rows.shape[0]), n):
-            if not gram_nonsingular(rows[list(subset)], n, tol):
+        for _, svals in subset_gram_svals(data.regressors[a.indices_of(s)]):
+            if not gram_full_rank(svals, n, tol).all():
                 return False
     return True
 
@@ -324,6 +352,8 @@ def pe_report(
         a = data.truth
     if a is None:
         raise ValueError("no assignment given and dataset carries no truth labels")
+    _check_tol(tol)
+    _check_model(data, model)
     S = model.S
     _check_assignment(data, a, S)
     cond1 = check_distinct_params(model)

@@ -266,6 +266,28 @@ def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "1"])
+def test_pe_check_bad_tol_is_usage_error(tmp_path, capsys, tol):
+    run(["simulate", "--example", "1", "--output", str(tmp_path)])
+    code = run(["pe-check", "--data", str(tmp_path / "example1.csv"),
+                "--model", str(tmp_path / "example1_model.json"),
+                "--tol", tol, "--output", str(tmp_path)])
+    assert code == 1
+    assert "0 <= tol < 1" in capsys.readouterr().err
+    assert not (tmp_path / "pe_report.json").exists()
+
+
+def test_pe_check_model_n_mismatch_is_usage_error(tmp_path, capsys):
+    from slsid import SLModel, save_model
+
+    run(["simulate", "--example", "1", "--output", str(tmp_path)])
+    save_model(tmp_path / "wide.json", SLModel(np.ones((2, 3))))
+    code = run(["pe-check", "--data", str(tmp_path / "example1.csv"),
+                "--model", str(tmp_path / "wide.json")])
+    assert code == 1
+    assert "model has n=3 but the dataset has n=2" in capsys.readouterr().err
+
+
 def test_pe_check_undecided_exit_code(tmp_path):
     # a single cluster above the enumeration guard yields an undecided
     # verdict, reported with exit code 3

@@ -1,8 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsid.partitions import gram_nonsingular, min_rank_deficient_partition
+from slsid import partitions
+from slsid.partitions import (
+    deficient_block_capacity,
+    gram_full_rank,
+    gram_nonsingular,
+    min_rank_deficient_partition,
+    subset_gram_svals,
+)
 
 
 def set_partitions(items, max_blocks):
@@ -166,3 +175,181 @@ def test_search_matches_brute_force_reference():
             assert found is None, f"trial {trial}"
         else:
             assert found == (len(expected), expected), f"trial {trial}"
+
+
+def _reference_dfs(rows, max_blocks, rtol=partitions.GRAM_RTOL):
+    """The depth-first search without the capacity bound, kept as a reference."""
+    m, n = rows.shape
+    if m == 0:
+        return 0, []
+    singular_cache: dict[frozenset[int], bool] = {}
+
+    def block_singular(members: tuple[int, ...]) -> bool:
+        key = frozenset(members)
+        hit = singular_cache.get(key)
+        if hit is None:
+            hit = not gram_nonsingular(rows[list(members)], n, rtol)
+            singular_cache[key] = hit
+        return hit
+
+    def search(target: int) -> list[list[int]] | None:
+        blocks: list[list[int]] = []
+
+        def rec(i: int) -> bool:
+            if i == m:
+                return True
+            for b in range(min(len(blocks) + 1, target)):
+                if b == len(blocks):
+                    blocks.append([])
+                blocks[b].append(i)
+                if block_singular(tuple(blocks[b])) and rec(i + 1):
+                    return True
+                blocks[b].pop()
+                if not blocks[b]:
+                    blocks.pop()
+            return False
+
+        return [list(b) for b in blocks] if rec(0) else None
+
+    for count in range(1, max_blocks + 1):
+        found = search(count)
+        if found is not None:
+            return len(found), found
+    return None
+
+
+def _structured_rows(rng, kind, m, n):
+    """m rows in R^n of one of six kinds, some with many deficient blocks."""
+    if kind == "generic":
+        return rng.normal(size=(m, n))
+    if kind == "repeated":
+        return _mixed_rows(rng, m, n)
+    if kind == "hyperplane":
+        # most rows lie in one of a few coordinate hyperplanes
+        rows = rng.normal(size=(m, n))
+        for i in range(m):
+            if n > 1 and rng.random() < 0.7:
+                rows[i, rng.integers(min(3, n))] = 0.0
+        return rows
+    if kind == "zero":
+        rows = rng.normal(size=(m, n))
+        rows[rng.random(m) < 0.4] = 0.0
+        return rows
+    if kind == "integer":
+        return rng.integers(-1, 2, size=(m, n)).astype(float)
+    # rows whose norms span twelve decades: the relative rank test is not
+    # monotone under adding rows here, which the capacity bound must allow
+    return rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7, size=(m, 1))
+
+
+ROW_KINDS = ("generic", "repeated", "hyperplane", "zero", "integer", "wide_scale")
+
+
+def test_search_matches_unpruned_reference():
+    # beyond brute-force range: the same count and first witness as the
+    # search without the capacity bound
+    rng = np.random.default_rng(11)
+    for trial in range(240):
+        kind = ROW_KINDS[trial % len(ROW_KINDS)]
+        m, n = int(rng.integers(0, 12)), int(rng.integers(1, 5))
+        max_blocks = int(rng.integers(1, 6))
+        rows = _structured_rows(rng, kind, m, n)
+        expected = _reference_dfs(rows, max_blocks)
+        assert min_rank_deficient_partition(rows, max_blocks) == expected, (trial, kind)
+
+
+def test_wide_scale_block_keeps_unpruned_witness():
+    # {x1, x3} alone is well conditioned, but beside x2 = 1e6 x1 the whole
+    # block falls below the relative tolerance, so the walk accepts one
+    # block; a bound built from the plain subset decisions would be 2
+    rows = np.array([[1.0, 0.0], [1e6, 0.0], [0.0, 1.0]])
+    assert gram_nonsingular(rows[[0, 2]], 2)
+    assert not gram_nonsingular(rows, 2)
+    assert deficient_block_capacity(rows) == 3
+    assert min_rank_deficient_partition(rows, 2) == (1, [[0, 1, 2]])
+    assert _reference_dfs(rows, 2) == (1, [[0, 1, 2]])
+
+
+class TestCapacity:
+    def test_generic_rows_hold_n_minus_one(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 5):
+            assert deficient_block_capacity(rng.normal(size=(9, n))) == n - 1
+
+    def test_fewer_rows_than_n(self):
+        assert deficient_block_capacity(np.ones((2, 3))) == 2
+        assert deficient_block_capacity(np.zeros((0, 3))) == 0
+
+    def test_zero_and_collinear_rows(self):
+        assert deficient_block_capacity(np.zeros((5, 2))) == 5
+        collinear = np.outer(np.arange(1.0, 7.0), [1.0, -2.0])
+        assert deficient_block_capacity(collinear) == 6
+
+    def test_bounds_every_reference_witness_block(self):
+        rng = np.random.default_rng(8)
+        for trial in range(120):
+            kind = ROW_KINDS[trial % len(ROW_KINDS)]
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            rows = _structured_rows(rng, kind, m, n)
+            capacity = deficient_block_capacity(rows)
+            for blocks in set_partitions(range(m), 3):
+                if all(not gram_nonsingular(rows[b], n) for b in blocks):
+                    assert max(map(len, blocks)) <= capacity, (trial, kind)
+
+
+def _generic_cluster(rng, m, n):
+    rows = rng.normal(size=(m, n))
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / norms * rng.uniform(1, 5, (m, 1))
+
+
+def test_generic_14_row_clusters_need_no_block_check(monkeypatch):
+    # m = 14 > S(n-1) for (n, S) = (4, 4) and (3, 6): no split exists, and
+    # the capacity bound says so before the walk checks a single block
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gram_nonsingular(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "gram_nonsingular", counted)
+    rng = np.random.default_rng(2)
+    for n, S in ((4, 4), (3, 6)):
+        rows = _generic_cluster(rng, 14, n)
+        assert deficient_block_capacity(rows) == n - 1
+        assert min_rank_deficient_partition(rows, S) is None
+    assert calls == []
+
+
+class TestSubsetScan:
+    def test_decisions_match_gram_nonsingular(self):
+        # the brute-force test's row sets, one decision per n-subset
+        rng = np.random.default_rng(3)
+        for trial in range(150):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            rng.integers(1, 5)  # the brute-force test's max_blocks draw
+            rows = _mixed_rows(rng, m, n)
+            expected = [
+                gram_nonsingular(rows[list(subset)], n)
+                for subset in combinations(range(m), n)
+            ]
+            got = [
+                bool(full)
+                for _, svals in subset_gram_svals(rows)
+                for full in gram_full_rank(svals, n)
+            ]
+            assert got == expected, f"trial {trial}"
+
+    def test_chunks_follow_combinations_order(self, monkeypatch):
+        rows = np.random.default_rng(5).normal(size=(7, 3))
+        whole = list(subset_gram_svals(rows))
+        monkeypatch.setattr(partitions, "SCAN_CHUNK", 4)
+        chunks = list(subset_gram_svals(rows))
+        assert [len(subsets) for subsets, _ in chunks] == [4] * 8 + [3]
+        subsets = np.concatenate([subsets for subsets, _ in chunks])
+        assert subsets.tolist() == [list(c) for c in combinations(range(7), 3)]
+        assert len(whole) == 1
+        assert np.array_equal(np.concatenate([sv for _, sv in chunks]), whole[0][1])
+
+    def test_fewer_rows_than_n_yields_nothing(self):
+        assert list(subset_gram_svals(np.ones((2, 3)))) == []

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,64 @@ class TestGenericity:
             data, data.truth, 1, limits=Limits(max_genericity_subsets=10)
         )
         assert result is None
+
+
+    def test_verdicts_match_per_subset_reference(self):
+        # the batched scan against one gram_nonsingular call per n-subset
+        rng = np.random.default_rng(6)
+        for trial in range(60):
+            n, S = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            N = int(rng.integers(n * S, n * S + 8))
+            X = rng.integers(-2, 3, size=(N, n)).astype(float)
+            if trial % 2:
+                X = rng.normal(size=(N, n))
+            labels = rng.integers(1, S + 1, size=N)
+            data = Dataset(X, np.zeros(N), Assignment(labels))
+            sizes = sorted(data.truth.cluster_sizes(S), reverse=True)
+            expected = all(
+                size >= n + (n - 1) * (S - s) for s, size in enumerate(sizes, start=1)
+            ) and all(
+                gram_nonsingular(X[np.flatnonzero(labels == s)][list(subset)], n)
+                for s in range(1, S + 1)
+                for subset in combinations(range(int(np.sum(labels == s))), n)
+            )
+            assert check_genericity_sufficient(data, data.truth, S) is expected, trial
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 1.0])
+    def test_bad_tol_rejected(self, tol):
+        model, data = fixtures.example_one_augmented()
+        a = data.truth
+        calls = [
+            lambda: pe_report(data, model, tol=tol),
+            lambda: check_no_separating_regressor(data, model, tol),
+            lambda: check_cluster_pe(data, a, 1, tol),
+            lambda: check_partition_condition(data, a, 2, tol),
+            lambda: check_genericity_sufficient(data, a, 2, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="0 <= tol < 1"):
+                call()
+
+    def test_tol_bounds_accepted(self):
+        model, data = fixtures.example_one_augmented()
+        assert pe_report(data, model, tol=0.0).certified
+        assert pe_report(data, model, tol=0.5).cond3_partition.status in (
+            CERTIFIED,
+            REFUTED,
+        )
+
+    def test_model_n_mismatch_rejected(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran before the n mismatch was caught")
+
+        for name in ("check_distinct_params", "check_no_separating_regressor"):
+            monkeypatch.setattr(pe, name, refuse)
+        _, data = fixtures.example_one_augmented()
+        model = SLModel(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="model has n=3 but the dataset has n=2"):
+            pe_report(data, model)
 
 
 class TestPEReport:
