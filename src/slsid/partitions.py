@@ -14,23 +14,24 @@ to a full-rank block cannot lower its rank.
 
 Before the walk, one subset scan bounds the size h of any rank-deficient
 block: every n-subset of a deficient block of b >= n rows is deficient, so
-each of its rows lies in at least C(b-1, n-1) deficient n-subsets.  A split
-into k blocks of at most h rows holds at most k*h rows, so block counts k
-with k*h below the row count are skipped without a walk; generic rows have
-h = n-1, which is the capacity argument behind the sample count
-((n-1)S^2 + (n+1)S)/2.  This rests on the same monotonicity (a subset of a
-deficient block is deficient) as the full-rank prune.  The relative test is
-not monotone when rows differ widely in scale, since added rows raise the
-largest singular value too; the scan therefore counts a subset as possibly
-deficient unless its smallest singular value clears the tolerance against
-the squared norm of all rows, which bounds every block's largest value.
-Skipped counts are exactly those whose walk finds no split, so the result
-is the one the unpruned walk returns.
+when no n-subset is deficient, no deficient block holds more than n-1 rows.
+A split into k blocks of at most h rows holds at most k*h rows, so block
+counts k with k*h below the row count are skipped without a walk.  Generic
+rows have h = n-1, which is the capacity argument behind the sample count
+((n-1)S^2 + (n+1)S)/2; any other cluster gets the trivial h = m, and its
+scan stops at the first chunk holding a deficient subset.  This rests on
+the same monotonicity (a subset of a deficient block is deficient) as the
+full-rank prune.  The relative test is not monotone when rows differ widely
+in scale, since added rows raise the largest singular value too; the scan
+therefore counts a subset as possibly deficient unless its smallest
+singular value clears the tolerance against the squared norm of all rows,
+which bounds every block's largest value.  Skipped counts are exactly those
+whose walk finds no split, so the result is the one the unpruned walk
+returns.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -99,22 +100,17 @@ def deficient_block_capacity(rows: np.ndarray, rtol: float = GRAM_RTOL) -> int:
     is at most ``rtol`` (plus rounding slack) times the squared norm of all
     rows, which bounds the largest singular value of any block's Gram.  A
     block of b >= n rows whose Gram fails :func:`gram_nonsingular` has every
-    n-subset possibly deficient, so each of its rows lies in at least
-    C(b-1, n-1) such subsets; the bound is the largest b with at least b
-    rows meeting that count, and at least min(m, n-1).  It is n-1 for
-    generic rows and m when m < n.
+    n-subset possibly deficient.  So the bound is n-1 when no n-subset is
+    possibly deficient, and m otherwise, found at the first chunk of
+    :func:`subset_gram_svals` that holds one.  It is m when m < n.
     """
     m, n = rows.shape
     if m < n:
         return m
     floor = (rtol + _ROUNDING_SLACK) * float(np.einsum("ij,ij->", rows, rows))
-    hits = np.zeros(m, dtype=np.int64)
-    for subsets, svals in subset_gram_svals(rows):
-        hits += np.bincount(subsets[svals[:, -1] <= floor].ravel(), minlength=m)
-    hits[::-1].sort()  # descending
-    for b in range(m, n - 1, -1):
-        if hits[b - 1] >= math.comb(b - 1, n - 1):
-            return b
+    for _, svals in subset_gram_svals(rows):
+        if (svals[:, -1] <= floor).any():
+            return m
     return n - 1
 
 
@@ -129,7 +125,9 @@ def min_rank_deficient_partition(
     first witness in restricted-growth order is returned.  Block counts k
     with k * :func:`deficient_block_capacity` below the row count are
     skipped unwalked, so generic rows with m > max_blocks*(n-1) return None
-    without a single block check; the scan costs C(m, n) Grams.
+    without a single block check.  The scan costs C(m, n) Grams for generic
+    rows; for other rows it stops at the first chunk holding a deficient
+    n-subset.
     """
     m, n = rows.shape
     if m == 0:

@@ -261,7 +261,7 @@ def test_search_matches_unpruned_reference():
 def test_wide_scale_block_keeps_unpruned_witness():
     # {x1, x3} alone is well conditioned, but beside x2 = 1e6 x1 the whole
     # block falls below the relative tolerance, so the walk accepts one
-    # block; a bound built from the plain subset decisions would be 2
+    # block, and the capacity bound must leave room for it
     rows = np.array([[1.0, 0.0], [1e6, 0.0], [0.0, 1.0]])
     assert gram_nonsingular(rows[[0, 2]], 2)
     assert not gram_nonsingular(rows, 2)
@@ -284,6 +284,27 @@ class TestCapacity:
         assert deficient_block_capacity(np.zeros((5, 2))) == 5
         collinear = np.outer(np.arange(1.0, 7.0), [1.0, -2.0])
         assert deficient_block_capacity(collinear) == 6
+
+    def test_one_deficient_subset_gives_the_trivial_bound(self):
+        # only the last pair is parallel: h = m, not the size 2 of that pair
+        rows = np.random.default_rng(6).normal(size=(7, 2))
+        rows[6] = 3.0 * rows[5]
+        assert deficient_block_capacity(rows) == 7
+
+    def test_scan_stops_at_first_deficient_chunk(self, monkeypatch):
+        # 60 collinear rows in R^4 have C(60, 4) = 487635 n-subsets, all
+        # deficient; the bound is decided by the first chunk alone
+        chunks = []
+
+        def counted(rows):
+            for chunk in subset_gram_svals(rows):
+                chunks.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(partitions, "subset_gram_svals", counted)
+        rows = np.outer(np.arange(1.0, 61.0), [1.0, 2.0, 0.0, -1.0])
+        assert min_rank_deficient_partition(rows, 1) == (1, [list(range(60))])
+        assert chunks == [partitions.SCAN_CHUNK]
 
     def test_bounds_every_reference_witness_block(self):
         rng = np.random.default_rng(8)
