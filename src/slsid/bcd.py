@@ -172,7 +172,7 @@ def _fit_all(
     parameter bank and the degeneracy flag.  ``labels`` is modified in place
     when reseeding occurs.
     """
-    params, _, empty_mask = fit_clusters(data, labels, range(S), table=table)
+    params, empty_mask = fit_clusters(data, labels, range(S), table=table)
     empty = np.flatnonzero(empty_mask).tolist()
 
     repairs = 0
@@ -186,7 +186,7 @@ def _fit_all(
         k = int(np.argmax(np.abs(data.outputs - preds)))
         donor = labels[k]
         labels[k] = s
-        params[[s, donor]], _, now_empty = fit_clusters(data, labels, (s, donor), table=table)
+        params[[s, donor]], now_empty = fit_clusters(data, labels, (s, donor), table=table)
         if now_empty[1]:
             empty.append(donor)
     return params, False
@@ -307,7 +307,7 @@ def stationarity_check(data: Dataset, report: SolveReport) -> bool:
     relabeling; a fixed point reproduces both blocks (parameters bitwise up
     to refit rounding, labels exactly).
     """
-    params, _, empty = fit_clusters(
+    params, empty = fit_clusters(
         data, report.assignment.labels, range(1, report.model.S + 1)
     )
     if empty.any():

@@ -73,7 +73,7 @@ def _cmd_simulate(args) -> int:
         if args.n is None or args.S is None or args.N is None:
             print("error: provide --example or all of --n/--S/--N", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        noise = NoiseSpec("gaussian", args.sigma) if args.sigma > 0 else NoiseSpec()
+        noise = NoiseSpec() if args.sigma == 0 else NoiseSpec("gaussian", args.sigma)
         model, data = generate_random_scenario(
             args.n, args.S, args.N, (args.range_lo, args.range_hi), noise, args.seed
         )

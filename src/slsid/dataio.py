@@ -80,8 +80,17 @@ def save_model(path, model: SLModel) -> None:
 
 
 def load_model(path) -> SLModel:
+    """Read a model JSON; a payload of the wrong shape raises ValueError."""
     payload = json.loads(Path(path).read_text())
-    model = SLModel(np.array(payload["params"], dtype=float))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: model JSON must be an object")
+    missing = [key for key in ("n", "S", "params") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: model JSON lacks {', '.join(missing)}")
+    try:
+        model = SLModel(np.array(payload["params"], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if model.n != payload["n"] or model.S != payload["S"]:
         raise ValueError(f"{path}: declared n/S disagree with params shape")
     return model

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import GRAM_RTOL, gram_full_rank
-
 COLUMN_SUM_TOL = 1e-12
 
 
@@ -80,6 +78,12 @@ class SLModel:
 
     def __post_init__(self):
         params = _as_matrix(self.params, "params")
+        finite = np.isfinite(params).all(axis=1)
+        if not finite.all():
+            s = int(np.argmin(finite))
+            raise ValueError(
+                f"params row {s + 1} (1-based) holds a NaN or infinite value"
+            )
         object.__setattr__(self, "params", params)
 
     @property
@@ -93,7 +97,8 @@ class SLModel:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive output noise; ``sigma`` is zero exactly when ``kind`` is "none"."""
+    """Additive output noise; ``sigma`` is finite and nonnegative, and zero
+    exactly when ``kind`` is "none"."""
 
     kind: str = "none"
     sigma: float = 0.0
@@ -102,8 +107,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        # chained comparison is False for NaN, so NaN is rejected too
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if (self.sigma == 0.0) != (self.kind == "none"):
             raise ValueError("sigma must be 0 exactly when kind is 'none'")
 
@@ -296,7 +302,7 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     with clusters stacked along the leading axes.  One batched symmetric
     eigendecomposition of the Gram matrices gives both the fits and, in
     descending order, the Grams' singular values for
-    :func:`gram_full_rank`.  Eigenvalues at or below n * eps times the
+    ``partitions.gram_full_rank``.  Eigenvalues at or below n * eps times the
     largest are dropped, lstsq's default cutoff for an n x n system, so a
     rank-deficient or empty (zero) Gram gets its minimum-norm solution.
     """
@@ -316,9 +322,8 @@ def fit_clusters(
     data: Dataset,
     labels: np.ndarray,
     clusters: Sequence[int],
-    rtol: float = GRAM_RTOL,
     table: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares parameters of each listed cluster.
 
     For every label s in ``clusters`` the rows with ``labels == s`` get the
@@ -327,17 +332,15 @@ def fit_clusters(
     :func:`moment_table`; callers that fit the same data repeatedly pass it
     in, otherwise it is built here.
 
-    Returns ``(theta, full_rank, empty)``, one row or entry per listed
-    cluster: the parameters, whether the cluster's Gram has full rank (by
-    :func:`gram_full_rank`), and whether no row carries the label.  Empty
-    clusters have a zero Gram: their parameters are zero and their rank
-    flag False.
+    Returns ``(theta, empty)``, one row or entry per listed cluster: the
+    parameters, and whether no row carries the label.  Empty clusters have
+    a zero Gram, so their parameters are zero.
     """
     if table is None:
         table = moment_table(data)
     member = labels == np.asarray(clusters)[:, None]
-    theta, svals = gram_solve((table @ member.T.astype(float)).T, data.n)
-    return theta, gram_full_rank(svals, data.n, rtol), ~member.any(axis=1)
+    theta, _ = gram_solve((table @ member.T.astype(float)).T, data.n)
+    return theta, ~member.any(axis=1)
 
 
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:

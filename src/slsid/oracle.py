@@ -32,7 +32,7 @@ from itertools import permutations
 import numpy as np
 
 from .model import Dataset, gram_solve, moment_table
-from .partitions import GRAM_RTOL, gram_full_rank
+from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
 # label strings per batched solve; sized for memory, not speed
@@ -48,14 +48,13 @@ class SolutionClass:
     """One equivalence class of optimal solutions under relabeling.
 
     ``labels`` is the canonical representative (subsystems renumbered in
-    order of first appearance), ``params`` the per-cluster least-squares
-    fits in canonical order, ``params_sorted`` the same vectors in
-    lexicographic order for order-free comparison.
+    order of first appearance) and ``params`` the per-cluster least-squares
+    fits in canonical order; :func:`same_param_set` compares banks without
+    regard to order.
     """
 
     labels: tuple[int, ...]
     params: np.ndarray
-    params_sorted: np.ndarray
     objective: float
     degenerate: bool
 
@@ -93,14 +92,14 @@ def oracle_global(
     S: int,
     tol: float = 1e-9,
     limit: int = DEFAULT_ENUM_LIMIT,
-    rank_tol: float = GRAM_RTOL,
 ) -> tuple[float, list[SolutionClass]]:
     """Global minimum of the hard-assignment objective and all optimal classes.
 
     Every assignment within ``tol`` of the global minimum contributes one
-    class; the classes are sorted by their canonical label sequence and
-    their ``degenerate`` flags use ``rank_tol``.  Raises
-    :class:`EnumerationLimitError` when S^N exceeds ``limit``.
+    class; the classes are sorted by their canonical label sequence, and
+    their ``degenerate`` flags come from ``partitions.gram_full_rank`` at
+    its default tolerance.  Raises :class:`EnumerationLimitError` when S^N
+    exceeds ``limit``.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -131,24 +130,17 @@ def oracle_global(
         near = sse <= best + tol
         # an empty cluster has a zero Gram, so it fits theta = 0 and fails
         # the rank test, which makes its class degenerate
-        full = gram_full_rank(svals[near].reshape(-1, n), n, rank_tol)
+        full = gram_full_rank(svals[near].reshape(-1, n), n)
         degenerate = ~full.reshape(-1, S).all(axis=1)
         kept.append((sse[near], labels[near], theta[near], degenerate))
 
     # restricted-growth strings are canonical and scanned in ascending
     # order, so every kept string is its own class, already sorted
-    classes = []
-    for objectives, labs, thetas, flags in kept:
-        for obj, canon, params, flag in zip(objectives, labs + 1, thetas, flags):
-            classes.append(
-                SolutionClass(
-                    labels=tuple(canon.tolist()),
-                    params=params,
-                    params_sorted=params[np.lexsort(params.T[::-1])],
-                    objective=float(obj),
-                    degenerate=bool(flag),
-                )
-            )
+    classes = [
+        SolutionClass(tuple(canon.tolist()), params, float(obj), bool(flag))
+        for objectives, labs, thetas, flags in kept
+        for obj, canon, params, flag in zip(objectives, labs + 1, thetas, flags)
+    ]
     return best, classes
 
 

@@ -37,8 +37,8 @@ AUTO_SIGMA2_FLOOR = 1e-12
 class OrderSelectConfig:
     """Candidate range, penalty schedule, and per-candidate solver template.
 
-    ``penalty`` is either an explicit positive value of lambda or "auto",
-    meaning ``penalty_scale * sigma2_hat * log(N) / N`` with sigma2_hat the
+    ``penalty`` is either an explicit finite positive value of lambda or
+    "auto", meaning ``sigma2_hat * log(N) / N`` with sigma2_hat the
     mean squared residual of the single-subsystem fit, floored away from
     zero so the penalty stays positive on noise-free data.  That residual
     measures the output variance a switch-free model cannot explain, so the
@@ -50,7 +50,6 @@ class OrderSelectConfig:
 
     S_bar: int
     penalty: float | str = "auto"
-    penalty_scale: float = 1.0
     solver: SolverConfig = SolverConfig(S=1)
 
     def __post_init__(self):
@@ -59,10 +58,9 @@ class OrderSelectConfig:
         if isinstance(self.penalty, str):
             if self.penalty != "auto":
                 raise ValueError("penalty must be a positive number or 'auto'")
-            if self.penalty_scale <= 0:
-                raise ValueError("penalty_scale must be positive")
-        elif self.penalty <= 0:
-            raise ValueError("an explicit penalty must be positive")
+        # chained comparison is False for NaN, so NaN is rejected too
+        elif not 0.0 < self.penalty < math.inf:
+            raise ValueError(f"penalty must be finite and positive, got {self.penalty}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def _refit_state(data: Dataset, labels: Assignment, S: int) -> SolveReport:
     split-off sample ties at zero residual and flips back, emptying the new
     cluster); the split state itself already certifies the monotone fit.
     """
-    params, _, _ = fit_clusters(data, labels.labels, range(1, S + 1))
+    params, _ = fit_clusters(data, labels.labels, range(1, S + 1))
     model = SLModel(params)
     obj = objective_integer(data, model, labels)
     return SolveReport(
@@ -175,7 +173,7 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     N = data.N
     if cfg.penalty == "auto":
         sigma2 = max(reports[0].objective / N, AUTO_SIGMA2_FLOOR)
-        penalty = cfg.penalty_scale * sigma2 * math.log(N) / N
+        penalty = sigma2 * math.log(N) / N
     else:
         penalty = float(cfg.penalty)
 
@@ -234,11 +232,8 @@ def consistency_sweep(
             f"S_bar={cfg.S_bar} is below the true count {scenario.S}; "
             "the upper-bound assumption is violated"
         )
-    noise = (
-        NoiseSpec("gaussian", scenario.sigma)
-        if scenario.sigma > 0
-        else NoiseSpec()
-    )
+    sigma = scenario.sigma
+    noise = NoiseSpec() if sigma == 0 else NoiseSpec("gaussian", sigma)
     rows = []
     for i, N in enumerate(N_list):
         hits = 0

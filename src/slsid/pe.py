@@ -40,6 +40,8 @@ from .partitions import (
 CERTIFIED = "certified"
 REFUTED = "refuted"
 UNDECIDED = "undecided"
+# absolute: parameter vectors closer than this count as one subsystem
+_DISTINCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ def _check_assignment(data: Dataset, a: Assignment, S: int) -> None:
         raise ValueError(f"assignment uses label {a.labels.max()}, above S={S}")
 
 
-def check_distinct_params(model: SLModel, tol: float = 1e-9) -> bool:
-    """True when all pairwise parameter differences have norm above tol."""
+def check_distinct_params(model: SLModel) -> bool:
+    """True when all pairwise parameter differences have norm above 1e-9."""
     for i, j in combinations(range(model.S), 2):
-        if np.linalg.norm(model.params[i] - model.params[j]) <= tol:
+        if np.linalg.norm(model.params[i] - model.params[j]) <= _DISTINCT_TOL:
             return False
     return True
 
@@ -202,8 +204,10 @@ def check_partition_condition(
     blocks; a cluster whose smallest such split uses f blocks can safely
     occupy any stage s with block budget S - s + 1 < f.  The condition holds
     iff the clusters can be arranged so every stage is safe, which is decided
-    from the f values alone; the reported permutation is the lexicographically
-    smallest certificate.
+    from the f values alone by one check of the f-descending order.  The
+    reported permutation is the lexicographically smallest certificate: a
+    cluster safe at one stage stays safe at every later one, so taking the
+    smallest safe label at each stage never strands the rest.
     """
     _check_tol(tol)
     _check_assignment(data, a, S)
@@ -229,40 +233,28 @@ def check_partition_condition(
         budget = S - stage + 1
         return f[s] is None or f[s] > budget
 
-    def completable(chosen: list[int], stage: int) -> bool:
-        # early stages have the largest block budgets, so the most
-        # split-resistant clusters (largest f, None meaning unsplittable)
-        # must take them; feasibility of that arrangement is necessary and
-        # sufficient
-        remaining = [s for s in members if s not in chosen]
-        remaining.sort(key=lambda s: (f[s] is not None, -(f[s] or 0)))
-        return all(safe(s, stage + i) for i, s in enumerate(remaining))
-
-    if completable([], 1):
+    # early stages have the largest block budgets, so the most
+    # split-resistant clusters (largest f, None meaning unsplittable) must
+    # take them: some ordering passes every stage iff this one does
+    order = sorted(members, key=lambda s: (f[s] is not None, -(f[s] or 0), s))
+    defeated = [(t, s) for t, s in enumerate(order, start=1) if not safe(s, t)]
+    if not defeated:
         perm: list[int] = []
         for stage in range(1, S + 1):
-            for s in sorted(set(members) - set(perm)):
-                if safe(s, stage) and completable(perm + [s], stage + 1):
-                    perm.append(s)
-                    break
+            perm.append(min(s for s in members if s not in perm and safe(s, stage)))
         return PartitionCheck(
             status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f
         )
 
     # No ordering works: in the best arrangement (f descending), report the
     # first stage whose cluster is defeated, with that cluster's split.
-    order = sorted(members, key=lambda s: (f[s] is not None, -(f[s] or 0), s))
-    for stage, s in enumerate(order, start=1):
-        if not safe(s, stage):
-            witness = PartitionWitness(
-                cluster=s,
-                budget=S - stage + 1,
-                blocks=tuple(tuple(b) for b in splits.get(s, [])),
-            )
-            return PartitionCheck(
-                status=REFUTED, witness=witness, min_deficient_blocks=f
-            )
-    raise AssertionError("infeasible ordering must have a defeated stage")
+    stage, s = defeated[0]
+    witness = PartitionWitness(
+        cluster=s,
+        budget=S - stage + 1,
+        blocks=tuple(tuple(b) for b in splits.get(s, [])),
+    )
+    return PartitionCheck(status=REFUTED, witness=witness, min_deficient_blocks=f)
 
 
 def check_genericity_sufficient(

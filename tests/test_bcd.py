@@ -23,7 +23,7 @@ from slsid import (
 )
 from slsid import bcd, fixtures
 from slsid.bcd import DescentError
-from slsid.model import fit_clusters
+from slsid.model import fit_clusters, gram_solve, moment_table
 from slsid.oracle import same_param_set
 from slsid.partitions import gram_full_rank
 
@@ -35,18 +35,30 @@ def assert_trace_descends(trace):
     assert np.all(drops <= 1e-9 * (1.0 + np.abs(trace[:-1])))
 
 
+def _fit_with_rank(data, labels, clusters):
+    """``fit_clusters`` plus each cluster's full-rank flag.
+
+    The flag is ``gram_full_rank`` on the singular values ``gram_solve``
+    returns for the same cluster sums.
+    """
+    theta, empty = fit_clusters(data, labels, clusters)
+    member = labels == np.asarray(clusters)[:, None]
+    _, svals = gram_solve((moment_table(data) @ member.T.astype(float)).T, data.n)
+    return theta, gram_full_rank(svals, data.n), empty
+
+
 class TestFitClusterParams:
     """The per-cluster least-squares kernel behind the parameter half-step."""
 
     def test_example_two_second_cluster_exact(self):
         model, data = fixtures.example_two()
-        theta, full_rank, empty = fit_clusters(data, data.truth.labels, [2])
+        theta, full_rank, empty = _fit_with_rank(data, data.truth.labels, [2])
         np.testing.assert_allclose(theta[0], [-2.0, 4.0, 1.0], atol=1e-9)
         assert full_rank[0] and not empty[0]
 
     def test_single_sample_minimum_norm(self):
         data = Dataset(np.array([[1.0, 0.0]]), np.array([2.0]))
-        theta, full_rank, empty = fit_clusters(data, np.array([1]), [1])
+        theta, full_rank, empty = _fit_with_rank(data, np.array([1]), [1])
         np.testing.assert_allclose(theta[0], [2.0, 0.0], atol=1e-12)
         assert not full_rank[0] and not empty[0]
 
@@ -54,13 +66,13 @@ class TestFitClusterParams:
         rng = np.random.default_rng(0)
         model = SLModel(rng.uniform(-2, 2, size=(1, 3)))
         data = simulate(model, rng.uniform(-2, 2, size=(20, 3)), Assignment(np.ones(20, int)))
-        theta, full_rank, _ = fit_clusters(data, data.truth.labels, [1])
+        theta, full_rank, _ = _fit_with_rank(data, data.truth.labels, [1])
         np.testing.assert_allclose(theta[0], model.params[0], atol=1e-9)
         assert full_rank[0]
 
     def test_empty_cluster_signalled(self):
         _, data = fixtures.example_one()
-        theta, full_rank, empty = fit_clusters(data, data.truth.labels, [1, 3, 2])
+        theta, full_rank, empty = _fit_with_rank(data, data.truth.labels, [1, 3, 2])
         np.testing.assert_array_equal(empty, [False, True, False])
         np.testing.assert_array_equal(theta[1], [0.0, 0.0])
         assert not full_rank[1]
@@ -96,7 +108,7 @@ def test_kernel_matches_per_cluster_lstsq(n, scale):
         X, labels = _kernel_cases(rng, n)
         data = Dataset(scale * X, scale * rng.normal(0, 1, size=labels.size))
         clusters = [6, 1, 2, 3, 4, 5]
-        theta, full_rank, empty = fit_clusters(data, labels, clusters)
+        theta, full_rank, empty = _fit_with_rank(data, labels, clusters)
         for i, s in enumerate(clusters):
             idx = labels == s
             where = f"n={n} scale={scale} cluster {s}"
@@ -235,7 +247,7 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=1, restarts=1, seed=0))
         assert report.iterations == 1
         assert report.converged
-        theta, _, _ = fit_clusters(data, np.ones(30, int), [1])
+        theta, _ = fit_clusters(data, np.ones(30, int), [1])
         np.testing.assert_array_equal(report.model.params[0], theta[0])
         assert stationarity_check(data, report)
 

@@ -56,6 +56,13 @@ def test_single_init_large_sample_classification_error():
     assert float(np.median([r["ce"] for r in result.raw])) < 1.5
 
 
+@pytest.mark.parametrize("sigma", [-0.1, float("nan")])
+def test_bad_sigma_rejected(sigma):
+    spec = ScenarioSpec(n=2, S=2, N=40, sigma=sigma, repetitions=1, restarts=1)
+    with pytest.raises(ValueError, match="sigma"):
+        run_cell(spec)
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
         run_bench([])

@@ -288,6 +288,62 @@ def test_pe_check_model_n_mismatch_is_usage_error(tmp_path, capsys):
     assert "model has n=3 but the dataset has n=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1.0, 2.0]", "must be an object"), ('{"n": 2, "S": 2}', "lacks params")],
+)
+def test_pe_check_malformed_model_is_usage_error(tmp_path, capsys, text, message):
+    run(["simulate", "--example", "1", "--output", str(tmp_path)])
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = run(["pe-check", "--data", str(tmp_path / "example1.csv"),
+                "--model", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_pe_check_nan_params_is_usage_error(tmp_path, capsys):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    path = tmp_path / "example2_model.json"
+    payload = json.loads(path.read_text())
+    payload["params"][0][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    code = run(["pe-check", "--data", str(tmp_path / "example2.csv"),
+                "--model", str(path), "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "params row 1 " in err
+    assert not (tmp_path / "pe_report.json").exists()
+
+
+@pytest.mark.parametrize("penalty", ["nan", "inf", "-1"])
+def test_select_order_bad_penalty_is_usage_error(tmp_path, capsys, penalty):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    code = run(["select-order", "--data", str(tmp_path / "example2.csv"),
+                "--s-bar", "2", "--penalty", penalty, "--output", str(tmp_path)])
+    assert code == 1
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "order.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "2", "--S", "2", "--N", "20"],
+        ["bench", "--cell", "2,2,20", "--repetitions", "1", "--restarts", "1"],
+        ["consistency-sweep", "--n", "2", "--S", "2", "--N", "20", "--trials", "1",
+         "--s-bar", "2", "--restarts", "1"],
+    ],
+)
+@pytest.mark.parametrize("sigma", ["-0.1", "nan"])
+def test_bad_sigma_is_usage_error(tmp_path, capsys, command, sigma):
+    code = run(command + ["--sigma", sigma, "--output", str(tmp_path)])
+    assert code == 1
+    assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_pe_check_undecided_exit_code(tmp_path):
     # a single cluster above the enumeration guard yields an undecided
     # verdict, reported with exit code 3

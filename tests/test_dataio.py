@@ -45,6 +45,24 @@ def test_model_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.params, model.params)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[[1.0, 2.0]]", "must be an object"),
+        ('{"n": 2, "S": 1}', "lacks params"),
+        ('{"params": [[1.0, 2.0]]}', "lacks n, S"),
+        ('{"n": 2, "S": 1, "params": [[NaN, 2.0]]}', "params row 1 "),
+        ('{"n": 2, "S": 1, "params": [[1.0, 2.0], [3.0]]}', "inhomogeneous"),
+    ],
+)
+def test_malformed_model_rejected_with_its_path(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
 def test_malformed_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -54,6 +54,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             NoiseSpec("gaussian", -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model_rejects_non_finite_params(self, bad):
+        params = np.ones((3, 2))
+        params[1, 0] = bad
+        params[2, 1] = np.nan  # a later bad row: the first one is named
+        with pytest.raises(ValueError, match="params row 2 "):
+            SLModel(params)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_noise_spec_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseSpec("gaussian", sigma)
+
     def test_membership_validation(self):
         with pytest.raises(ValueError):
             RelaxedMembership(np.array([[0.5, 0.2], [0.6, 0.8]]))

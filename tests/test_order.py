@@ -89,6 +89,11 @@ class TestSelectOrder:
         with pytest.raises(ValueError):
             OrderSelectConfig(S_bar=2, penalty="magic")
 
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_penalty_rejected(self, penalty):
+        with pytest.raises(ValueError, match="finite and positive"):
+            OrderSelectConfig(S_bar=2, penalty=penalty)
+
 
 class TestConsistencySweep:
     def test_upper_bound_violation_flagged(self):
@@ -103,6 +108,13 @@ class TestConsistencySweep:
         )
         assert [r["recovery_rate"] for r in rows] == [1.0, 1.0]
         assert all(r["trials"] == 4 for r in rows)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            consistency_sweep(
+                SweepScenario(n=2, S=2, sigma=sigma), [40], 1, _config(2)
+            )
 
     def test_rows_shape(self):
         rows = consistency_sweep(

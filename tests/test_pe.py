@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -162,6 +162,47 @@ class TestPartitionCondition:
         a = Assignment(np.ones(20, int))
         check = check_partition_condition(data, a, 1, limits=Limits(max_block_size=10))
         assert check.status == UNDECIDED
+
+    def test_permutation_is_smallest_passing_order(self):
+        # against a brute force over all S! orders of the reported f values:
+        # CERTIFIED with the lexicographically smallest order that passes
+        # every stage, REFUTED exactly when no order passes.  Each cluster's
+        # rows are scaled copies of a few random directions, so f varies
+        # from 0 (empty) through small counts to None (unsplittable).
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(200):
+            S = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 4))
+            blocks, labels = [], []
+            for s in range(1, S + 1):
+                m = int(rng.integers(0, 7))
+                dirs = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), n))
+                picks = dirs[rng.integers(0, len(dirs), size=m)]
+                blocks.append(picks * rng.uniform(0.5, 2, size=(m, 1)))
+                labels += [s] * m
+            if not labels:
+                continue
+            data = Dataset(np.vstack(blocks), np.zeros(len(labels)))
+            check = check_partition_condition(data, Assignment(np.array(labels)), S)
+            f = check.min_deficient_blocks
+            passing = [
+                order
+                for order in permutations(range(1, S + 1))
+                if all(f[s] is None or f[s] > S - t + 1 for t, s in enumerate(order, 1))
+            ]
+            where = f"trial {trial}: S={S} f={f}"
+            if passing:
+                assert check.status == CERTIFIED, where
+                assert check.permutation == passing[0], where
+            else:
+                assert check.status == REFUTED and check.permutation is None, where
+                w = check.witness
+                assert f[w.cluster] is not None and f[w.cluster] <= w.budget, where
+            seen.add((check.status, check.permutation == tuple(range(1, S + 1))))
+        # the draws must reach every branch: refuted, and certified both in
+        # label order and out of it
+        assert seen == {(REFUTED, False), (CERTIFIED, True), (CERTIFIED, False)}
 
     def test_monotone_under_appending(self):
         # once certified, appending a sample to any cluster preserves the
