@@ -41,7 +41,6 @@ from .order import (
     select_order,
 )
 from .pe import (
-    Limits,
     PEReport,
     SampleCounts,
     check_cluster_pe,
@@ -60,7 +59,6 @@ __all__ = [
     "Assignment",
     "Dataset",
     "EnumerationLimitError",
-    "Limits",
     "NoiseSpec",
     "OrderSelectConfig",
     "OrderSelectReport",

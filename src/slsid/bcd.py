@@ -85,8 +85,10 @@ class SolverConfig:
             raise ValueError("S must be >= 1")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.obj_tol < 0:
-            raise ValueError("obj_tol must be >= 0")
+        # the negated comparison is True for NaN, which would keep the
+        # objective-stall stop from ever firing
+        if not self.obj_tol >= 0:
+            raise ValueError(f"obj_tol must be >= 0, got {self.obj_tol}")
 
 
 @dataclass(frozen=True)
@@ -266,11 +268,8 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     degenerate_count = 0
     for r in range(cfg.restarts):
         if cfg.init_labels is not None and r == 0:
+            cfg.init_labels.validate(data.N, cfg.S)
             init = cfg.init_labels.labels.copy()
-            if init.size != data.N:
-                raise ValueError("init_labels length does not match dataset")
-            if init.max() > cfg.S:
-                raise ValueError("init_labels use a label above S")
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))

@@ -3,7 +3,8 @@
 ``run_bench`` drives repeated randomized fits over a grid of scenario cells
 and reports per-cell summary statistics (runtime, classification error,
 normalized parameter error, and the count of repetitions that recovered the
-true parameters).  ``repro`` regenerates stored reference results (the
+true parameters); every cell draws its data on ``generate_random_scenario``'s
+default parameter range.  ``repro`` regenerates stored reference results (the
 sample-count table and the outcomes on the bundled fixtures) and returns a
 list of mismatches, empty on success.
 """
@@ -80,7 +81,7 @@ def run_cell(spec: ScenarioSpec) -> SweepResult:
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.n, spec.S, spec.N, rep))
         data_seed = int(ss.generate_state(1)[0])
         model, data = generate_random_scenario(
-            spec.n, spec.S, spec.N, (-5.0, 5.0), noise, data_seed
+            spec.n, spec.S, spec.N, noise=noise, seed=data_seed
         )
         cfg = SolverConfig(S=spec.S, restarts=spec.restarts, seed=data_seed + 1)
         row = {"n": spec.n, "S": spec.S, "N": spec.N, "rep": rep}
@@ -191,10 +192,10 @@ def repro_table1() -> list[str]:
     return mismatches
 
 
-def repro_example2_fit(seed: int = 1) -> list[str]:
+def repro_example2_fit() -> list[str]:
     mismatches = []
     model, data = fixtures.example_two()
-    report = bcd_solve(data, SolverConfig(S=2, restarts=10, seed=seed))
+    report = bcd_solve(data, SolverConfig(S=2, restarts=10, seed=1))
     if not report.objective < 1e-12:
         mismatches.append(f"objective {report.objective} not < 1e-12")
     err, perm = nmse(report.model, model)

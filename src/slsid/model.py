@@ -42,14 +42,24 @@ def _as_matrix(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """Per-sample subsystem labels, values in {1, ..., S}."""
+    """Per-sample subsystem labels, values in {1, ..., S}.
+
+    Floating-point labels are accepted only when every value is a whole
+    number; a fractional or non-finite one raises ValueError rather than
+    being truncated.
+    """
 
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        if labels.ndim != 1 or labels.size < 1:
+        values = np.asarray(self.labels)
+        if values.ndim != 1 or values.size < 1:
             raise ValueError("labels must be a nonempty 1-D integer array")
+        if values.dtype.kind == "f" and not (
+            np.isfinite(values).all() and (values == np.round(values)).all()
+        ):
+            raise ValueError("labels must be whole numbers, not fractional or non-finite")
+        labels = values.astype(int, copy=False)
         if labels.min() < 1:
             raise ValueError("labels are 1-based; smallest allowed label is 1")
         object.__setattr__(self, "labels", labels)
@@ -68,6 +78,14 @@ class Assignment:
 
     def cluster_sizes(self, S: int) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(self.labels == s)) for s in range(1, S + 1))
+
+    def validate(self, N: int, S: int) -> None:
+        """Raise ValueError unless there are N labels, none above S."""
+        if len(self) != N:
+            raise ValueError(f"assignment has {len(self)} labels for {N} samples")
+        top = int(self.labels.max())
+        if top > S:
+            raise ValueError(f"assignment uses label {top}, above S={S}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +193,7 @@ class RelaxedMembership:
 
     @classmethod
     def from_assignment(cls, a: Assignment, S: int) -> "RelaxedMembership":
-        if a.labels.max() > S:
-            raise ValueError("assignment uses a label above S")
+        a.validate(len(a), S)
         w = np.zeros((S, len(a)))
         w[a.labels - 1, np.arange(len(a))] = 1.0
         return cls(w)
@@ -192,9 +209,7 @@ class RelaxedMembership:
 
 def _check_pair(data: Dataset, model: SLModel) -> None:
     if data.n != model.n:
-        raise ValueError(
-            f"regressor dimension {data.n} does not match model dimension {model.n}"
-        )
+        raise ValueError(f"model has n={model.n} but the dataset has n={data.n}")
 
 
 def residual_matrix(data: Dataset, model: SLModel) -> np.ndarray:
@@ -221,12 +236,7 @@ def simulate(
             f"regressor dimension {regressors.shape[1]} does not match model "
             f"dimension {model.n}"
         )
-    if len(switching) != regressors.shape[0]:
-        raise ValueError("switching length does not match regressor rows")
-    if switching.labels.max() > model.S:
-        raise ValueError(
-            f"switching label {switching.labels.max()} out of range 1..{model.S}"
-        )
+    switching.validate(regressors.shape[0], model.S)
     # same computation as residual_matrix, so noise-free truth residuals are
     # exactly zero bit for bit
     preds = model.params @ regressors.T
@@ -350,10 +360,7 @@ def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:
     two agree bitwise at binary memberships.
     """
     _check_pair(data, model)
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
-    if a.labels.max() > model.S:
-        raise ValueError("assignment uses a label above the model's S")
+    a.validate(data.N, model.S)
     r = residual_matrix(data, model)[a.labels - 1, np.arange(data.N)]
     return float(np.sum(r * r))
 

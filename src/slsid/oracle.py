@@ -11,7 +11,7 @@ memberships against the dataset's ``model.moment_table`` gives every
 cluster's Gram and moment, ``model.gram_solve`` (the descent's Gram solve,
 one batched eigendecomposition per chunk) gives the minimum-norm fits and
 the Grams' singular values, and each assignment's objective is summed from
-its explicit residuals.  A string within ``tol`` of the optimum keeps what
+its explicit residuals.  A string within 1e-9 of the optimum keeps what
 its chunk computed: the fits become the class parameters, the residual sum
 its objective, and the singular values its rank flags.  Because the fits
 are solved on the Gram, they agree with a per-cluster ``lstsq`` on the
@@ -35,6 +35,8 @@ from .model import Dataset, gram_solve, moment_table
 from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
+# absolute: an assignment this close to the global minimum is optimal
+_OPTIMUM_TOL = 1e-9
 # label strings per batched solve; sized for memory, not speed
 _CHUNK = 1024
 
@@ -88,17 +90,14 @@ def _rgs_chunks(N: int, S: int):
 
 
 def oracle_global(
-    data: Dataset,
-    S: int,
-    tol: float = 1e-9,
-    limit: int = DEFAULT_ENUM_LIMIT,
+    data: Dataset, S: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> tuple[float, list[SolutionClass]]:
     """Global minimum of the hard-assignment objective and all optimal classes.
 
-    Every assignment within ``tol`` of the global minimum contributes one
-    class; the classes are sorted by their canonical label sequence, and
-    their ``degenerate`` flags come from ``partitions.gram_full_rank`` at
-    its default tolerance.  Raises :class:`EnumerationLimitError` when S^N
+    Every assignment within 1e-9 (absolute) of the global minimum
+    contributes one class; the classes are sorted by their canonical label
+    sequence, and their ``degenerate`` flags come from
+    ``partitions.gram_full_rank`` at its default tolerance.  Raises :class:`EnumerationLimitError` when S^N
     exceeds ``limit``.
     """
     if S < 1:
@@ -115,7 +114,7 @@ def oracle_global(
 
     best = np.inf
     # per chunk: objective, labels, fits and degenerate flags of the
-    # strings within tol of the running best
+    # strings within _OPTIMUM_TOL of the running best
     kept: list[tuple[np.ndarray, ...]] = []
     for labels in _rgs_chunks(N, S):
         member = (labels[:, None, :] == clusters).reshape(-1, N).astype(float)
@@ -126,8 +125,8 @@ def oracle_global(
         sse = np.einsum("bk,bk->b", r, r)
         if sse.min() < best:
             best = float(sse.min())
-            kept = [tuple(a[c[0] <= best + tol] for a in c) for c in kept]
-        near = sse <= best + tol
+            kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
+        near = sse <= best + _OPTIMUM_TOL
         # an empty cluster has a zero Gram, so it fits theta = 0 and fails
         # the rank test, which makes its class degenerate
         full = gram_full_rank(svals[near].reshape(-1, n), n)

@@ -204,12 +204,12 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
 
 @dataclass(frozen=True)
 class SweepScenario:
-    """Data-generating settings for the consistency sweep."""
+    """Data-generating settings for the consistency sweep; parameters and
+    regressors are drawn on ``generate_random_scenario``'s default range."""
 
     n: int
     S: int
     sigma: float
-    param_range: tuple[float, float] = (-5.0, 5.0)
 
 
 def consistency_sweep(
@@ -241,7 +241,7 @@ def consistency_sweep(
             trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i, t))
             data_seed = int(trial_seed.generate_state(1)[0])
             _, data = generate_random_scenario(
-                scenario.n, scenario.S, N, scenario.param_range, noise, data_seed
+                scenario.n, scenario.S, N, noise=noise, seed=data_seed
             )
             trial_cfg = replace(
                 cfg, solver=replace(cfg.solver, seed=data_seed + 1)

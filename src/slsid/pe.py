@@ -14,10 +14,12 @@ enough.  This module implements the checkable conditions:
 
 It also provides the three competing minimum-sample-count formulas and a
 sufficient certificate based on n-genericity plus cluster-size thresholds.
-All verdicts are exact; when an enumeration guard is hit the result is an
-explicit "undecided", never a guess.  The rank tolerance ``tol`` must be
-finite with 0 <= tol < 1, and the model's n must match the dataset's;
-anything else raises ValueError before a check runs.
+All verdicts are exact; when an enumeration guard (``MAX_BLOCK_SIZE``,
+``MAX_GENERICITY_SUBSETS``) is hit the result is an explicit "undecided",
+never a guess.  The rank tolerance ``tol`` must be finite with
+0 <= tol < 1, the model's n must match the dataset's, and the labels must
+be one per sample with none above S; anything else raises ValueError
+before a check runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Assignment, Dataset, SLModel
+from .model import Assignment, Dataset, SLModel, _check_pair
 from .partitions import (
     GRAM_RTOL,
     gram_full_rank,
@@ -42,14 +44,10 @@ REFUTED = "refuted"
 UNDECIDED = "undecided"
 # absolute: parameter vectors closer than this count as one subsystem
 _DISTINCT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Enumeration guards for the combinatorial checks."""
-
-    max_block_size: int = 14
-    max_genericity_subsets: int = 200_000
+# enumeration guards: the partition search is undecided on a cluster of more
+# rows, and the genericity scan returns None beyond this many n-subsets
+MAX_BLOCK_SIZE = 14
+MAX_GENERICITY_SUBSETS = 200_000
 
 
 @dataclass(frozen=True)
@@ -104,18 +102,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol}")
 
 
-def _check_model(data: Dataset, model: SLModel) -> None:
-    if model.n != data.n:
-        raise ValueError(f"model has n={model.n} but the dataset has n={data.n}")
-
-
-def _check_assignment(data: Dataset, a: Assignment, S: int) -> None:
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
-    if a.labels.max() > S:
-        raise ValueError(f"assignment uses label {a.labels.max()}, above S={S}")
-
-
 def check_distinct_params(model: SLModel) -> bool:
     """True when all pairwise parameter differences have norm above 1e-9."""
     for i, j in combinations(range(model.S), 2):
@@ -135,7 +121,7 @@ def check_no_separating_regressor(
     (k, i, j), all 1-based.
     """
     _check_tol(tol)
-    _check_model(data, model)
+    _check_pair(data, model)
     violations: list[tuple[int, int, int]] = []
     xnorm = np.linalg.norm(data.regressors, axis=1)
     for i, j in combinations(range(model.S), 2):
@@ -192,11 +178,7 @@ class PartitionCheck:
 
 
 def check_partition_condition(
-    data: Dataset,
-    a: Assignment,
-    S: int,
-    tol: float = GRAM_RTOL,
-    limits: Limits = Limits(),
+    data: Dataset, a: Assignment, S: int, tol: float = GRAM_RTOL
 ) -> PartitionCheck:
     """Search for an ordering of clusters certifying the partition condition.
 
@@ -204,16 +186,17 @@ def check_partition_condition(
     blocks; a cluster whose smallest such split uses f blocks can safely
     occupy any stage s with block budget S - s + 1 < f.  The condition holds
     iff the clusters can be arranged so every stage is safe, which is decided
-    from the f values alone by one check of the f-descending order.  The
-    reported permutation is the lexicographically smallest certificate: a
-    cluster safe at one stage stays safe at every later one, so taking the
-    smallest safe label at each stage never strands the rest.
+    from the f values alone in one greedy pass that places the smallest safe
+    label at each stage.  A cluster safe at one stage stays safe at every
+    later one, so the pass never strands the rest: it fails only when no
+    ordering passes, and otherwise reports the lexicographically smallest
+    certificate.  A cluster of more than ``MAX_BLOCK_SIZE`` rows makes the
+    result UNDECIDED.
     """
     _check_tol(tol)
-    _check_assignment(data, a, S)
+    a.validate(data.N, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
-    oversized = [s for s, idx in members.items() if idx.size > limits.max_block_size]
-    if oversized:
+    if any(idx.size > MAX_BLOCK_SIZE for idx in members.values()):
         return PartitionCheck(status=UNDECIDED)
 
     # f[s]: smallest all-rank-deficient block count (0 for an empty cluster,
@@ -229,61 +212,46 @@ def check_partition_condition(
             f[s] = count
             splits[s] = [[int(idx[i]) + 1 for i in block] for block in blocks]
 
-    def safe(s: int, stage: int) -> bool:
+    perm: list[int] = []
+    for stage in range(1, S + 1):
         budget = S - stage + 1
-        return f[s] is None or f[s] > budget
-
-    # early stages have the largest block budgets, so the most
-    # split-resistant clusters (largest f, None meaning unsplittable) must
-    # take them: some ordering passes every stage iff this one does
-    order = sorted(members, key=lambda s: (f[s] is not None, -(f[s] or 0), s))
-    defeated = [(t, s) for t, s in enumerate(order, start=1) if not safe(s, t)]
-    if not defeated:
-        perm: list[int] = []
-        for stage in range(1, S + 1):
-            perm.append(min(s for s in members if s not in perm and safe(s, stage)))
-        return PartitionCheck(
-            status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f
-        )
-
-    # No ordering works: in the best arrangement (f descending), report the
-    # first stage whose cluster is defeated, with that cluster's split.
-    stage, s = defeated[0]
-    witness = PartitionWitness(
-        cluster=s,
-        budget=S - stage + 1,
-        blocks=tuple(tuple(b) for b in splits.get(s, [])),
-    )
-    return PartitionCheck(status=REFUTED, witness=witness, min_deficient_blocks=f)
+        rest = [s for s in members if s not in perm]
+        safe = [s for s in rest if f[s] is None or f[s] > budget]
+        if not safe:
+            # every cluster safe here is already placed, so no ordering
+            # passes this stage; the witness is the remaining cluster with
+            # the largest f (all remaining ones are splittable)
+            s = max(rest, key=lambda s: (f[s], -s))
+            witness = PartitionWitness(
+                cluster=s, budget=budget, blocks=tuple(tuple(b) for b in splits[s])
+            )
+            return PartitionCheck(status=REFUTED, witness=witness, min_deficient_blocks=f)
+        perm.append(safe[0])
+    return PartitionCheck(status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f)
 
 
 def check_genericity_sufficient(
-    data: Dataset,
-    a: Assignment,
-    S: int | None = None,
-    tol: float = GRAM_RTOL,
-    limits: Limits = Limits(),
+    data: Dataset, a: Assignment, S: int, tol: float = GRAM_RTOL
 ) -> bool | None:
     """Sufficient excitation certificate from n-genericity and cluster sizes.
 
     True when every n-subset of every cluster has a full-rank Gram and the
     cluster sizes, sorted descending, dominate n + (n-1)(S-s).  Returns None
-    when the subset enumeration would exceed the guard.  The subsets are
+    when the subset enumeration would exceed ``MAX_GENERICITY_SUBSETS``,
+    before any subset is scanned.  The subsets are
     decided by :func:`partitions.subset_gram_svals`, one batched SVD per
     fixed-size chunk, so memory stays bounded at any guard; the scan stops
     at the first chunk holding a deficient subset.
     """
     _check_tol(tol)
-    if S is None:
-        S = int(a.labels.max())
-    _check_assignment(data, a, S)
+    a.validate(data.N, S)
     n = data.n
     sizes = sorted(a.cluster_sizes(S), reverse=True)
     for s, size in enumerate(sizes, start=1):
         if size < n + (n - 1) * (S - s):
             return False
     total = sum(math.comb(size, n) for size in sizes)
-    if total > limits.max_genericity_subsets:
+    if total > MAX_GENERICITY_SUBSETS:
         return None
     for s in range(1, S + 1):
         for _, svals in subset_gram_svals(data.regressors[a.indices_of(s)]):
@@ -328,30 +296,25 @@ class PEReport:
         }
 
 
-def pe_report(
-    data: Dataset,
-    model: SLModel,
-    a: Assignment | None = None,
-    tol: float = GRAM_RTOL,
-    limits: Limits = Limits(),
-) -> PEReport:
+def pe_report(data: Dataset, model: SLModel, tol: float = GRAM_RTOL) -> PEReport:
     """Run conditions 1-3 and per-cluster excitation; certified iff 1-3 pass.
 
-    The n-genericity certificate is not part of the report, since the
-    verdict does not read it; :func:`check_genericity_sufficient` gives it.
+    The labels certified are the dataset's truth labels; a dataset without
+    them raises ValueError.  The n-genericity certificate is not part of the
+    report, since the verdict does not read it;
+    :func:`check_genericity_sufficient` gives it.
     """
+    a = data.truth
     if a is None:
-        a = data.truth
-    if a is None:
-        raise ValueError("no assignment given and dataset carries no truth labels")
+        raise ValueError("dataset carries no truth labels (no zeta column) to certify")
     _check_tol(tol)
-    _check_model(data, model)
+    _check_pair(data, model)
     S = model.S
-    _check_assignment(data, a, S)
+    a.validate(data.N, S)
     cond1 = check_distinct_params(model)
     cond2, violations = check_no_separating_regressor(data, model, tol)
     cluster_pe = tuple(check_cluster_pe(data, a, s, tol) for s in range(1, S + 1))
-    part = check_partition_condition(data, a, S, tol, limits)
+    part = check_partition_condition(data, a, S, tol)
     return PEReport(
         cond1_distinct_params=cond1,
         cond2_no_separating_regressor=cond2,

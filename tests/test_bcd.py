@@ -279,6 +279,24 @@ class TestBcdSolve:
         assert r1.restart_index == r2.restart_index
         np.testing.assert_array_equal(r1.trace, r2.trace)
 
+    def test_nan_obj_tol_rejected(self):
+        # with a NaN tolerance the objective-stall stop could never fire
+        with pytest.raises(ValueError, match="obj_tol"):
+            SolverConfig(S=2, obj_tol=float("nan"))
+        with pytest.raises(ValueError, match="obj_tol"):
+            SolverConfig(S=2, obj_tol=-1e-12)
+        assert SolverConfig(S=2, obj_tol=0.0).obj_tol == 0.0
+        assert SolverConfig(S=2, obj_tol=1e-6).obj_tol == 1e-6
+
+    def test_init_labels_checked(self):
+        _, data = fixtures.example_two()
+        for init, message in [
+            (Assignment(np.ones(7, int)), "7 labels for 8 samples"),
+            (Assignment(np.full(8, 3)), "above S=2"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                bcd_solve(data, SolverConfig(S=2, restarts=1, init_labels=init))
+
     def test_too_few_samples_rejected(self):
         data = Dataset(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):

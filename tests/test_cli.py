@@ -224,6 +224,33 @@ def test_header_only_dataset_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(path) in err and "no data rows" in err
 
 
+def test_fit_nan_tol_is_usage_error(tmp_path, capsys):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    code = run(["fit", "--data", str(tmp_path / "example2.csv"), "--S", "2",
+                "--tol", "nan", "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "obj_tol" in err[0]
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_pe_check_without_truth_labels_is_usage_error(tmp_path, capsys):
+    from slsid import Dataset, fixtures, save_dataset, save_model
+
+    model, data = fixtures.example_one()
+    save_dataset(tmp_path / "bare.csv", Dataset(data.regressors, data.outputs))
+    save_model(tmp_path / "model.json", model)
+    assert "zeta" not in (tmp_path / "bare.csv").read_text()
+    code = run(["pe-check", "--data", str(tmp_path / "bare.csv"),
+                "--model", str(tmp_path / "model.json"), "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "truth labels" in lines[0] and "Traceback" not in err
+    assert not (tmp_path / "pe_report.json").exists()
+
+
 def test_fit_without_usable_fit_exits_4(tmp_path, capsys):
     # identical samples: every restart keeps emptying its spare clusters
     path = tmp_path / "same.csv"

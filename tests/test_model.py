@@ -40,6 +40,32 @@ class TestTypes:
         with pytest.raises(ValueError):
             Assignment(np.array([0, 1]))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.7, np.nan, np.inf])
+    def test_assignment_rejects_fractional_labels(self, bad):
+        # a fractional label used to be truncated silently
+        with pytest.raises(ValueError, match="whole numbers"):
+            Assignment([1.0, bad])
+        a = Assignment([1.0, 2.0])
+        assert a.labels.dtype.kind == "i" and a.labels.tolist() == [1, 2]
+
+    def test_assignment_validate_is_the_one_label_check(self):
+        a = Assignment([1, 3, 2])
+        a.validate(3, 3)
+        with pytest.raises(ValueError, match="3 labels for 4 samples"):
+            a.validate(4, 3)
+        with pytest.raises(ValueError, match="above S=2"):
+            a.validate(3, 2)
+        model = SLModel(np.ones((2, 2)))
+        data = Dataset(np.ones((3, 2)), np.ones(3))
+        calls = [
+            lambda: simulate(model, np.ones((3, 2)), a),
+            lambda: objective_integer(data, model, a),
+            lambda: RelaxedMembership.from_assignment(a, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="above S=2"):
+                call()
+
     def test_model_invariants(self):
         m = SLModel(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert m.S == 2 and m.n == 2

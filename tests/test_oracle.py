@@ -297,9 +297,10 @@ def test_small_chunks_give_identical_results(monkeypatch):
     noisy = Dataset(rng.uniform(-3, 3, size=(8, 2)), rng.normal(0, 1.0, size=8))
     zero = Dataset(rng.uniform(-3, 3, size=(7, 2)), np.zeros(7))
     tol = 0.5
-    default = oracle_global(noisy, 2, tol=tol), oracle_global(zero, 3)
+    monkeypatch.setattr(oracle, "_OPTIMUM_TOL", tol)
+    default = oracle_global(noisy, 2), oracle_global(zero, 3)
     monkeypatch.setattr(oracle, "_CHUNK", 3)
-    small = oracle_global(noisy, 2, tol=tol), oracle_global(zero, 3)
+    small = oracle_global(noisy, 2), oracle_global(zero, 3)
     # the first 3-string chunk (all ones, then a lone 2 in the last or the
     # second-to-last place) keeps candidates a later chunk's optimum drops
     first = [np.ones(8, dtype=int) for _ in range(3)]

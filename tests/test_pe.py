@@ -6,7 +6,6 @@ import pytest
 from slsid import (
     Assignment,
     Dataset,
-    Limits,
     SLModel,
     check_cluster_pe,
     check_distinct_params,
@@ -157,11 +156,17 @@ class TestPartitionCondition:
             assert f[cluster] is None or f[cluster] > budget
 
     def test_oversized_cluster_undecided(self):
+        # MAX_BLOCK_SIZE is 14: a 14-row cluster is searched, a 15-row one
+        # is not
+        assert pe.MAX_BLOCK_SIZE == 14
         rng = np.random.default_rng(0)
-        data = Dataset(rng.normal(size=(20, 2)), np.zeros(20))
-        a = Assignment(np.ones(20, int))
-        check = check_partition_condition(data, a, 1, limits=Limits(max_block_size=10))
-        assert check.status == UNDECIDED
+        X = rng.normal(size=(15, 2))
+        data = Dataset(X, np.zeros(15))
+        a = Assignment(np.ones(15, int))
+        assert check_partition_condition(data, a, 1).status == UNDECIDED
+        at_guard = Dataset(X[:14], np.zeros(14))
+        a = Assignment(np.ones(14, int))
+        assert check_partition_condition(at_guard, a, 1).status == CERTIFIED
 
     def test_permutation_is_smallest_passing_order(self):
         # against a brute force over all S! orders of the reported f values:
@@ -257,15 +262,24 @@ class TestGenericity:
         _, data = fixtures.example_one_augmented()
         assert check_genericity_sufficient(data, data.truth, 2) is True
 
-    def test_guard_returns_none(self):
-        rng = np.random.default_rng(1)
-        data = Dataset(
-            rng.normal(size=(30, 3)), np.zeros(30), Assignment(np.ones(30, int))
-        )
-        result = check_genericity_sufficient(
-            data, data.truth, 1, limits=Limits(max_genericity_subsets=10)
-        )
-        assert result is None
+    def test_guard_returns_none(self, monkeypatch):
+        # C(633, 2) = 200028 pairs exceed MAX_GENERICITY_SUBSETS = 200000,
+        # so the check gives up before scanning a single subset
+        assert pe.MAX_GENERICITY_SUBSETS == 200_000
+        # unit rows on 633 directions spread over a half turn: no two parallel
+        phi = (np.arange(633) + 0.5) * np.pi / 633
+        X = np.column_stack([np.cos(phi), np.sin(phi)])
+        data = Dataset(X, np.zeros(633), Assignment(np.ones(633, int)))
+
+        def no_scan(*args):
+            raise AssertionError("subsets scanned past the guard")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pe, "subset_gram_svals", no_scan)
+            assert check_genericity_sufficient(data, data.truth, 1) is None
+        # C(632, 2) = 199396 pairs are within the guard and get scanned
+        below = Dataset(X[:632], np.zeros(632), Assignment(np.ones(632, int)))
+        assert check_genericity_sufficient(below, below.truth, 1) is True
 
 
     def test_verdicts_match_per_subset_reference(self):
