@@ -18,14 +18,15 @@ bit.  ``assign_step`` is the same relabeling as a public call; the loop
 does not call it.
 
 Each restart is deterministic from a seed derived from the config seed and
-the restart index; the winner is the restart with the lowest final
+the restart index, and returns its own :class:`SolveReport`, or None when
+a cluster empties twice; the winner is the restart with the lowest final
 objective, ties to the lowest index.  A half-step that raises the
 objective beyond rounding raises :class:`DescentError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,20 +171,19 @@ def _fit_all(
 
     Empty clusters are reseeded with the currently worst-fit sample (largest
     residual against its own cluster's fresh parameters); a cluster that has
-    to be reseeded twice marks the restart degenerate.  Returns the S x n
-    parameter bank and the degeneracy flag.  ``labels`` is modified in place
-    when reseeding occurs.
+    to be reseeded twice marks the restart degenerate.  Each repair adds a
+    new label to ``reseeded``, so a restart makes at most S repairs.
+    Returns the S x n parameter bank and the degeneracy flag.  ``labels`` is
+    modified in place when reseeding occurs.
     """
     params, empty_mask = fit_clusters(data, labels, range(S), table=table)
     empty = np.flatnonzero(empty_mask).tolist()
 
-    repairs = 0
     while empty:
         s = empty.pop(0)
-        if s in reseeded or repairs > S:
+        if s in reseeded:
             return params, True
         reseeded.add(s)
-        repairs += 1
         preds = np.einsum("ij,ij->i", data.regressors, params[labels])
         k = int(np.argmax(np.abs(data.outputs - preds)))
         donor = labels[k]
@@ -196,7 +196,8 @@ def _fit_all(
 
 def _run_single(
     data: Dataset, cfg: SolverConfig, init_labels: np.ndarray, table: np.ndarray, restart: int
-) -> tuple[dict, bool]:
+) -> SolveReport | None:
+    """One descent from ``init_labels``: its report, or None if it degenerates."""
     X, y = data.regressors, data.outputs
     samples = np.arange(data.N)
     labels = init_labels - 1
@@ -204,9 +205,6 @@ def _run_single(
     trace: list[float] = []
     history: list[IterationRecord] = []
     converged = False
-    degenerate = False
-    params = np.zeros((cfg.S, data.n))
-    iteration = 0
 
     def record(value: float) -> None:
         # both half-steps are exact minimizations, so the objective may not
@@ -224,7 +222,7 @@ def _run_single(
         np.multiply(sq, sq, out=sq)
         record(float(np.sum(sq.take(labels * data.N + samples))))
         if degenerate:
-            break
+            return None
         new, minima = _relabel(sq)
         obj = float(np.sum(minima))
         record(obj)
@@ -239,23 +237,25 @@ def _run_single(
             converged = True
             break
 
-    result = {
-        "params": params,
-        "labels": labels + 1,
-        "objective": trace[-1],
-        "trace": np.asarray(trace),
-        "iterations": iteration,
-        "converged": converged and not degenerate,
-        "history": tuple(history) if cfg.keep_history else None,
-    }
-    return result, degenerate
+    return SolveReport(
+        model=SLModel(params),
+        assignment=Assignment(labels + 1),
+        objective=trace[-1],
+        trace=np.asarray(trace),
+        iterations=iteration,
+        converged=converged,
+        restart_index=restart,
+        degenerate_restarts=0,
+        history=tuple(history) if cfg.keep_history else None,
+    )
 
 
 def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     """Best-of-restarts block-coordinate descent.
 
-    Runs ``cfg.restarts`` independent descents and returns the one with the
-    lowest final objective.  Raises :class:`SolverFailure` when every
+    Runs ``cfg.restarts`` independent descents and returns the report of
+    the one with the lowest final objective, with the count of degenerate
+    restarts.  Raises :class:`SolverFailure` when every
     restart degenerates (a cluster emptied twice), :class:`DescentError`
     when a half-step raises the objective, and ValueError when the
     dataset has fewer samples than subsystems.
@@ -263,8 +263,7 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     if data.N < cfg.S:
         raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
     table = moment_table(data)
-    best: dict | None = None
-    best_index = -1
+    best: SolveReport | None = None
     degenerate_count = 0
     for r in range(cfg.restarts):
         if cfg.init_labels is not None and r == 0:
@@ -275,28 +274,16 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
             )
             init = rng.integers(1, cfg.S + 1, size=data.N)
-        result, degenerate = _run_single(data, cfg, init, table, r)
-        if degenerate:
+        report = _run_single(data, cfg, init, table, r)
+        if report is None:
             degenerate_count += 1
-            continue
-        if best is None or result["objective"] < best["objective"]:
-            best = result
-            best_index = r
+        elif best is None or report.objective < best.objective:
+            best = report
     if best is None:
         raise SolverFailure(
             f"all {cfg.restarts} restarts degenerated (clusters kept emptying)"
         )
-    return SolveReport(
-        model=SLModel(best["params"]),
-        assignment=Assignment(best["labels"]),
-        objective=best["objective"],
-        trace=best["trace"],
-        iterations=best["iterations"],
-        converged=best["converged"],
-        restart_index=best_index,
-        degenerate_restarts=degenerate_count,
-        history=best["history"],
-    )
+    return replace(best, degenerate_restarts=degenerate_count)
 
 
 def stationarity_check(data: Dataset, report: SolveReport) -> bool:

@@ -21,7 +21,7 @@ from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import classification_error, nmse
 from .model import NoiseSpec, generate_random_scenario
 from .oracle import oracle_global, same_param_set, unique_optimum
-from .pe import min_samples_table, pe_report
+from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
 SUMMARY_COLUMNS = [
     "n",
@@ -173,8 +173,6 @@ SPOT_EXPECTED = {(10, 10): (505, 1000, 184755)}
 EXAMPLE2_ALT_PARAMS = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
 EXAMPLE1_ALT_PARAMS = np.array([[-0.5, 1.0], [1.0, 5.5]])
 
-REPRO_IDS = ("table1", "example2-fit", "example2-seven", "example1-oracle")
-
 
 def repro_table1() -> list[str]:
     mismatches = []
@@ -183,8 +181,6 @@ def repro_table1() -> list[str]:
         got = table[key]
         if (got.ours, got.bako, got.vidal) != expected:
             mismatches.append(f"cell {key}: got {got}, expected {expected}")
-    from .pe import min_samples_bako, min_samples_ours, min_samples_vidal
-
     for (n, S), expected in SPOT_EXPECTED.items():
         got = (min_samples_ours(n, S), min_samples_bako(n, S), min_samples_vidal(n, S))
         if got != expected:
@@ -246,14 +242,16 @@ def repro_example1_oracle() -> list[str]:
     return mismatches
 
 
+REPRO = {
+    "table1": repro_table1,
+    "example2-fit": repro_example2_fit,
+    "example2-seven": repro_example2_seven,
+    "example1-oracle": repro_example1_oracle,
+}
+
+
 def repro(table_id: str) -> list[str]:
     """Regenerate a stored reference; returns mismatch descriptions."""
-    if table_id == "table1":
-        return repro_table1()
-    if table_id == "example2-fit":
-        return repro_example2_fit()
-    if table_id == "example2-seven":
-        return repro_example2_seven()
-    if table_id == "example1-oracle":
-        return repro_example1_oracle()
-    raise ValueError(f"unknown repro id {table_id!r}; choose from {REPRO_IDS}")
+    if table_id not in REPRO:
+        raise ValueError(f"unknown repro id {table_id!r}; choose from {tuple(REPRO)}")
+    return REPRO[table_id]()

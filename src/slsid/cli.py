@@ -6,7 +6,7 @@ stable key order, so a rerun with the same seed is byte-identical apart
 from wall-clock timing columns.
 
 Exit codes: 0 success, 1 usage error, 2 reproduction mismatch,
-3 enumeration limit exceeded, 4 no usable fit (every restart degenerated).
+3 enumeration limit exceeded, 4 no usable fit (every fit restart degenerated).
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from . import bench, fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import NoiseSpec, generate_random_scenario
-from .oracle import EnumerationLimitError, oracle_global, unique_optimum
+from .oracle import DEFAULT_ENUM_LIMIT, EnumerationLimitError, oracle_global, unique_optimum
 from .order import OrderSelectConfig, SweepScenario, consistency_sweep, select_order
+from .partitions import GRAM_RTOL
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
 EXIT_OK = 0
@@ -261,10 +262,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="block-coordinate descent fit")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--S", type=int, required=need("S"))
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=SolverConfig.obj_tol)
     p.add_argument("--trace", action="store_true", help="emit per-iteration CSV")
     add_output(p)
     p.set_defaults(func=_cmd_fit)
@@ -272,14 +273,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive global optimum on a small instance")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--S", type=int, required=need("S"))
-    p.add_argument("--limit", type=int, default=2_000_000)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     add_output(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("pe-check", help="excitation certificate for labeled data")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--model", required=need("model"))
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=GRAM_RTOL)
     add_output(p)
     p.set_defaults(func=_cmd_pe_check)
 
@@ -294,7 +295,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data", required=need("data"))
     p.add_argument("--s-bar", type=int, required=need("s_bar"))
     p.add_argument("--penalty", "--lambda", dest="penalty", default="auto")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
     p.set_defaults(func=_cmd_select_order)
@@ -307,7 +308,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--s-bar", type=int, required=need("s_bar"))
     p.add_argument("--penalty", "--lambda", dest="penalty", default="auto")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
     p.set_defaults(func=_cmd_consistency_sweep)
@@ -320,15 +321,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         metavar="n,S,N",
         help="repeatable scenario cell, e.g. --cell 2,2,500",
     )
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--repetitions", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--sigma", type=float, default=bench.ScenarioSpec.sigma)
+    p.add_argument("--repetitions", type=int, default=bench.ScenarioSpec.repetitions)
+    p.add_argument("--restarts", type=int, default=bench.ScenarioSpec.restarts)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("repro", help="regenerate a stored reference result")
-    p.add_argument("table_id", choices=bench.REPRO_IDS)
+    p.add_argument("table_id", choices=tuple(bench.REPRO))
     add_output(p)
     p.set_defaults(func=_cmd_repro)
 

@@ -7,8 +7,8 @@ the true count as N grows, which the Monte-Carlo sweep checks empirically.
 
 Each candidate beyond the first receives the previous candidate's solution,
 with its worst-fit sample split off into the new cluster, as an extra
-warm-start restart; this makes the fit term non-increasing in S' by
-construction.
+warm-start restart, or as the split state itself when that restart
+degenerates; this makes the fit term non-increasing in S' up to rounding.
 """
 
 from __future__ import annotations
@@ -96,22 +96,18 @@ class OrderSelectReport:
         }
 
 
-def _split_warm_start(data: Dataset, report: SolveReport, new_label: int) -> Assignment | None:
+def _split_warm_start(data: Dataset, report: SolveReport, new_label: int) -> Assignment:
     """Previous solution with its worst-fit sample moved to the new cluster.
 
-    The donor cluster must keep at least one sample; returns None when no
-    cluster has two samples to give.
+    The donor cluster keeps at least one sample.  ``select_order`` requires
+    N >= S_bar, so the previous candidate's N labels lie in new_label - 1 < N
+    clusters, one of which always has two samples to give.
     """
     labels = report.assignment.labels.copy()
-    preds = np.einsum(
-        "ij,ij->i", data.regressors, report.model.params[labels - 1]
-    )
+    preds = np.einsum("ij,ij->i", data.regressors, report.model.params[labels - 1])
     residual = np.abs(data.outputs - preds)
     sizes = np.bincount(labels, minlength=new_label + 1)
-    movable = sizes[labels] >= 2
-    if not movable.any():
-        return None
-    residual = np.where(movable, residual, -np.inf)
+    residual = np.where(sizes[labels] >= 2, residual, -np.inf)
     labels[int(np.argmax(residual))] = new_label
     return Assignment(labels)
 
@@ -141,8 +137,8 @@ def _refit_state(data: Dataset, labels: Assignment, S: int) -> SolveReport:
 def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     """Fit every candidate count and return the penalized-criterion argmin.
 
-    Ties within 1e-12 go to the smaller count.  Requires N >= S_bar so each
-    candidate is solvable.
+    Ties within 1e-12 go to the smaller count.  Requires N >= S_bar, so
+    every candidate gets a report and no :class:`SolverFailure` escapes.
     """
     if data.N < cfg.S_bar:
         raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={data.N}")
@@ -154,20 +150,16 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
         except SolverFailure:
             # exact-fit data offers surplus clusters nothing to hold on to
             report = None
+        # S'=1 cannot degenerate (one cluster holds every sample); later S' get a warm report
         if reports:
             warm = _split_warm_start(data, reports[-1], s_prime)
-            if warm is not None:
-                warm_cfg = replace(solver_cfg, init_labels=warm, restarts=1)
-                try:
-                    warm_report = bcd_solve(data, warm_cfg)
-                except SolverFailure:
-                    warm_report = _refit_state(data, warm, s_prime)
-                if report is None or warm_report.objective < report.objective:
-                    report = warm_report
-        if report is None:
-            raise SolverFailure(
-                f"candidate S'={s_prime}: every restart collapsed clusters"
-            )
+            warm_cfg = replace(solver_cfg, init_labels=warm, restarts=1)
+            try:
+                warm_report = bcd_solve(data, warm_cfg)
+            except SolverFailure:
+                warm_report = _refit_state(data, warm, s_prime)
+            if report is None or warm_report.objective < report.objective:
+                report = warm_report
         reports.append(report)
 
     N = data.N

@@ -63,10 +63,9 @@ def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> np.nda
 def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
     """Whether sum_k x_k x_k^T over the given rows has full rank n.
 
-    The decision is :func:`gram_full_rank` on the Gram's singular values.
+    The decision is :func:`gram_full_rank` on the Gram's singular values;
+    no rows give a zero Gram, which is not full rank.
     """
-    if rows.shape[0] == 0:
-        return False
     gram = rows.T @ rows
     return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol))
 
@@ -130,17 +129,15 @@ def min_rank_deficient_partition(
     n-subset.
     """
     m, n = rows.shape
-    if m == 0:
-        return 0, []
     capacity = deficient_block_capacity(rows, rtol)
-    singular_cache: dict[frozenset[int], bool] = {}
+    # keyed by the member tuple: the walk appends rows in ascending order
+    singular_cache: dict[tuple[int, ...], bool] = {}
 
     def block_singular(members: tuple[int, ...]) -> bool:
-        key = frozenset(members)
-        hit = singular_cache.get(key)
+        hit = singular_cache.get(members)
         if hit is None:
             hit = not gram_nonsingular(rows[list(members)], n, rtol)
-            singular_cache[key] = hit
+            singular_cache[members] = hit
         return hit
 
     def search(target: int) -> list[list[int]] | None:
@@ -162,7 +159,8 @@ def min_rank_deficient_partition(
 
         return [list(b) for b in blocks] if rec(0) else None
 
-    for count in range(1, max_blocks + 1):
+    # count 0 passes the capacity test only for zero rows, split as (0, [])
+    for count in range(max_blocks + 1):
         if count * capacity < m:
             continue
         found = search(count)

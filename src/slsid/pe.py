@@ -17,8 +17,8 @@ sufficient certificate based on n-genericity plus cluster-size thresholds.
 All verdicts are exact; when an enumeration guard (``MAX_BLOCK_SIZE``,
 ``MAX_GENERICITY_SUBSETS``) is hit the result is an explicit "undecided",
 never a guess.  The rank tolerance ``tol`` must be finite with
-0 <= tol < 1, the model's n must match the dataset's, and the labels must
-be one per sample with none above S; anything else raises ValueError
+1e-14 <= tol < 1, the model's n must match the dataset's, and the labels
+must be one per sample with none above S; anything else raises ValueError
 before a check runs.
 """
 
@@ -48,6 +48,9 @@ _DISTINCT_TOL = 1e-9
 # rows, and the genericity scan returns None beyond this many n-subsets
 MAX_BLOCK_SIZE = 14
 MAX_GENERICITY_SUBSETS = 200_000
+# smallest accepted rank tolerance: rounding leaves sigma_min/sigma_max of a
+# rank-deficient Gram up to about 1e-15, which a lower tol counts as full rank
+_TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,11 @@ def _check_ns(n: int, S: int) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    # a NaN tolerance makes every comparison False, a negative one makes
-    # every nonzero Gram full rank: both give confident wrong verdicts.  The
-    # chained comparison is False for NaN and infinities too.
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol}")
+    # a NaN tolerance makes every comparison False, and one below rounding
+    # makes rank-deficient Grams full rank: both give confident wrong
+    # verdicts.  The chained comparison is False for NaN and infinities too.
+    if not _TOL_FLOOR <= tol < 1.0:
+        raise ValueError(f"tol must be finite with {_TOL_FLOOR:g} <= tol < 1, got {tol}")
 
 
 def check_distinct_params(model: SLModel) -> bool:

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from slsid import (
     stationarity_check,
 )
 from slsid import bcd, fixtures
-from slsid.bcd import DescentError
+from slsid.bcd import DescentError, SolverFailure
 from slsid.model import fit_clusters, gram_solve, moment_table
 from slsid.oracle import same_param_set
 from slsid.partitions import gram_full_rank
@@ -320,6 +321,29 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=2, restarts=3, seed=0))
         assert report.objective == 0.0
         assert report.converged
+
+    def test_winner_is_its_own_restart_run_alone(self):
+        # noise-free S=2 data fit with S=3: of 8 restarts, 3 degenerate and
+        # restarts 2, 3 and 4 tie at the lowest objective
+        _, data = generate_random_scenario(2, 2, 12, noise=NoiseSpec(), seed=4)
+        cfg = SolverConfig(S=3, restarts=8, seed=4, keep_history=True)
+        alone = {}
+        for r in range(cfg.restarts):
+            ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
+            init = Assignment(np.random.default_rng(ss).integers(1, cfg.S + 1, size=data.N))
+            try:
+                alone[r] = bcd_solve(data, replace(cfg, restarts=1, init_labels=init))
+            except SolverFailure:
+                pass
+        best = min(alone, key=lambda r: (alone[r].objective, r))
+        assert (best, cfg.restarts - len(alone)) == (2, 3)
+        report = bcd_solve(data, cfg)
+        expected = alone[best].to_dict() | {"restart_index": 2, "degenerate_restarts": 3}
+        assert report.to_dict() == expected
+        for got, want in zip(report.history, alone[best].history, strict=True):
+            assert (got.iteration, got.objective) == (want.iteration, want.objective)
+            np.testing.assert_array_equal(got.params, want.params)
+            np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_history_kept_on_request(self):
         _, data = fixtures.example_two()

@@ -122,3 +122,39 @@ class TestConsistencySweep:
         )
         assert rows[0]["N"] == 60
         assert 0.0 <= rows[0]["recovery_rate"] <= 1.0
+
+
+def test_noise_free_fallbacks_keep_every_candidate(monkeypatch):
+    # noise-free n=1 data: the cold solves at S'=3 and 4 and the warm
+    # restart at S'=4 all degenerate, so S'=4 rests on the split state alone
+    from slsid import bcd_solve, objective_integer, order
+    from slsid.bcd import SolverFailure
+
+    refits, failures = [], []
+    refit = order._refit_state
+
+    def counted_refit(data, labels, S):
+        refits.append(S)
+        return refit(data, labels, S)
+
+    def counted_solve(data, cfg):
+        try:
+            return bcd_solve(data, cfg)
+        except SolverFailure:
+            failures.append((cfg.S, cfg.init_labels is None))
+            raise
+
+    monkeypatch.setattr(order, "_refit_state", counted_refit)
+    monkeypatch.setattr(order, "bcd_solve", counted_solve)
+    _, data = generate_random_scenario(1, 2, 10, noise=NoiseSpec(), seed=0)
+    report = select_order(data, _config(4, restarts=3, seed=0))
+    assert refits == [4]
+    assert (3, True) in failures and (4, True) in failures
+    assert report.chosen_S == 2
+    fits = [c.fit_term for c in report.candidates]
+    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
+    for cand in report.candidates:
+        exact = objective_integer(data, cand.report.model, cand.report.assignment)
+        assert cand.report.objective == exact, cand.S
+    winner = report.winner
+    assert winner.objective == objective_integer(data, winner.model, winner.assignment)

@@ -305,7 +305,7 @@ class TestGenericity:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 1.0, 0.0, 1e-17])
     def test_bad_tol_rejected(self, tol):
         model, data = fixtures.example_one_augmented()
         a = data.truth
@@ -317,16 +317,32 @@ class TestInputValidation:
             lambda: check_genericity_sufficient(data, a, 2, tol),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="0 <= tol < 1"):
+            with pytest.raises(ValueError, match="1e-14 <= tol < 1"):
                 call()
 
     def test_tol_bounds_accepted(self):
         model, data = fixtures.example_one_augmented()
-        assert pe_report(data, model, tol=0.0).certified
+        assert pe_report(data, model, tol=pe._TOL_FLOOR).certified
         assert pe_report(data, model, tol=0.5).cond3_partition.status in (
             CERTIFIED,
             REFUTED,
         )
+        # just below the floor is rejected, not silently accepted
+        with pytest.raises(ValueError, match="1e-14 <= tol < 1"):
+            pe_report(data, model, tol=np.nextafter(pe._TOL_FLOOR, 0.0))
+
+    def test_floor_keeps_deficient_grams_deficient(self):
+        # rounding leaves sigma_min/sigma_max of a rank-deficient Gram near
+        # 1e-16; at the floor every such Gram still counts as deficient
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 30))
+            basis = rng.standard_normal((n - 1, n))
+            rows = rng.standard_normal((m, n - 1)) @ basis
+            rows *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            assert not gram_nonsingular(rows, n, pe._TOL_FLOOR), trial
+            assert not gram_nonsingular(rows[: n - 1], n, pe._TOL_FLOOR), trial
 
     def test_model_n_mismatch_rejected(self, monkeypatch):
         def refuse(*args, **kwargs):
