@@ -8,20 +8,31 @@ the penalty relaxation always has a binary minimizer, so the solver works
 directly with hard labels and the returned membership is exactly binary.
 
 Each iteration works on sufficient statistics.  ``bcd_solve`` builds the
-dataset's moment table once and shares it across restarts, so the
-parameter half-step is one membership matmul and one batched Gram solve
-(``model.fit_clusters``).  One squared residual matrix per iteration,
-computed as ``residual_matrix`` computes it, then gives the fit objective
-by a label gather and the relabeling with its objective by a row-wise
-minimum, so the reported objective equals ``objective_integer`` bit for
-bit.  ``assign_step`` is the same relabeling as a public call; the loop
-does not call it.
+dataset's moment table once and shares it across restarts, and runs the
+restarts in lockstep groups of G = ``_GROUP_CELLS // (S * N)`` (at least
+one, at most ``restarts``) that share one G x S x N work buffer, so a small
+fit pays numpy's per-call overhead once per group, not once per restart.
+An iteration's parameter half-step is one membership matmul on the
+group's stack and one batched Gram solve (``model.gram_solve``).  One stack
+of squared residual matrices, each computed as ``residual_matrix``
+computes it, then gives every fit objective by a label gather and every
+relabeling with its objective by a row-wise minimum, so the reported
+objective equals ``objective_integer`` bit for bit.  Each step computes,
+slice by slice, what a lone restart computes, so results do not depend on
+G.  A restart whose labels leave a cluster empty is repaired on its own.
+``assign_step`` is the same relabeling as a public call; the loop does not
+call it.
 
 Each restart is deterministic from a seed derived from the config seed and
-the restart index, and returns its own :class:`SolveReport`, or None when
-a cluster empties twice; the winner is the restart with the lowest final
-objective, ties to the lowest index.  A half-step that raises the
-objective beyond rounding raises :class:`DescentError`.
+the restart index.  It yields its own :class:`SolveReport`, or None when a
+cluster empties twice, and leaves its group when it converges, stalls,
+reaches ``max_iters``, degenerates or raises.  The winner is the restart
+with the lowest final objective, ties to the lowest index.  A half-step
+that raises the objective beyond rounding raises :class:`DescentError`,
+for the lowest failing restart of the group, as a one-at-a-time run would.
+With ``keep_history`` every restart of the running group keeps its
+per-iteration history until the group ends, when all but the winner's
+are dropped.
 """
 
 from __future__ import annotations
@@ -35,10 +46,19 @@ from .model import (
     Dataset,
     SLModel,
     fit_clusters,
+    gram_solve,
     moment_table,
     objective_integer,  # unused here; perfbench/tracing.py wraps it under this name
     residual_matrix,
 )
+
+
+# Restarts run in lockstep groups of G = _GROUP_CELLS // (S * N), at least
+# one and at most ``restarts``, so a group's G x S x N work buffer holds at
+# most this many floats (1 MiB) unless one restart alone needs more.  The
+# value was measured on the benchmark's select workload: 2**16 left a
+# longer tail latency, 2**18 added more peak memory for little speed.
+_GROUP_CELLS = 2**17
 
 
 class SolverFailure(RuntimeError):
@@ -70,7 +90,8 @@ class SolverConfig:
     Every restart starts from uniform random labels, except restart 0 when
     ``init_labels`` is given: it starts from those.  ``keep_history``
     retains per-iteration parameters and labels of the winning restart for
-    trace output.
+    trace output; while a group of restarts runs, each of them keeps its
+    own.
     """
 
     S: int
@@ -136,18 +157,20 @@ class SolveReport:
 
 
 def _relabel(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based label of each column's smallest row of ``sq``, and that value.
+    """Relabeling of squared residuals ``sq``: labels and objective.
 
-    Ties go to the smallest index: a column's label counts the rows above
-    its minimum before the first row that attains it.
+    ``sq`` is S x N, or a stack of such matrices along leading axes.  Each
+    column gets the 0-based index of its smallest row, ties to the smallest
+    index: a column's label counts the rows above its minimum before the
+    first row that attains it.  The objective sums the column minima.
     """
-    best = sq.min(axis=0)
-    labels = np.zeros(sq.shape[1], dtype=np.intp)
-    above = np.ones(sq.shape[1], dtype=bool)
-    for row in sq[:-1]:
-        above &= row > best
+    best = sq.min(axis=-2)
+    labels = np.zeros(best.shape, dtype=np.intp)
+    above = np.ones(best.shape, dtype=bool)
+    for s in range(sq.shape[-2] - 1):
+        above &= sq[..., s, :] > best
         labels += above
-    return labels, best
+    return labels, np.sum(best, axis=-1)
 
 
 def assign_step(data: Dataset, model: SLModel) -> Assignment:
@@ -160,29 +183,31 @@ def assign_step(data: Dataset, model: SLModel) -> Assignment:
     return Assignment(_relabel(r * r)[0] + 1)
 
 
-def _fit_all(
+def _repair_empty(
     data: Dataset,
     labels: np.ndarray,
-    S: int,
+    params: np.ndarray,
+    empty: list[int],
     reseeded: set[int],
     table: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """Parameter half-step with empty-cluster repair, on 0-based labels.
+) -> bool:
+    """Empty-cluster repair of one restart's parameter half-step.
 
-    Empty clusters are reseeded with the currently worst-fit sample (largest
-    residual against its own cluster's fresh parameters); a cluster that has
-    to be reseeded twice marks the restart degenerate.  Each repair adds a
-    new label to ``reseeded``, so a restart makes at most S repairs.
-    Returns the S x n parameter bank and the degeneracy flag.  ``labels`` is
-    modified in place when reseeding occurs.
+    A group's parameter step fits every restart at once; only a restart
+    left with an empty cluster comes here, one at a time.  ``params`` is
+    its S x n slice of the group's fit, bitwise what ``fit_clusters`` gives
+    for the 0-based ``labels`` over ``range(S)``, and ``empty`` lists its
+    empty clusters in ascending order.  Each is reseeded with the
+    currently worst-fit sample (largest residual against its own cluster's
+    fresh parameters); a cluster that has to be reseeded twice marks the
+    restart degenerate.  Each repair adds a new label to ``reseeded``, so a
+    restart makes at most S repairs.  ``labels`` and ``params`` are
+    modified in place; returns the degeneracy flag.
     """
-    params, empty_mask = fit_clusters(data, labels, range(S), table=table)
-    empty = np.flatnonzero(empty_mask).tolist()
-
     while empty:
         s = empty.pop(0)
         if s in reseeded:
-            return params, True
+            return True
         reseeded.add(s)
         preds = np.einsum("ij,ij->i", data.regressors, params[labels])
         k = int(np.argmax(np.abs(data.outputs - preds)))
@@ -191,69 +216,155 @@ def _fit_all(
         params[[s, donor]], now_empty = fit_clusters(data, labels, (s, donor), table=table)
         if now_empty[1]:
             empty.append(donor)
-    return params, False
+    return False
 
 
-def _run_single(
-    data: Dataset, cfg: SolverConfig, init_labels: np.ndarray, table: np.ndarray, restart: int
-) -> SolveReport | None:
-    """One descent from ``init_labels``: its report, or None if it degenerates."""
+def _record(trace: list[float], value: float, restart: int, iteration: int) -> None:
+    # both half-steps are exact minimizations, so the objective may not
+    # rise beyond rounding; a violation means a broken update
+    if trace and value > trace[-1] + 1e-9 * (1.0 + abs(trace[-1])):
+        raise DescentError(restart, iteration, trace[-1], value)
+    trace.append(value)
+
+
+def _label_sums(sq: np.ndarray, labels: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per restart i, the sum over samples k of ``sq[i, labels[i, k], k]``.
+
+    ``samples`` is ``np.arange(N)``.
+    """
+    a, S, N = sq.shape
+    flat = labels * N
+    flat += np.arange(0, a * S * N, S * N)[:, None]
+    flat += samples
+    return np.sum(sq.take(flat), axis=1)
+
+
+def _start_labels(data: Dataset, cfg: SolverConfig, first: int, count: int) -> np.ndarray:
+    """0-based start labels of restarts first to first + count - 1, by row.
+
+    Restart r draws uniform labels from a seed derived from the config seed
+    and r; restart 0 takes ``cfg.init_labels`` instead when it is given.
+    """
+    init = np.empty((count, data.N), dtype=np.intp)
+    for i, r in enumerate(range(first, first + count)):
+        if cfg.init_labels is not None and r == 0:
+            cfg.init_labels.validate(data.N, cfg.S)
+            init[i] = cfg.init_labels.labels
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
+            )
+            init[i] = rng.integers(1, cfg.S + 1, size=data.N)
+    init -= 1
+    return init
+
+
+def _run_group(
+    data: Dataset,
+    cfg: SolverConfig,
+    first: int,
+    count: int,
+    table: np.ndarray,
+    work: np.ndarray,
+) -> list[SolveReport | None]:
+    """Descents of restarts ``first`` to ``first + count - 1``, in lockstep.
+
+    ``work`` is a G x S x N buffer with G >= count: it holds the float
+    membership until the parameter step has summed it, then the squared
+    residuals.  Each iteration takes every half-step once for the whole
+    stack of restarts still descending; a restart leaves the stack when it
+    converges, stalls, reaches ``max_iters``, degenerates or raises.  Every
+    step computes what a lone restart computes, slice by slice, so the
+    results do not depend on the group size.
+
+    Returns one report per restart, None where it degenerated.  If any
+    restart failed, raises the :class:`DescentError` of the lowest one once
+    the group is done.
+    """
     X, y = data.regressors, data.outputs
+    clusters = np.arange(cfg.S)[:, None]
     samples = np.arange(data.N)
-    labels = init_labels - 1
-    reseeded: set[int] = set()
-    trace: list[float] = []
-    history: list[IterationRecord] = []
-    converged = False
-
-    def record(value: float) -> None:
-        # both half-steps are exact minimizations, so the objective may not
-        # rise beyond rounding; a violation means a broken update
-        if trace and value > trace[-1] + 1e-9 * (1.0 + abs(trace[-1])):
-            raise DescentError(restart, iteration, trace[-1], value)
-        trace.append(value)
+    labels = _start_labels(data, cfg, first, count)
+    active = list(range(count))
+    reseeded: list[set[int]] = [set() for _ in active]
+    traces: list[list[float]] = [[] for _ in active]
+    history: list[list[IterationRecord]] = [[] for _ in active]
+    reports: list[SolveReport | None] = [None] * count
+    errors: list[DescentError] = []
 
     for iteration in range(1, cfg.max_iters + 1):
-        params, degenerate = _fit_all(data, labels, cfg.S, reseeded, table)
+        a = len(active)
+        buf = work[:a]
+        np.equal(labels[:, None, :], clusters, out=buf)
+        sums = (table @ buf.transpose(0, 2, 1)).transpose(0, 2, 1)
+        params, _ = gram_solve(sums, data.n)
+        degenerate = np.zeros(a, dtype=bool)
+        # a nonempty cluster's sum of x_1^2 (table row 0) can be zero, an
+        # empty one's is never positive, so only the rest are looked at
+        for i in np.flatnonzero(~(sums[:, :, 0] > 0).all(axis=1)):
+            empty = np.flatnonzero(~buf[i].any(axis=1)).tolist()
+            if empty:
+                degenerate[i] = _repair_empty(
+                    data, labels[i], params[i], empty, reseeded[active[i]], table
+                )
         # squared residual_matrix, computed as it does, so both objectives
         # below equal objective_integer bit for bit
-        sq = params @ X.T
-        np.subtract(y, sq, out=sq)
-        np.multiply(sq, sq, out=sq)
-        record(float(np.sum(sq.take(labels * data.N + samples))))
-        if degenerate:
-            return None
-        new, minima = _relabel(sq)
-        obj = float(np.sum(minima))
-        record(obj)
-        unchanged = np.array_equal(new, labels)
-        labels = new
-        if cfg.keep_history:
-            history.append(IterationRecord(iteration, params.copy(), labels + 1, obj))
-        if unchanged:
-            converged = True
-            break
-        if len(trace) >= 4 and trace[-3] - trace[-1] < cfg.obj_tol:
-            converged = True
-            break
+        np.matmul(params, X.T, out=buf)
+        np.subtract(y, buf, out=buf)
+        np.multiply(buf, buf, out=buf)
+        fit_obj = _label_sums(buf, labels, samples)
+        new, obj = _relabel(buf)
+        unchanged = (new == labels).all(axis=1)
 
-    return SolveReport(
-        model=SLModel(params),
-        assignment=Assignment(labels + 1),
-        objective=trace[-1],
-        trace=np.asarray(trace),
-        iterations=iteration,
-        converged=converged,
-        restart_index=restart,
-        degenerate_restarts=0,
-        history=tuple(history) if cfg.keep_history else None,
-    )
+        keep = []
+        for i, g in enumerate(active):
+            trace = traces[g]
+            try:
+                _record(trace, float(fit_obj[i]), first + g, iteration)
+                if degenerate[i]:
+                    continue
+                _record(trace, float(obj[i]), first + g, iteration)
+            except DescentError as err:
+                errors.append(err)
+                continue
+            if cfg.keep_history:
+                history[g].append(
+                    IterationRecord(iteration, params[i].copy(), new[i] + 1, trace[-1])
+                )
+            converged = bool(unchanged[i]) or (
+                len(trace) >= 4 and trace[-3] - trace[-1] < cfg.obj_tol
+            )
+            if converged or iteration == cfg.max_iters:
+                reports[g] = SolveReport(
+                    model=SLModel(params[i]),
+                    assignment=Assignment(new[i] + 1),
+                    objective=trace[-1],
+                    trace=np.asarray(trace),
+                    iterations=iteration,
+                    converged=converged,
+                    restart_index=first + g,
+                    degenerate_restarts=0,
+                    history=tuple(history[g]) if cfg.keep_history else None,
+                )
+            else:
+                keep.append(i)
+        if not keep:
+            break
+        if len(keep) < a:
+            active = [active[i] for i in keep]
+            new = new[keep]
+        labels = new
+
+    if errors:
+        raise min(errors, key=lambda err: err.restart)
+    return reports
 
 
 def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     """Best-of-restarts block-coordinate descent.
 
-    Runs ``cfg.restarts`` independent descents and returns the report of
+    Runs ``cfg.restarts`` independent descents, in lockstep groups of at
+    most ``_GROUP_CELLS // (S * N)`` restarts, and returns the report of
     the one with the lowest final objective, with the count of degenerate
     restarts.  Raises :class:`SolverFailure` when every
     restart degenerates (a cluster emptied twice), :class:`DescentError`
@@ -263,22 +374,17 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     if data.N < cfg.S:
         raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
     table = moment_table(data)
+    G = min(cfg.restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
+    work = np.empty((G, cfg.S, data.N))
     best: SolveReport | None = None
     degenerate_count = 0
-    for r in range(cfg.restarts):
-        if cfg.init_labels is not None and r == 0:
-            cfg.init_labels.validate(data.N, cfg.S)
-            init = cfg.init_labels.labels.copy()
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
-            )
-            init = rng.integers(1, cfg.S + 1, size=data.N)
-        report = _run_single(data, cfg, init, table, r)
-        if report is None:
-            degenerate_count += 1
-        elif best is None or report.objective < best.objective:
-            best = report
+    for first in range(0, cfg.restarts, G):
+        count = min(G, cfg.restarts - first)
+        for report in _run_group(data, cfg, first, count, table, work):
+            if report is None:
+                degenerate_count += 1
+            elif best is None or report.objective < best.objective:
+                best = report
     if best is None:
         raise SolverFailure(
             f"all {cfg.restarts} restarts degenerated (clusters kept emptying)"

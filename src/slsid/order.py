@@ -224,6 +224,10 @@ def consistency_sweep(
             f"S_bar={cfg.S_bar} is below the true count {scenario.S}; "
             "the upper-bound assumption is violated"
         )
+    # select_order's own check, made before any trial runs
+    for N in N_list:
+        if N < cfg.S_bar:
+            raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={N}")
     sigma = scenario.sigma
     noise = NoiseSpec() if sigma == 0 else NoiseSpec("gaussian", sigma)
     rows = []

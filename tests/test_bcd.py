@@ -153,14 +153,14 @@ def test_rising_objective_raises_descent_error(monkeypatch):
     # a parameter half-step that goes wrong on its second call raises the
     # objective at iteration 2 of restart 0
     _, data = generate_random_scenario(2, 2, 100, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
-    fit_all, calls = bcd._fit_all, []
+    solve, calls = bcd.gram_solve, []
 
     def broken(*args):
-        params, degenerate = fit_all(*args)
+        params, svals = solve(*args)
         calls.append(1)
-        return (params + 100.0 if len(calls) == 2 else params), degenerate
+        return (params + 100.0 if len(calls) == 2 else params), svals
 
-    monkeypatch.setattr(bcd, "_fit_all", broken)
+    monkeypatch.setattr(bcd, "gram_solve", broken)
     with pytest.raises(DescentError) as info:
         bcd_solve(data, SolverConfig(S=2, restarts=3, seed=4))
     err = info.value
@@ -168,6 +168,81 @@ def test_rising_objective_raises_descent_error(monkeypatch):
     assert (err.restart, err.iteration) == (0, 2)
     assert err.after > err.before + 1e-9 * (1.0 + err.before)
     assert "restart 0, iteration 2" in str(err)
+
+
+def test_lowest_failing_restart_of_a_group_is_raised(monkeypatch):
+    # restarts 1 and 3 share one group; 3 breaks at iteration 2 and 1 at
+    # iteration 3, and a one-at-a-time run would raise restart 1's error
+    _, data = generate_random_scenario(2, 2, 100, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
+    solve, calls = bcd.gram_solve, []
+
+    def broken(*args):
+        params, svals = solve(*args)
+        calls.append(len(params))
+        if len(calls) == 2:
+            params[3] += 100.0
+        if len(calls) == 3:
+            params[1] += 100.0
+        return params, svals
+
+    monkeypatch.setattr(bcd, "gram_solve", broken)
+    with pytest.raises(DescentError) as info:
+        bcd_solve(data, SolverConfig(S=2, restarts=5, seed=4))
+    # one group of five; only restart 3 left it before iteration 3
+    assert calls[:3] == [5, 5, 4]
+    assert (info.value.restart, info.value.iteration) == (1, 3)
+
+
+def test_zero_first_regressor_is_not_an_empty_cluster():
+    # the parameter step tests a cluster for emptiness only when its sum of
+    # x_1^2 is not positive; here that sum is zero for every cluster
+    _, data = generate_random_scenario(2, 2, 200, (-5, 5), NoiseSpec("gaussian", 0.1), 11)
+    X = data.regressors.copy()
+    X[:, 0] = 0.0
+    report = bcd_solve(Dataset(X, data.outputs), SolverConfig(S=2, restarts=4, seed=1))
+    assert report.degenerate_restarts == 0
+
+
+def _outcome(data, cfg):
+    """Everything a call reports; its repr compares floats bit for bit."""
+    try:
+        report = bcd_solve(data, cfg)
+    except SolverFailure as err:
+        return str(err)
+    history = [
+        (h.iteration, h.objective, h.params.tobytes(), h.labels.tobytes())
+        for h in report.history or ()
+    ]
+    return report.to_dict(), history
+
+
+def test_group_size_does_not_change_results(monkeypatch):
+    noisy = generate_random_scenario(3, 3, 400, (-5, 5), NoiseSpec("gaussian", 0.1), 3)[1]
+    cases = [(noisy, SolverConfig(S=3, restarts=7, seed=5, keep_history=True))]
+    # noise-free data with a surplus cluster: restarts degenerate, and some
+    # calls lose every restart
+    for seed in range(12):
+        _, data = generate_random_scenario(1, 2, 10, noise=NoiseSpec(), seed=seed)
+        cases.append((data, SolverConfig(S=3, restarts=4, seed=seed, keep_history=True)))
+    start = Assignment(np.random.default_rng(1).integers(1, 4, size=noisy.N))
+    cases.append((noisy, SolverConfig(S=3, restarts=5, seed=6, init_labels=start)))
+    cases.append((noisy, SolverConfig(S=3, restarts=6, seed=7, max_iters=2, keep_history=True)))
+
+    outcomes = {}
+    for G in (1, 3, None):
+        runs = []
+        for data, cfg in cases:
+            cells = (G or cfg.restarts) * cfg.S * data.N
+            monkeypatch.setattr(bcd, "_GROUP_CELLS", cells)
+            runs.append(_outcome(data, cfg))
+        outcomes[G] = runs
+    assert repr(outcomes[3]) == repr(outcomes[1])
+    assert repr(outcomes[None]) == repr(outcomes[1])
+    # the cases above are what make the test: check they came out
+    reports = [out[0] for out in outcomes[1] if not isinstance(out, str)]
+    assert 0 < len(reports) < len(cases)
+    assert any(report["degenerate_restarts"] for report in reports)
+    assert (reports[-1]["iterations"], reports[-1]["converged"]) == (2, False)
 
 
 @settings(max_examples=30, deadline=None)

@@ -140,6 +140,21 @@ def test_consistency_sweep_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_consistency_sweep_too_small_N_is_usage_error(monkeypatch, capsys):
+    from slsid import order
+
+    calls = []
+    monkeypatch.setattr(order, "select_order", lambda *args: calls.append(args))
+    code = run(
+        ["consistency-sweep", "--n", "2", "--S", "2", "--N", "2000", "3", "--s-bar", "4"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "need N >= S_bar=4, got N=3" in err[0]
+    assert calls == []
+
+
 def test_bench_command(tmp_path):
     code = run(
         [

@@ -102,6 +102,15 @@ class TestConsistencySweep:
                 SweepScenario(n=2, S=3, sigma=0.1), [100], 2, _config(2)
             )
 
+    def test_too_small_N_rejected_before_any_trial(self, monkeypatch):
+        from slsid import order
+
+        calls = []
+        monkeypatch.setattr(order, "select_order", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"need N >= S_bar=4, got N=3"):
+            consistency_sweep(SweepScenario(n=2, S=2, sigma=0.1), [3000, 3], 5, _config(4))
+        assert calls == []
+
     def test_noise_free_recovery_is_total(self):
         rows = consistency_sweep(
             SweepScenario(n=2, S=2, sigma=0.0), [40, 80], 4, _config(3), seed=3
