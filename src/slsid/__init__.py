@@ -2,9 +2,10 @@
 
 Identify the per-subsystem parameters and the switching sequence of a
 switched linear regression from data: a block-coordinate descent solver for
-the penalty-relaxed assignment problem, excitation certificates that decide
-when the noise-free problem has a unique solution, an exhaustive oracle for
-small instances, and penalized model-order selection.
+the penalty-relaxed assignment problem (which it solves on hard labels,
+since the relaxation has binary minimizers), excitation certificates that
+decide when the noise-free problem has a unique solution, an exhaustive
+oracle for small instances, and penalized model-order selection.
 """
 
 from .bcd import (
@@ -13,7 +14,6 @@ from .bcd import (
     SolverFailure,
     assign_step,
     bcd_solve,
-    stationarity_check,
 )
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .metrics import classification_error, nmse
@@ -21,11 +21,9 @@ from .model import (
     Assignment,
     Dataset,
     NoiseSpec,
-    RelaxedMembership,
     SLModel,
     generate_random_scenario,
     objective_integer,
-    objective_relaxed,
     simulate,
 )
 from .oracle import (
@@ -63,7 +61,6 @@ __all__ = [
     "OrderSelectConfig",
     "OrderSelectReport",
     "PEReport",
-    "RelaxedMembership",
     "SLModel",
     "SampleCounts",
     "SolutionClass",
@@ -89,14 +86,12 @@ __all__ = [
     "min_samples_vidal",
     "nmse",
     "objective_integer",
-    "objective_relaxed",
     "oracle_global",
     "pe_report",
     "save_dataset",
     "save_model",
     "select_order",
     "simulate",
-    "stationarity_check",
 ]
 
 __version__ = "0.1.0"

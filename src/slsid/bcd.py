@@ -6,6 +6,8 @@ given the parameters (each sample moves to its smallest-residual
 subsystem, ties to the smallest index).  The inner relabeling problem of
 the penalty relaxation always has a binary minimizer, so the solver works
 directly with hard labels and the returned membership is exactly binary.
+A report that stopped because its labels did not change is a fixed point:
+a restart from its labels stops after one iteration with the same labels.
 
 Each iteration works on sufficient statistics.  ``bcd_solve`` builds the
 dataset's moment table once and shares it across restarts, and runs the
@@ -363,9 +365,10 @@ def _run_group(
 def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     """Best-of-restarts block-coordinate descent.
 
-    Runs ``cfg.restarts`` independent descents, in lockstep groups of at
-    most ``_GROUP_CELLS // (S * N)`` restarts, and returns the report of
-    the one with the lowest final objective, with the count of degenerate
+    Runs ``cfg.restarts`` independent descents (one when S = 1, where all
+    would start alike), in lockstep groups of at most
+    ``_GROUP_CELLS // (S * N)`` restarts, and returns the report of the
+    one with the lowest final objective, with the count of degenerate
     restarts.  Raises :class:`SolverFailure` when every
     restart degenerates (a cluster emptied twice), :class:`DescentError`
     when a half-step raises the objective, and ValueError when the
@@ -374,12 +377,14 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     if data.N < cfg.S:
         raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
     table = moment_table(data)
-    G = min(cfg.restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
+    # with one subsystem every start is all ones and every restart the same
+    restarts = 1 if cfg.S == 1 else cfg.restarts
+    G = min(restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
     work = np.empty((G, cfg.S, data.N))
     best: SolveReport | None = None
     degenerate_count = 0
-    for first in range(0, cfg.restarts, G):
-        count = min(G, cfg.restarts - first)
+    for first in range(0, restarts, G):
+        count = min(G, restarts - first)
         for report in _run_group(data, cfg, first, count, table, work):
             if report is None:
                 degenerate_count += 1
@@ -390,21 +395,3 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
             f"all {cfg.restarts} restarts degenerated (clusters kept emptying)"
         )
     return replace(best, degenerate_restarts=degenerate_count)
-
-
-def stationarity_check(data: Dataset, report: SolveReport) -> bool:
-    """Whether one more full descent round leaves the report unchanged.
-
-    Refits every cluster of the reported assignment and reruns the
-    relabeling; a fixed point reproduces both blocks (parameters bitwise up
-    to refit rounding, labels exactly).
-    """
-    params, empty = fit_clusters(
-        data, report.assignment.labels, range(1, report.model.S + 1)
-    )
-    if empty.any():
-        return False
-    if not np.allclose(params, report.model.params, rtol=0.0, atol=1e-12):
-        return False
-    redo = assign_step(data, SLModel(params))
-    return bool(np.array_equal(redo.labels, report.assignment.labels))

@@ -165,27 +165,24 @@ def _cmd_min_samples(args) -> int:
     return EXIT_OK
 
 
-def _cmd_select_order(args) -> int:
-    data = load_dataset(args.data)
-    penalty = "auto" if args.penalty == "auto" else float(args.penalty)
-    cfg = OrderSelectConfig(
+def _order_config(args) -> OrderSelectConfig:
+    return OrderSelectConfig(
         S_bar=args.s_bar,
-        penalty=penalty,
+        penalty="auto" if args.penalty == "auto" else float(args.penalty),
         solver=SolverConfig(S=1, restarts=args.restarts, seed=args.seed),
     )
-    report = select_order(data, cfg)
+
+
+def _cmd_select_order(args) -> int:
+    data = load_dataset(args.data)
+    report = select_order(data, _order_config(args))
     _emit(args, _json(report.to_dict()), "order.json")
     return EXIT_OK
 
 
 def _cmd_consistency_sweep(args) -> int:
     scenario = SweepScenario(n=args.n, S=args.S, sigma=args.sigma)
-    cfg = OrderSelectConfig(
-        S_bar=args.s_bar,
-        penalty="auto" if args.penalty == "auto" else float(args.penalty),
-        solver=SolverConfig(S=1, restarts=args.restarts, seed=args.seed),
-    )
-    rows = consistency_sweep(scenario, args.N, args.trials, cfg, seed=args.seed)
+    rows = consistency_sweep(scenario, args.N, args.trials, _order_config(args), seed=args.seed)
     _emit(args, _csv_text(["N", "trials", "recovery_rate"], rows), "consistency.csv")
     return EXIT_OK
 

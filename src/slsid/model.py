@@ -3,18 +3,18 @@
 A switched-linear regression produces each output y_k from one of S linear
 subsystems: y_k = x_k . theta_{z_k} + e_k, where z_k is the per-sample
 subsystem label.  This module holds the value types (dataset, parameter
-bank, label sequence, relaxed membership weights, noise description) and
-the two objectives: the integer assignment objective and its penalty
-relaxation over fractional memberships.  Least squares runs on sufficient
-statistics: ``moment_table`` holds each sample's x x^T (upper triangle)
-and x y, one matmul with a membership matrix sums them per cluster, and
-``gram_solve`` solves a whole stack of cluster Gram matrices with one
-batched symmetric eigendecomposition, giving minimum-norm fits and the
-singular values for the rank test.  ``fit_clusters`` wraps the two for
-the descent's parameter half-step, order selection and the stationarity
-check; the exhaustive oracle calls ``gram_solve`` on whole chunks of label
-strings.  The fits agree with a per-cluster ``lstsq`` on the rows to
-rounding, not bitwise.
+bank, label sequence, noise description), the residual matrix and the
+hard-assignment objective.  The paper's penalty relaxation over fractional
+memberships has the same minimizers, so no fractional membership type is
+needed.  Least squares runs on sufficient statistics: ``moment_table``
+holds each sample's x x^T (upper triangle) and x y, one matmul with a
+membership matrix sums them per cluster, and ``gram_solve`` solves a whole
+stack of cluster Gram matrices with one batched symmetric
+eigendecomposition, giving minimum-norm fits and the singular values for
+the rank test.  ``fit_clusters`` wraps the two for the descent's
+empty-cluster repair and order selection; the exhaustive oracle calls
+``gram_solve`` on whole chunks of label strings.  The fits agree with a
+per-cluster ``lstsq`` on the rows to rounding, not bitwise.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
@@ -27,8 +27,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-COLUMN_SUM_TOL = 1e-12
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -166,45 +164,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.regressors.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class RelaxedMembership:
-    """S x N fractional membership weights with unit column sums."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = _as_matrix(self.weights, "weights")
-        if weights.min() < 0.0 or weights.max() > 1.0:
-            raise ValueError("membership entries must lie in [0, 1]")
-        colsums = weights.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > COLUMN_SUM_TOL:
-            raise ValueError("membership column sums must equal 1 within 1e-12")
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def S(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def from_assignment(cls, a: Assignment, S: int) -> "RelaxedMembership":
-        a.validate(len(a), S)
-        w = np.zeros((S, len(a)))
-        w[a.labels - 1, np.arange(len(a))] = 1.0
-        return cls(w)
-
-    def is_binary(self) -> bool:
-        return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
-
-    def to_assignment(self) -> Assignment:
-        if not self.is_binary():
-            raise ValueError("membership is fractional; no assignment equivalent")
-        return Assignment(np.argmax(self.weights, axis=0) + 1)
 
 
 def _check_pair(data: Dataset, model: SLModel) -> None:
@@ -356,28 +315,10 @@ def fit_clusters(
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:
     """Sum of squared residuals under a hard assignment.
 
-    Computed from the same residual matrix as the relaxed objective so the
-    two agree bitwise at binary memberships.
+    Each term is taken from :func:`residual_matrix`, as the descent's
+    objectives are, so the two agree bit for bit.
     """
     _check_pair(data, model)
     a.validate(data.N, model.S)
     r = residual_matrix(data, model)[a.labels - 1, np.arange(data.N)]
     return float(np.sum(r * r))
-
-
-def objective_relaxed(data: Dataset, model: SLModel, w: RelaxedMembership) -> float:
-    """Relaxed objective: weighted residuals plus the concave penalty.
-
-    Per sample this is sum_s w_{s,k} (y_k - x_k.theta_s)^2 + (1 - sum_s
-    w_{s,k}^2).  At binary weights the penalty vanishes and the value equals
-    ``objective_integer`` exactly.
-    """
-    _check_pair(data, model)
-    if w.S != model.S:
-        raise ValueError("membership row count does not match model's S")
-    if w.N != data.N:
-        raise ValueError("membership column count does not match dataset")
-    r = residual_matrix(data, model)
-    fit = (w.weights * (r * r)).sum(axis=0)
-    penalty = 1.0 - (w.weights * w.weights).sum(axis=0)
-    return float(np.sum(fit + penalty))

@@ -13,7 +13,6 @@ from slsid import (
     Dataset,
     NoiseSpec,
     OrderSelectConfig,
-    RelaxedMembership,
     SLModel,
     SolverConfig,
     SweepScenario,
@@ -27,11 +26,9 @@ from slsid import (
     min_samples_vidal,
     nmse,
     objective_integer,
-    objective_relaxed,
     oracle_global,
     pe_report,
     simulate,
-    stationarity_check,
 )
 from slsid import fixtures
 from slsid.bench import (
@@ -43,6 +40,8 @@ from slsid.bench import (
 )
 from slsid.model import residual_matrix
 from slsid.oracle import same_param_set, unique_optimum
+
+from claims import is_stationary, one_hot, relaxed_objective
 
 
 class budget:
@@ -153,17 +152,18 @@ def test_relaxation_equivalence_suite():
             data = Dataset(X, y)
             r2 = residual_matrix(data, model) ** 2
             inner = Assignment(np.argmin(r2, axis=0) + 1)
-            w_inner = RelaxedMembership.from_assignment(inner, S)
+            w_inner = one_hot(inner.labels, S)
             # (a) the closed-form inner minimizer is binary and attains the
             # per-sample floor exactly
-            assert w_inner.is_binary()
-            floor = objective_relaxed(data, model, w_inner)
+            assert ((w_inner == 0.0) | (w_inner == 1.0)).all()
+            assert (w_inner.sum(axis=0) == 1.0).all()
+            floor = relaxed_objective(data, model, w_inner)
             assert floor == float(np.sum(r2[inner.labels - 1, np.arange(N)]))
             # (b) no feasible fractional membership beats it
             for _ in range(100):
                 raw = rng.uniform(0, 1, size=(S, N))
-                w = RelaxedMembership(raw / raw.sum(axis=0, keepdims=True))
-                assert objective_relaxed(data, model, w) >= floor - 1e-9
+                w = raw / raw.sum(axis=0, keepdims=True)
+                assert relaxed_objective(data, model, w) >= floor - 1e-9
             # (c) relaxed equals integer exactly at binary points
             assert floor == objective_integer(data, model, inner)
 
@@ -184,7 +184,7 @@ def test_bcd_descent_and_stationarity():
         for data, report in runs:
             drops = np.diff(report.trace)
             assert np.all(drops <= 1e-9 * (1.0 + np.abs(report.trace[:-1])))
-            assert stationarity_check(data, report)
+            assert is_stationary(data, report)
             assert report.objective == objective_integer(
                 data, report.model, report.assignment
             )

@@ -10,23 +10,22 @@ from slsid import (
     Assignment,
     Dataset,
     NoiseSpec,
-    RelaxedMembership,
     SLModel,
     SolverConfig,
     assign_step,
     bcd_solve,
     generate_random_scenario,
     objective_integer,
-    objective_relaxed,
     oracle_global,
     simulate,
-    stationarity_check,
 )
 from slsid import bcd, fixtures
 from slsid.bcd import DescentError, SolverFailure
 from slsid.model import fit_clusters, gram_solve, moment_table
 from slsid.oracle import same_param_set
 from slsid.partitions import gram_full_rank
+
+from claims import is_stationary, one_hot, relaxed_objective
 
 EXAMPLE2_ALT = np.array([[-1.4, 2.8, 4.0], [-2.0, -2.0, 4.0]])
 
@@ -245,6 +244,25 @@ def test_group_size_does_not_change_results(monkeypatch):
     assert (reports[-1]["iterations"], reports[-1]["converged"]) == (2, False)
 
 
+def test_single_subsystem_runs_one_restart(monkeypatch):
+    # with S=1 every restart starts from all-ones labels and descends alike,
+    # and restart 0 wins every tie, so one restart gives the same report
+    _, data = generate_random_scenario(3, 1, 300, (-5, 5), NoiseSpec("gaussian", 0.2), 9)
+    run_group = bcd._run_group
+    counts = []
+
+    def counting(data, cfg, first, count, table, work):
+        counts.append(count)
+        return run_group(data, cfg, first, count, table, work)
+
+    monkeypatch.setattr(bcd, "_run_group", counting)
+    many = _outcome(data, SolverConfig(S=1, restarts=10, seed=3, keep_history=True))
+    assert counts == [1]
+    one = _outcome(data, SolverConfig(S=1, restarts=1, seed=3, keep_history=True))
+    assert repr(many) == repr(one)
+    assert many[1], "the comparison must cover a kept history"
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.integers(2, 3), st.integers(1, 2), st.integers(1, 5))
 def test_objective_never_below_oracle(seed, S, n, extra):
@@ -287,7 +305,7 @@ class TestBcdSolve:
         canon = {tuple(report.assignment.labels), tuple(3 - report.assignment.labels)}
         assert tuple(fixtures.EXAMPLE2_LABELS) in canon
         assert_trace_descends(report.trace)
-        assert stationarity_check(data, report)
+        assert is_stationary(data, report)
 
     def test_paper_style_initialization_converges(self):
         _, data = fixtures.example_two()
@@ -325,7 +343,7 @@ class TestBcdSolve:
         assert report.converged
         theta, _ = fit_clusters(data, np.ones(30, int), [1])
         np.testing.assert_array_equal(report.model.params[0], theta[0])
-        assert stationarity_check(data, report)
+        assert is_stationary(data, report)
 
     def test_returned_assignment_is_fixed_point(self):
         _, data = generate_random_scenario(
@@ -340,8 +358,8 @@ class TestBcdSolve:
     def test_relaxed_objective_of_binary_solution_matches(self):
         _, data = fixtures.example_two()
         report = bcd_solve(data, SolverConfig(S=2, restarts=4, seed=3))
-        w = RelaxedMembership.from_assignment(report.assignment, 2)
-        assert objective_relaxed(data, report.model, w) == report.objective
+        w = one_hot(report.assignment.labels, 2)
+        assert relaxed_objective(data, report.model, w) == report.objective
 
     def test_deterministic_given_seed(self):
         _, data = generate_random_scenario(
@@ -433,7 +451,7 @@ class TestStationarity:
     def test_converged_report_is_stationary(self):
         _, data = fixtures.example_two()
         report = bcd_solve(data, SolverConfig(S=2, restarts=10, seed=1))
-        assert stationarity_check(data, report)
+        assert is_stationary(data, report)
 
     def test_single_iteration_generally_not_stationary(self):
         _, data = generate_random_scenario(
@@ -442,8 +460,8 @@ class TestStationarity:
         stalled = bcd_solve(data, SolverConfig(S=2, restarts=1, max_iters=1, seed=0))
         converged = bcd_solve(data, SolverConfig(S=2, restarts=1, seed=0))
         assert not stalled.converged
-        assert not stationarity_check(data, stalled)
-        assert stationarity_check(data, converged)
+        assert not is_stationary(data, stalled)
+        assert is_stationary(data, converged)
 
 
 def test_descent_invariant_across_runs():

@@ -9,14 +9,14 @@ from slsid import (
     Assignment,
     Dataset,
     NoiseSpec,
-    RelaxedMembership,
     SLModel,
     generate_random_scenario,
     objective_integer,
-    objective_relaxed,
     simulate,
 )
 from slsid import fixtures
+
+from claims import one_hot, relaxed_objective
 
 
 class TestTypes:
@@ -60,7 +60,6 @@ class TestTypes:
         calls = [
             lambda: simulate(model, np.ones((3, 2)), a),
             lambda: objective_integer(data, model, a),
-            lambda: RelaxedMembership.from_assignment(a, 2),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="above S=2"):
@@ -92,22 +91,6 @@ class TestTypes:
     def test_noise_spec_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             NoiseSpec("gaussian", sigma)
-
-    def test_membership_validation(self):
-        with pytest.raises(ValueError):
-            RelaxedMembership(np.array([[0.5, 0.2], [0.6, 0.8]]))
-        with pytest.raises(ValueError):
-            RelaxedMembership(np.array([[1.5, 0.0], [-0.5, 1.0]]))
-        w = RelaxedMembership(np.array([[0.25, 1.0], [0.75, 0.0]]))
-        assert not w.is_binary()
-        with pytest.raises(ValueError):
-            w.to_assignment()
-
-    def test_membership_assignment_round_trip(self):
-        a = Assignment(np.array([1, 3, 2, 3]))
-        w = RelaxedMembership.from_assignment(a, 3)
-        assert w.is_binary()
-        assert w.to_assignment() == a
 
 
 class TestSimulate:
@@ -192,15 +175,8 @@ class TestObjectives:
         # one sample fit exactly by both subsystems: only the penalty remains
         data = Dataset(np.array([[1.0, 0.0]]), np.array([2.0]))
         model = SLModel(np.array([[2.0, 0.0], [2.0, 5.0]]))
-        w = RelaxedMembership(np.array([[0.5], [0.5]]))
-        assert objective_relaxed(data, model, w) == pytest.approx(0.5, abs=1e-15)
-
-    def test_relaxed_infeasible_rejected(self):
-        model, data = fixtures.example_one()
-        with pytest.raises(ValueError):
-            objective_relaxed(
-                data, model, RelaxedMembership(np.ones((3, data.N)) / 3.0)
-            )
+        w = np.array([[0.5], [0.5]])
+        assert relaxed_objective(data, model, w) == pytest.approx(0.5, abs=1e-15)
 
 
 def _random_instance(rng, N, S, n, noisy=True):
@@ -226,8 +202,8 @@ def test_relaxed_equals_integer_at_binary_points(seed):
     S, n, N = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
     model, data = _random_instance(rng, N, S, n)
     labels = Assignment(rng.integers(1, S + 1, size=N))
-    w = RelaxedMembership.from_assignment(labels, S)
-    assert objective_relaxed(data, model, w) == objective_integer(data, model, labels)
+    w = one_hot(labels.labels, S)
+    assert relaxed_objective(data, model, w) == objective_integer(data, model, labels)
 
 
 @settings(max_examples=15, deadline=None)
@@ -241,8 +217,8 @@ def test_relaxation_never_beats_binary_minimum(seed):
     floor = _binary_minimum(data, model)
     for _ in range(40):
         raw = rng.uniform(0, 1, size=(S, N))
-        w = RelaxedMembership(raw / raw.sum(axis=0, keepdims=True))
-        assert objective_relaxed(data, model, w) >= floor - 1e-9
+        w = raw / raw.sum(axis=0, keepdims=True)
+        assert relaxed_objective(data, model, w) >= floor - 1e-9
 
 
 def test_relaxed_and_integer_minima_coincide_small_grid():
@@ -253,9 +229,9 @@ def test_relaxed_and_integer_minima_coincide_small_grid():
     best_relaxed = np.inf
     for _ in range(2000):
         raw = rng.uniform(0, 1, size=(2, 5))
-        w = RelaxedMembership(raw / raw.sum(axis=0, keepdims=True))
-        best_relaxed = min(best_relaxed, objective_relaxed(data, model, w))
+        w = raw / raw.sum(axis=0, keepdims=True)
+        best_relaxed = min(best_relaxed, relaxed_objective(data, model, w))
     for labels in itertools.product((1, 2), repeat=5):
-        w = RelaxedMembership.from_assignment(Assignment(np.array(labels)), 2)
-        best_relaxed = min(best_relaxed, objective_relaxed(data, model, w))
+        w = one_hot(np.array(labels), 2)
+        best_relaxed = min(best_relaxed, relaxed_objective(data, model, w))
     assert best_relaxed == pytest.approx(floor, abs=1e-12)

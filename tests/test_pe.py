@@ -236,6 +236,68 @@ class TestPartitionCondition:
                     check_partition_condition(grown, grown.truth, S).status == CERTIFIED
                 )
 
+    def test_certified_implies_enough_samples(self):
+        # any n-1 rows are rank-deficient, so a cluster at stage s with at
+        # most (S-s+1)(n-1) rows splits into S-s+1 deficient blocks; summing
+        # the stage minima gives min_samples_ours exactly
+        verdicts = {CERTIFIED: 0, REFUTED: 0, UNDECIDED: 0}
+        tight = 0
+        for n, S, data, a in _near_count_datasets(np.random.default_rng(11), 300):
+            check = check_partition_condition(data, a, S)
+            verdicts[check.status] += 1
+            if check.status != CERTIFIED:
+                continue
+            sizes = a.cluster_sizes(S)
+            for stage, cluster in enumerate(check.permutation, start=1):
+                assert sizes[cluster - 1] >= (S - stage + 1) * (n - 1) + 1
+            assert data.N >= min_samples_ours(n, S)
+            tight += data.N == min_samples_ours(n, S)
+        # the draws must reach both verdicts and certify at the count itself
+        assert verdicts[CERTIFIED] >= 50 and verdicts[REFUTED] >= 50, verdicts
+        assert tight >= 5
+
+    def test_sample_order_does_not_change_verdict(self):
+        # the witness blocks may change: the first restricted-growth split
+        # found depends on the order of the rows
+        for n, S, data, a in _near_count_datasets(np.random.default_rng(12), 300):
+            perm = np.random.default_rng(n * 10 + S).permutation(data.N)
+            shuffled = Dataset(data.regressors[perm], data.outputs[perm])
+            base = check_partition_condition(data, a, S)
+            moved = check_partition_condition(shuffled, Assignment(a.labels[perm]), S)
+            assert (moved.status, moved.permutation) == (base.status, base.permutation)
+            assert moved.min_deficient_blocks == base.min_deficient_blocks
+
+
+def _near_count_datasets(rng, count):
+    """Labeled rows whose cluster sizes straddle the certificate's minima.
+
+    Cluster sizes are the stage minima (S-s+1)(n-1)+1, each moved by -1, 0
+    or +1 and given to the labels in random order, so N lies within S of
+    ``min_samples_ours(n, S)``.  Rows are Gaussian (generic), Gaussian with
+    one row a multiple of another (a parallel pair), or small integers
+    (repeated, zero and dependent rows).
+    """
+    made = 0
+    while made < count:
+        n, S = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        sizes = [(S - s + 1) * (n - 1) + 1 + int(rng.integers(-1, 2)) for s in range(1, S + 1)]
+        rng.shuffle(sizes)
+        labels = np.repeat(np.arange(1, S + 1), sizes)
+        N = labels.size
+        if N < 2:
+            continue
+        rng.shuffle(labels)
+        kind = made % 3
+        if kind == 2:
+            X = rng.integers(-2, 3, size=(N, n)).astype(float)
+        else:
+            X = rng.normal(size=(N, n))
+            if kind == 1:
+                i, j = rng.choice(N, size=2, replace=False)
+                X[j] = rng.uniform(-2, 2) * X[i]
+        made += 1
+        yield n, S, Dataset(X, np.zeros(N)), Assignment(labels)
+
 
 class TestGenericity:
     def test_example_two_sizes_meet_bound_but_triple_degenerates(self):
