@@ -89,8 +89,9 @@ class DescentError(RuntimeError):
 class SolverConfig:
     """Knobs for :func:`bcd_solve`.
 
-    Every restart starts from uniform random labels, except restart 0 when
-    ``init_labels`` is given: it starts from those.  ``keep_history``
+    Every restart starts from uniform random labels, except the last one
+    that runs when ``init_labels`` is given: it starts from those, and the
+    others draw the same starts as without it.  ``keep_history``
     retains per-iteration parameters and labels of the winning restart for
     trace output; while a group of restarts runs, each of them keeps its
     own.
@@ -245,11 +246,12 @@ def _start_labels(data: Dataset, cfg: SolverConfig, first: int, count: int) -> n
     """0-based start labels of restarts first to first + count - 1, by row.
 
     Restart r draws uniform labels from a seed derived from the config seed
-    and r; restart 0 takes ``cfg.init_labels`` instead when it is given.
+    and r; the last restart takes ``cfg.init_labels`` instead when it is
+    given.
     """
     init = np.empty((count, data.N), dtype=np.intp)
     for i, r in enumerate(range(first, first + count)):
-        if cfg.init_labels is not None and r == 0:
+        if cfg.init_labels is not None and r == cfg.restarts - 1:
             cfg.init_labels.validate(data.N, cfg.S)
             init[i] = cfg.init_labels.labels
         else:
@@ -378,13 +380,14 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
         raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
     table = moment_table(data)
     # with one subsystem every start is all ones and every restart the same
-    restarts = 1 if cfg.S == 1 else cfg.restarts
-    G = min(restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
+    if cfg.S == 1:
+        cfg = replace(cfg, restarts=1)
+    G = min(cfg.restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
     work = np.empty((G, cfg.S, data.N))
     best: SolveReport | None = None
     degenerate_count = 0
-    for first in range(0, restarts, G):
-        count = min(G, restarts - first)
+    for first in range(0, cfg.restarts, G):
+        count = min(G, cfg.restarts - first)
         for report in _run_group(data, cfg, first, count, table, work):
             if report is None:
                 degenerate_count += 1

@@ -32,6 +32,8 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_ENUM_LIMIT = 3
 EXIT_NO_FIT = 4
+# the one option per subcommand that takes a list of values
+_LIST_OPTIONS = {"consistency-sweep": "N", "bench": "cell"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,10 +167,20 @@ def _cmd_min_samples(args) -> int:
     return EXIT_OK
 
 
+def _penalty(text: str) -> float | str:
+    # argparse also passes a string config default through here
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
+
+
 def _order_config(args) -> OrderSelectConfig:
     return OrderSelectConfig(
         S_bar=args.s_bar,
-        penalty="auto" if args.penalty == "auto" else float(args.penalty),
+        penalty=args.penalty,
         solver=SolverConfig(S=1, restarts=args.restarts, seed=args.seed),
     )
 
@@ -291,7 +303,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("select-order", help="penalized subsystem-count selection")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--s-bar", type=int, required=need("s_bar"))
-    p.add_argument("--penalty", "--lambda", dest="penalty", default="auto")
+    p.add_argument("--penalty", "--lambda", dest="penalty", type=_penalty, default="auto")
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
@@ -304,7 +316,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, nargs="+", required=need("N"))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--s-bar", type=int, required=need("s_bar"))
-    p.add_argument("--penalty", "--lambda", dest="penalty", default="auto")
+    p.add_argument("--penalty", "--lambda", dest="penalty", type=_penalty, default="auto")
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
@@ -327,7 +339,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="regenerate a stored reference result")
     p.add_argument("table_id", choices=tuple(bench.REPRO))
-    add_output(p)
+    p.set_defaults(**defaults)
     p.set_defaults(func=_cmd_repro)
 
     return parser
@@ -359,6 +371,11 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     parser = build_parser(defaults)
     args = parser.parse_args(argv)
+    # argparse hands a config value to a list option as it is, not as a list
+    key = _LIST_OPTIONS.get(args.command)
+    if key is not None and not isinstance(getattr(args, key), list):
+        print(f"error: config key {key!r} must be a list for {args.command}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except EnumerationLimitError as exc:

@@ -12,7 +12,7 @@ membership matrix sums them per cluster, and ``gram_solve`` solves a whole
 stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
 the rank test.  ``fit_clusters`` wraps the two for the descent's
-empty-cluster repair and order selection; the exhaustive oracle calls
+empty-cluster repair; the exhaustive oracle calls
 ``gram_solve`` on whole chunks of label strings.  The fits agree with a
 per-cluster ``lstsq`` on the rows to rounding, not bitwise.
 
@@ -291,22 +291,20 @@ def fit_clusters(
     data: Dataset,
     labels: np.ndarray,
     clusters: Sequence[int],
-    table: np.ndarray | None = None,
+    table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares parameters of each listed cluster.
 
     For every label s in ``clusters`` the rows with ``labels == s`` get the
     minimum-norm least-squares solution of :func:`gram_solve`, which is
     defined for any nonempty cluster.  ``table`` is the dataset's
-    :func:`moment_table`; callers that fit the same data repeatedly pass it
-    in, otherwise it is built here.
+    :func:`moment_table`, built once by the caller that fits the same data
+    repeatedly.
 
     Returns ``(theta, empty)``, one row or entry per listed cluster: the
     parameters, and whether no row carries the label.  Empty clusters have
     a zero Gram, so their parameters are zero.
     """
-    if table is None:
-        table = moment_table(data)
     member = labels == np.asarray(clusters)[:, None]
     theta, _ = gram_solve((table @ member.T.astype(float)).T, data.n)
     return theta, ~member.any(axis=1)

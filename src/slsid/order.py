@@ -5,10 +5,11 @@ mean squared residual; the selected count minimizes fit + lambda * S'.  With
 lambda shrinking like log(N)/N (slower than 1/N) the estimate converges to
 the true count as N grows, which the Monte-Carlo sweep checks empirically.
 
-Each candidate beyond the first receives the previous candidate's solution,
-with its worst-fit sample split off into the new cluster, as an extra
-warm-start restart, or as the split state itself when that restart
-degenerates; this makes the fit term non-increasing in S' up to rounding.
+Each candidate beyond the first is one solver call with one extra restart,
+started from the previous candidate's solution with its worst-fit sample
+split off into the new cluster.  A candidate whose call fails or ends above
+the previous fit keeps the previous report, so the fit term is exactly
+non-increasing in S'.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import (
-    Assignment,
-    Dataset,
-    NoiseSpec,
-    SLModel,
-    fit_clusters,
-    generate_random_scenario,
-    objective_integer,
-)
+from .model import Assignment, Dataset, NoiseSpec, generate_random_scenario
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -45,7 +38,8 @@ class OrderSelectConfig:
     penalty is scale-free in the data; a noise-level estimate (e.g. the
     S_bar-candidate residual) is far too small here, because refitting the
     assignment lets surplus clusters absorb an N-independent share of the
-    noise variance.  The template's S is overridden per candidate.
+    noise variance.  The template's S and init_labels are set per
+    candidate, and every S' >= 2 runs one restart more than it.
     """
 
     S_bar: int
@@ -100,8 +94,8 @@ def _split_warm_start(data: Dataset, report: SolveReport, new_label: int) -> Ass
     """Previous solution with its worst-fit sample moved to the new cluster.
 
     The donor cluster keeps at least one sample.  ``select_order`` requires
-    N >= S_bar, so the previous candidate's N labels lie in new_label - 1 < N
-    clusters, one of which always has two samples to give.
+    N >= S_bar, so the previous candidate's N labels lie in at most
+    new_label - 1 < N clusters, one of which always has two samples to give.
     """
     labels = report.assignment.labels.copy()
     preds = np.einsum("ij,ij->i", data.regressors, report.model.params[labels - 1])
@@ -112,55 +106,35 @@ def _split_warm_start(data: Dataset, report: SolveReport, new_label: int) -> Ass
     return Assignment(labels)
 
 
-def _refit_state(data: Dataset, labels: Assignment, S: int) -> SolveReport:
-    """One parameter half-step from the given labels, packaged as a report.
-
-    Used when the warm-started descent degenerates (on noise-free data the
-    split-off sample ties at zero residual and flips back, emptying the new
-    cluster); the split state itself already certifies the monotone fit.
-    """
-    params, _ = fit_clusters(data, labels.labels, range(1, S + 1))
-    model = SLModel(params)
-    obj = objective_integer(data, model, labels)
-    return SolveReport(
-        model=model,
-        assignment=labels,
-        objective=obj,
-        trace=np.asarray([obj]),
-        iterations=1,
-        converged=False,
-        restart_index=0,
-        degenerate_restarts=1,
-    )
-
-
 def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     """Fit every candidate count and return the penalized-criterion argmin.
 
-    Ties within 1e-12 go to the smaller count.  Requires N >= S_bar, so
-    every candidate gets a report and no :class:`SolverFailure` escapes.
+    Each S' >= 2 is one :func:`bcd_solve` call whose last restart starts
+    from :func:`_split_warm_start` of the previous candidate; the cold
+    restarts keep their seeds and win ties.  A candidate keeps the previous
+    candidate's report when its call raises :class:`SolverFailure` or ends
+    above the previous objective, so a candidate's report may have fewer
+    than S' subsystems: it is the best fit found with at most S'.  Such a
+    report never wins (same fit, larger penalty), so ``winner.model.S ==
+    chosen_S``.  Ties within 1e-12 go to the smaller count.  Requires
+    N >= S_bar.
     """
     if data.N < cfg.S_bar:
         raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={data.N}")
-    reports: list[SolveReport] = []
-    for s_prime in range(1, cfg.S_bar + 1):
-        solver_cfg = replace(cfg.solver, S=s_prime, init_labels=None)
+    # S'=1 cannot degenerate: one cluster holds every sample
+    reports = [bcd_solve(data, replace(cfg.solver, S=1, init_labels=None))]
+    for s_prime in range(2, cfg.S_bar + 1):
+        prev = reports[-1]
+        warm = _split_warm_start(data, prev, s_prime)
+        solver_cfg = replace(
+            cfg.solver, S=s_prime, restarts=cfg.solver.restarts + 1, init_labels=warm
+        )
         try:
             report = bcd_solve(data, solver_cfg)
         except SolverFailure:
             # exact-fit data offers surplus clusters nothing to hold on to
-            report = None
-        # S'=1 cannot degenerate (one cluster holds every sample); later S' get a warm report
-        if reports:
-            warm = _split_warm_start(data, reports[-1], s_prime)
-            warm_cfg = replace(solver_cfg, init_labels=warm, restarts=1)
-            try:
-                warm_report = bcd_solve(data, warm_cfg)
-            except SolverFailure:
-                warm_report = _refit_state(data, warm, s_prime)
-            if report is None or warm_report.objective < report.objective:
-                report = warm_report
-        reports.append(report)
+            report = prev
+        reports.append(report if report.objective <= prev.objective else prev)
 
     N = data.N
     if cfg.penalty == "auto":

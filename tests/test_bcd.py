@@ -41,9 +41,10 @@ def _fit_with_rank(data, labels, clusters):
     The flag is ``gram_full_rank`` on the singular values ``gram_solve``
     returns for the same cluster sums.
     """
-    theta, empty = fit_clusters(data, labels, clusters)
+    table = moment_table(data)
+    theta, empty = fit_clusters(data, labels, clusters, table)
     member = labels == np.asarray(clusters)[:, None]
-    _, svals = gram_solve((moment_table(data) @ member.T.astype(float)).T, data.n)
+    _, svals = gram_solve((table @ member.T.astype(float)).T, data.n)
     return theta, gram_full_rank(svals, data.n), empty
 
 
@@ -244,6 +245,58 @@ def test_group_size_does_not_change_results(monkeypatch):
     assert (reports[-1]["iterations"], reports[-1]["converged"]) == (2, False)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"S": 0}, "S must be >= 1"),
+        ({"S": 2, "max_iters": 0}, "max_iters and restarts must be >= 1"),
+        ({"S": 2, "restarts": 0}, "max_iters and restarts must be >= 1"),
+    ],
+)
+def test_solver_config_counts_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**kwargs)
+
+
+def test_init_labels_start_the_last_restart():
+    # with init_labels, R restarts give the better of R - 1 cold restarts
+    # (the same seeds) and one restart from the labels; a tie goes to cold
+    def solve(data, cfg):
+        try:
+            return bcd_solve(data, cfg)
+        except SolverFailure:
+            return None
+
+    cases = []
+    for seed in range(8):
+        cases.append((generate_random_scenario(1, 2, 10, noise=NoiseSpec(), seed=seed)[1], 3, 100))
+    for seed in range(4):
+        noise = NoiseSpec("gaussian", 0.5)
+        cases.append((generate_random_scenario(2, 2, 60, noise=noise, seed=seed)[1], 2, 3))
+    seen = set()
+    for i, (data, S, max_iters) in enumerate(cases):
+        init = Assignment(np.random.default_rng(i).integers(1, S + 1, size=data.N))
+        for R in (2, 4):
+            cfg = SolverConfig(S=S, restarts=R, seed=i, max_iters=max_iters, init_labels=init)
+            cold = solve(data, replace(cfg, restarts=R - 1, init_labels=None))
+            warm = solve(data, replace(cfg, restarts=1))
+            got = solve(data, cfg)
+            if cold is None and warm is None:
+                seen.add("both degenerate")
+                assert got is None
+                continue
+            degenerate = (R - 1 if cold is None else cold.degenerate_restarts) + (warm is None)
+            if warm is None or (cold is not None and cold.objective <= warm.objective):
+                tie = warm is not None and cold.objective == warm.objective
+                seen.add("tie" if tie else "cold")
+                want = cold.to_dict() | {"degenerate_restarts": degenerate}
+            else:
+                seen.add("warm")
+                want = warm.to_dict() | {"restart_index": R - 1, "degenerate_restarts": degenerate}
+            assert got.to_dict() == want, (i, R)
+    assert seen == {"both degenerate", "tie", "cold", "warm"}
+
+
 def test_single_subsystem_runs_one_restart(monkeypatch):
     # with S=1 every restart starts from all-ones labels and descends alike,
     # and restart 0 wins every tie, so one restart gives the same report
@@ -341,7 +394,7 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=1, restarts=1, seed=0))
         assert report.iterations == 1
         assert report.converged
-        theta, _ = fit_clusters(data, np.ones(30, int), [1])
+        theta, _ = fit_clusters(data, np.ones(30, int), [1], moment_table(data))
         np.testing.assert_array_equal(report.model.params[0], theta[0])
         assert is_stationary(data, report)
 

@@ -78,3 +78,9 @@ def test_repro_references_match(table_id):
 def test_repro_unknown_id():
     with pytest.raises(ValueError):
         repro("table9")
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_repetitions_below_one_rejected(repetitions):
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        ScenarioSpec(n=2, S=2, N=40, repetitions=repetitions)

@@ -371,6 +371,64 @@ def test_select_order_bad_penalty_is_usage_error(tmp_path, capsys, penalty):
     assert not (tmp_path / "order.json").exists()
 
 
+def test_select_order_non_numeric_penalty_names_the_flag(tmp_path, capsys):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    data = ["--data", str(tmp_path / "example2.csv"), "--s-bar", "2"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"penalty": "abc"}))
+    for argv in (
+        ["select-order", *data, "--penalty", "abc"],
+        ["--config", str(cfg), "select-order", *data],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --penalty/--lambda: expected 'auto' or a number, got 'abc'" in err
+    assert not (tmp_path / "order.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        ({"N": "200"}, ["consistency-sweep", "--n", "2", "--S", "2", "--s-bar", "2"]),
+        ({"N": 200}, ["consistency-sweep", "--n", "2", "--S", "2", "--s-bar", "2"]),
+        ({"cell": "2,2,40"}, ["bench"]),
+    ],
+)
+def test_config_scalar_for_list_option_is_usage_error(tmp_path, capsys, config, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg), *command]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    key = next(iter(config))
+    assert err == [f"error: config key {key!r} must be a list for {command[0]}"]
+
+
+def test_repro_has_no_output_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["repro", "table1", "--output", str(tmp_path)])
+    assert exc.value.code == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_without_example_or_sizes_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--n", "2", "--S", "2", "--output", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "provide --example or all of --n/--S/--N" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_equals_form_and_unreadable_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "S": 2}))
+    assert run([f"--config={cfg}", "min-samples"]) == 0
+    assert json.loads(capsys.readouterr().out)["ours"] == 8
+    assert run([f"--config={tmp_path / 'missing.json'}", "min-samples"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
 @pytest.mark.parametrize(
     "command",
     [

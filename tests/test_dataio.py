@@ -53,6 +53,7 @@ def test_model_round_trip(tmp_path):
         ('{"params": [[1.0, 2.0]]}', "lacks n, S"),
         ('{"n": 2, "S": 1, "params": [[NaN, 2.0]]}', "params row 1 "),
         ('{"n": 2, "S": 1, "params": [[1.0, 2.0], [3.0]]}', "inhomogeneous"),
+        ('{"n": 3, "S": 1, "params": [[1.0, 2.0]]}', "declared n/S disagree"),
     ],
 )
 def test_malformed_model_rejected_with_its_path(tmp_path, text, message):

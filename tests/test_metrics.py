@@ -74,3 +74,9 @@ class TestClassificationError:
             classification_error(
                 Assignment(np.array([1, 1])), Assignment(np.array([1])), (1,)
             )
+
+
+def test_alignment_beyond_max_S_rejected():
+    model = SLModel(np.ones((9, 1)))
+    with pytest.raises(ValueError, match="exhaustive alignment supports S <= 8"):
+        nmse(model, model)

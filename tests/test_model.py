@@ -235,3 +235,22 @@ def test_relaxed_and_integer_minima_coincide_small_grid():
         w = one_hot(np.array(labels), 2)
         best_relaxed = min(best_relaxed, relaxed_objective(data, model, w))
     assert best_relaxed == pytest.approx(floor, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: NoiseSpec("laplace", 0.1), "unknown noise kind 'laplace'"),
+        (lambda: Dataset(np.ones((3, 2)), np.ones((3, 1))), "outputs must be 1-D"),
+        (
+            lambda: Dataset(np.ones((3, 2)), np.ones(3), Assignment(np.ones(2, int))),
+            "truth labels length does not match sample count",
+        ),
+        (lambda: generate_random_scenario(0, 1, 5), "n, S, N must all be >= 1"),
+        (lambda: generate_random_scenario(1, 0, 5), "n, S, N must all be >= 1"),
+        (lambda: generate_random_scenario(1, 1, 0), "n, S, N must all be >= 1"),
+    ],
+)
+def test_bad_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -259,9 +259,10 @@ def test_classes_match_per_cluster_least_squares():
             for c in oracle_global(data, S)[1]:
                 where = f"S={S} n={n} N={N} {kind} {c.labels}"
                 labels = np.asarray(c.labels)
-                params, _ = fit_clusters(data, labels, range(1, S + 1))
+                table = moment_table(data)
+                params, _ = fit_clusters(data, labels, range(1, S + 1), table)
                 member = (labels == np.arange(1, S + 1)[:, None]).astype(float)
-                _, svals = gram_solve((moment_table(data) @ member.T).T, n)
+                _, svals = gram_solve((table @ member.T).T, n)
                 assert c.degenerate == (not gram_full_rank(svals, n).all()), where
                 rtol = 1e-7 if c.degenerate else 1e-10
                 np.testing.assert_allclose(
@@ -361,3 +362,10 @@ def test_sample_permutation_permutes_classes(seed, S, n, N, zero):
         labels[perm] = c.labels
         back[canonical_labels(labels)] = c.degenerate
     assert back == {c.labels: c.degenerate for c in classes}
+
+
+@pytest.mark.parametrize("S", [0, -1])
+def test_subsystem_count_below_one_rejected(S):
+    _, data = fixtures.example_one()
+    with pytest.raises(ValueError, match="S must be >= 1"):
+        oracle_global(data, S)

@@ -10,8 +10,10 @@ from slsid import (
     SLModel,
     SolverConfig,
     SweepScenario,
+    bcd_solve,
     consistency_sweep,
     generate_random_scenario,
+    objective_integer,
     select_order,
     simulate,
 )
@@ -24,6 +26,42 @@ def _config(s_bar, penalty="auto", restarts=8, seed=0):
         penalty=penalty,
         solver=SolverConfig(S=1, restarts=restarts, seed=seed),
     )
+
+
+def _check_one_call_per_candidate(monkeypatch, data, cfg):
+    """Run ``select_order`` and check the one-call-per-candidate contract.
+
+    One ``bcd_solve`` call per candidate, with one extra restart from S'=2
+    on; a candidate keeps the previous report exactly when its call fails
+    or ends above it; fit terms exactly non-increasing; the winner has the
+    chosen count; every candidate's objective is ``objective_integer`` of
+    its own pair.
+    """
+    from slsid import order
+
+    calls, results = [], []
+
+    def counted_solve(data, solver_cfg):
+        calls.append((solver_cfg.S, solver_cfg.restarts))
+        results.append(None)  # stays None when the call raises
+        results[-1] = bcd_solve(data, solver_cfg)
+        return results[-1]
+
+    monkeypatch.setattr(order, "bcd_solve", counted_solve)
+    report = select_order(data, cfg)
+    R = cfg.solver.restarts
+    assert calls == [(1, R)] + [(s, R + 1) for s in range(2, cfg.S_bar + 1)]
+    for prev, cand, fresh in zip(report.candidates, report.candidates[1:], results[1:]):
+        kept = fresh is None or fresh.objective > prev.report.objective
+        assert cand.report is (prev.report if kept else fresh), cand.S
+    fits = [c.fit_term for c in report.candidates]
+    assert all(b <= a for a, b in zip(fits, fits[1:])), fits
+    assert report.winner.model.S == report.chosen_S
+    for cand in report.candidates:
+        got = cand.report
+        assert got.model.S <= cand.S
+        assert got.objective == objective_integer(data, got.model, got.assignment), cand.S
+    return report
 
 
 class TestSelectOrder:
@@ -56,14 +94,12 @@ class TestSelectOrder:
             assert cand.penalty_term == report.penalty * cand.S
             assert cand.fit_term == cand.report.objective / data.N
 
-    def test_fit_term_monotone_in_candidates(self):
+    def test_fit_term_monotone_in_candidates(self, monkeypatch):
         for seed in range(4):
             _, data = generate_random_scenario(
                 2, 2, 150, (-5, 5), NoiseSpec("gaussian", 0.3), seed
             )
-            report = select_order(data, _config(4, seed=seed + 50))
-            fits = [c.fit_term for c in report.candidates]
-            assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
+            _check_one_call_per_candidate(monkeypatch, data, _config(4, seed=seed + 50))
 
     def test_tie_prefers_smaller_count(self):
         # noise-free data, explicit penalty: fits at S' >= 2 are all ~0
@@ -134,36 +170,40 @@ class TestConsistencySweep:
 
 
 def test_noise_free_fallbacks_keep_every_candidate(monkeypatch):
-    # noise-free n=1 data: the cold solves at S'=3 and 4 and the warm
-    # restart at S'=4 all degenerate, so S'=4 rests on the split state alone
-    from slsid import bcd_solve, objective_integer, order
-    from slsid.bcd import SolverFailure
-
-    refits, failures = [], []
-    refit = order._refit_state
-
-    def counted_refit(data, labels, S):
-        refits.append(S)
-        return refit(data, labels, S)
-
-    def counted_solve(data, cfg):
-        try:
-            return bcd_solve(data, cfg)
-        except SolverFailure:
-            failures.append((cfg.S, cfg.init_labels is None))
-            raise
-
-    monkeypatch.setattr(order, "_refit_state", counted_refit)
-    monkeypatch.setattr(order, "bcd_solve", counted_solve)
+    # noise-free n=1 data: at S'=3 every cold restart degenerates and the
+    # warm restart (index 3) wins; at S'=4 every restart degenerates, so
+    # S'=4 keeps S'=3's report and its exact zero fit
     _, data = generate_random_scenario(1, 2, 10, noise=NoiseSpec(), seed=0)
-    report = select_order(data, _config(4, restarts=3, seed=0))
-    assert refits == [4]
-    assert (3, True) in failures and (4, True) in failures
+    report = _check_one_call_per_candidate(monkeypatch, data, _config(4, restarts=3, seed=0))
     assert report.chosen_S == 2
-    fits = [c.fit_term for c in report.candidates]
-    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
-    for cand in report.candidates:
-        exact = objective_integer(data, cand.report.model, cand.report.assignment)
-        assert cand.report.objective == exact, cand.S
-    winner = report.winner
-    assert winner.objective == objective_integer(data, winner.model, winner.assignment)
+    three, four = report.candidates[2:]
+    assert (three.report.restart_index, three.report.degenerate_restarts) == (3, 3)
+    assert four.report is three.report
+    assert (three.fit_term, four.fit_term) == (0.0, 0.0)
+
+
+def test_noise_free_pool_keeps_one_call_per_candidate(monkeypatch):
+    kept = 0
+    for seed in range(12):
+        n, S = 1 + seed % 3, 1 + seed // 4
+        _, data = generate_random_scenario(n, S, 8 + 2 * seed, noise=NoiseSpec(), seed=seed)
+        cfg = _config(4, restarts=3, seed=seed)
+        report = _check_one_call_per_candidate(monkeypatch, data, cfg)
+        kept += sum(c.report.model.S < c.S for c in report.candidates)
+    # the pool is meant to hold candidates that fell back to the previous fit
+    assert kept > 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OrderSelectConfig(S_bar=0), "S_bar must be >= 1"),
+        (
+            lambda: consistency_sweep(SweepScenario(n=2, S=2, sigma=0.1), [40], 0, _config(2)),
+            "trials must be >= 1",
+        ),
+    ],
+)
+def test_counts_below_one_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

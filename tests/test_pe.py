@@ -486,3 +486,17 @@ class TestPEReport:
             check_partition_condition(extra, extra.truth, 2)
         with pytest.raises(ValueError, match="above S=2"):
             check_genericity_sufficient(extra, extra.truth, 2)
+
+
+@pytest.mark.parametrize(
+    "labels, s, message",
+    [
+        (np.ones(3, int), 1, "assignment length does not match dataset"),
+        (None, 0, "s is a 1-based subsystem label"),
+    ],
+)
+def test_cluster_pe_arguments_rejected(labels, s, message):
+    _, data = fixtures.example_two()
+    a = data.truth if labels is None else Assignment(labels)
+    with pytest.raises(ValueError, match=message):
+        check_cluster_pe(data, a, s)
