@@ -4,8 +4,8 @@ Identify the per-subsystem parameters and the switching sequence of a
 switched linear regression from data: a block-coordinate descent solver for
 the penalty-relaxed assignment problem (which it solves on hard labels,
 since the relaxation has binary minimizers), excitation certificates that
-decide when the noise-free problem has a unique solution, an exhaustive
-oracle for small instances, and penalized model-order selection.
+decide when the noise-free problem has a unique solution, an exact
+branch-and-bound oracle for small instances, and penalized model-order selection.
 """
 
 from .bcd import (

@@ -43,6 +43,33 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse applies type= to command-line strings and string defaults
+        # only; any other default still in place (a JSON number, bool or
+        # list from --config) goes through it here, a list element by
+        # element.  Built-in defaults are already of their type and convert
+        # to themselves.
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if (
+                action.type is None
+                or value is None
+                or isinstance(value, str)
+                or value is not self.get_default(action.dest)
+            ):
+                continue
+            try:
+                if isinstance(value, list):
+                    value = [action.type(str(v)) for v in value]
+                else:
+                    value = action.type(str(value))
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                flag = "/".join(action.option_strings)
+                self.error(f"argument {flag}: invalid value {value!r} in --config")
+            setattr(namespace, action.dest, value)
+        return namespace, extras
+
 
 def _emit(args, text: str, filename: str) -> None:
     if args.output is not None:
@@ -199,14 +226,17 @@ def _cmd_consistency_sweep(args) -> int:
     return EXIT_OK
 
 
+def _cell(text: str) -> tuple[int, int, int]:
+    try:
+        n, S, N = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n,S,N, got {text!r}") from None
+    return n, S, N
+
+
 def _cmd_bench(args) -> int:
     specs = []
-    for cell in args.cell:
-        try:
-            n, S, N = (int(v) for v in cell.split(","))
-        except ValueError:
-            print(f"error: malformed --cell {cell!r}, expected n,S,N", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+    for n, S, N in args.cell:
         specs.append(
             bench.ScenarioSpec(
                 n=n,
@@ -279,10 +309,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("oracle", help="exhaustive global optimum on a small instance")
+    p = sub.add_parser("oracle", help="exact global optimum on a small instance")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--S", type=int, required=need("S"))
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=DEFAULT_ENUM_LIMIT,
+        help="node budget: label prefixes and strings the exact search may build"
+        " (never more than S^N are needed); exit 3 when it would go over",
+    )
     add_output(p)
     p.set_defaults(func=_cmd_oracle)
 
@@ -326,6 +362,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument(
         "--cell",
         action="append",
+        type=_cell,
         required=need("cell"),
         metavar="n,S,N",
         help="repeatable scenario cell, e.g. --cell 2,2,500",

@@ -1,6 +1,6 @@
 """Small noise-free benchmark fixtures with known exact solutions.
 
-Both systems have two subsystems and are small enough for the exhaustive
+Both systems have two subsystems and are small enough for the exact
 oracle.  The four-sample planar fixture admits several exact fits (its
 clusters are too thin to pin the parameters down); appending one extra
 regressor to cluster 1 makes the solution unique.  The eight-sample

@@ -12,8 +12,8 @@ membership matrix sums them per cluster, and ``gram_solve`` solves a whole
 stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
 the rank test.  ``fit_clusters`` wraps the two for the descent's
-empty-cluster repair; the exhaustive oracle calls
-``gram_solve`` on whole chunks of label strings.  The fits agree with a
+empty-cluster repair; the exact oracle calls
+``gram_solve`` on whole chunks of label prefixes and strings.  The fits agree with a
 per-cluster ``lstsq`` on the rows to rounding, not bitwise.
 
 Conventions: regressors are stored row-major (one sample per row), labels

@@ -405,6 +405,48 @@ def test_config_scalar_for_list_option_is_usage_error(tmp_path, capsys, config, 
     assert err == [f"error: config key {key!r} must be a list for {command[0]}"]
 
 
+def test_config_list_elements_go_through_the_option_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": ["200"]}))
+    code = run(
+        ["--config", str(cfg), "consistency-sweep", "--n", "2", "--S", "2",
+         "--s-bar", "2", "--trials", "1", "--output", str(tmp_path)]
+    )
+    assert code == 0
+    lines = (tmp_path / "consistency.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["200", "1"]]
+
+
+@pytest.mark.parametrize(
+    "config, command, flag",
+    [
+        ({"S": 2.5}, ["oracle"], "--S"),
+        ({"N": ["x"]}, ["consistency-sweep", "--n", "2", "--S", "2", "--s-bar", "2"], "--N"),
+        ({"cell": [[2, 2, 40]]}, ["bench"], "--cell"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, config, command, flag):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    if command == ["oracle"]:
+        command = ["oracle", "--data", str(tmp_path / "example2.csv")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), *command])
+    assert exc.value.code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    value = next(iter(config.values()))
+    assert err == [f"slsid {command[0]}: error: argument {flag}: invalid value {value!r} in --config"]
+
+
+def test_malformed_cell_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--cell", "2,2"])
+    assert exc.value.code == 1
+    assert "argument --cell: expected n,S,N, got '2,2'" in capsys.readouterr().err
+
+
 def test_repro_has_no_output_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["repro", "table1", "--output", str(tmp_path)])

@@ -13,6 +13,8 @@ from slsid import (
     bcd_solve,
     objective_integer,
     oracle_global,
+    pe_report,
+    simulate,
 )
 from slsid import fixtures, oracle
 from slsid.model import SLModel, fit_clusters, gram_solve, moment_table
@@ -302,13 +304,17 @@ def test_small_chunks_give_identical_results(monkeypatch):
     default = oracle_global(noisy, 2), oracle_global(zero, 3)
     monkeypatch.setattr(oracle, "_CHUNK", 3)
     small = oracle_global(noisy, 2), oracle_global(zero, 3)
-    # the first 3-string chunk (all ones, then a lone 2 in the last or the
-    # second-to-last place) keeps candidates a later chunk's optimum drops
+    # unpruned, the first 3-string chunk (all ones, then a lone 2 in the
+    # last or the second-to-last place) keeps candidates a later chunk's
+    # optimum drops
+    monkeypatch.setattr(oracle, "_dive", lambda *args: np.inf)
+    unpruned = oracle_global(noisy, 2), oracle_global(zero, 3)
     first = [np.ones(8, dtype=int) for _ in range(3)]
     first[1][-1] = first[2][-2] = 2
     assert min(_objective_of(noisy, lab, 2) for lab in first) > default[0][0] + tol
-    for a, b in zip(default, small):
+    for a, b, c in zip(default, small, unpruned):
         _same_classes(a, b)
+        _same_classes(a, c)
     # _reference_scan tracks its minimum only to within tol, so filter here
     objectives = {
         canonical_labels(lab): _objective_of(noisy, np.asarray(lab), 2)
@@ -369,3 +375,101 @@ def test_subsystem_count_below_one_rejected(S):
     _, data = fixtures.example_one()
     with pytest.raises(ValueError, match="S must be >= 1"):
         oracle_global(data, S)
+
+
+def _exact_repr(result):
+    """repr of an oracle result with every float at full precision."""
+    with np.printoptions(precision=17, floatmode="unique"):
+        return repr(result)
+
+
+def _output_kind(rng, X, S, kind):
+    N, n = X.shape
+    if kind == "zero":
+        return np.zeros(N)
+    if kind == "noisy":
+        return rng.normal(0, 1.0, size=N)
+    params = rng.uniform(-3, 3, size=(S, n))
+    return np.einsum("ij,ij->i", X, params[rng.integers(0, S, size=N)])
+
+
+def test_pruning_changes_nothing(monkeypatch):
+    # with an infinite upper bound no prefix is dropped and the pass is the
+    # scan of every string; pruned and unpruned results agree bit for bit
+    rng = np.random.default_rng(41)
+    cases = [(S, N) for S in range(1, 4) for N in range(1, 11)]
+    results = []
+    for i, (S, N) in enumerate(cases):
+        n = int(rng.integers(1, 4))
+        rows = ("generic", "repeated", "collinear")[i % 3]
+        outputs = ("noisy", "planted", "zero")[i // 3 % 3]
+        data = _random_instance(rng, S, n, N, rows)
+        data = Dataset(data.regressors, _output_kind(rng, data.regressors, S, outputs))
+        results.append((f"S={S} N={N} n={n} {rows} {outputs}", data, S, oracle_global(data, S)))
+    monkeypatch.setattr(oracle, "_dive", lambda *args: np.inf)
+    for where, data, S, pruned in results:
+        full = oracle_global(data, S)
+        assert _exact_repr(pruned) == _exact_repr(full), where
+        _same_classes(pruned, full)
+
+
+def _nodes_unpruned(N, S):
+    """Prefixes and strings the pass builds when nothing is dropped."""
+    lengths = range(N - oracle._STEP, 1, -oracle._STEP) if S > 1 else ()
+    return sum(_stirling_sum(length, S) for length in (*lengths, N))
+
+
+@pytest.mark.parametrize("S, N", [(1, 6), (2, 1), (2, 5), (2, 12), (3, 2), (3, 8)])
+def test_node_budget_on_zero_outputs(S, N):
+    # every string fits exactly, so nothing is dropped: the pass builds every
+    # prefix and string, fewer than the S^N the old guard counted
+    rng = np.random.default_rng(N)
+    data = Dataset(rng.uniform(-3, 3, size=(N, 2)), np.zeros(N))
+    nodes = _nodes_unpruned(N, S)
+    assert nodes <= S**N
+    _, classes = oracle_global(data, S, limit=S**N)
+    assert len(classes) == _stirling_sum(N, S)
+    assert len(oracle_global(data, S, limit=nodes)[1]) == len(classes)
+    with pytest.raises(EnumerationLimitError):
+        oracle_global(data, S, limit=nodes - 1)
+
+
+def test_planted_labels_beyond_the_old_guard():
+    # 2^60 strings: far above the default budget, which the pruned pass
+    # stays within
+    rng = np.random.default_rng(60)
+    S, N = 2, 60
+    labels = rng.permutation(np.resize(np.arange(1, S + 1), N))
+    model = SLModel(rng.uniform(-5, 5, size=(S, 2)))
+    X = rng.uniform(-5, 5, size=(N, 2))
+    data = Dataset(X, np.einsum("ij,ij->i", X, model.params[labels - 1]))
+    assert S**N > oracle.DEFAULT_ENUM_LIMIT
+    optimum, classes = oracle_global(data, S)
+    assert optimum <= 1e-12
+    assert [c.labels for c in classes] == [canonical_labels(labels)]
+    assert unique_optimum(classes)
+    assert same_param_set(classes[0].params, model.params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_certified_implies_oracle_unique_at_three_subsystems(seed):
+    # cluster sizes at or one above the certificate's stage minima
+    # (S-s+1)(n-1)+1, so N <= 12; rows generic or small integers
+    rng = np.random.default_rng(seed)
+    S, n = 3, int(rng.integers(1, 3))
+    sizes = [(S - s) * (n - 1) + 1 + int(rng.integers(0, 2)) for s in range(S)]
+    labels = rng.permutation(np.repeat(np.arange(1, S + 1), rng.permutation(sizes)))
+    N = labels.size
+    if rng.random() < 0.3:
+        X = rng.integers(-2, 3, size=(N, n)).astype(float)
+    else:
+        X = rng.uniform(-5, 5, size=(N, n))
+    model = SLModel(rng.uniform(-5, 5, size=(S, n)))
+    data = simulate(model, X, Assignment(labels))
+    if not pe_report(data, model).certified:
+        return
+    _, classes = oracle_global(data, S)
+    assert unique_optimum(classes), f"certified but {len(classes)} classes"
+    assert classes[0].labels == canonical_labels(labels)
+    assert same_param_set(classes[0].params, model.params)
