@@ -14,12 +14,12 @@ dataset's moment table once and shares it across restarts, and runs the
 restarts in lockstep groups of G = ``_GROUP_CELLS // (S * N)`` (at least
 one, at most ``restarts``) that share one G x S x N work buffer, so a small
 fit pays numpy's per-call overhead once per group, not once per restart.
-An iteration's parameter half-step is one membership matmul on the
-group's stack and one batched Gram solve (``model.gram_solve``).  One stack
-of squared residual matrices, each computed as ``residual_matrix``
-computes it, then gives every fit objective by a label gather and every
-relabeling with its objective by a row-wise minimum, so the reported
-objective equals ``objective_integer`` bit for bit.  Each step computes,
+An iteration's parameter half-step is one ``model.fit_members`` call on
+the group's stack of memberships.  One stack of squared residual matrices,
+each computed as ``residual_matrix`` computes it, then gives every fit
+objective by a label gather and every relabeling with its objective by a
+row-wise minimum, so the reported objective equals ``objective_integer``
+bit for bit.  Each step computes,
 slice by slice, what a lone restart computes, so results do not depend on
 G.  A restart whose labels leave a cluster empty is repaired on its own.
 ``assign_step`` is the same relabeling as a public call; the loop does not
@@ -47,8 +47,7 @@ from .model import (
     Assignment,
     Dataset,
     SLModel,
-    fit_clusters,
-    gram_solve,
+    fit_members,
     moment_table,
     objective_integer,  # unused here; perfbench/tracing.py wraps it under this name
     residual_matrix,
@@ -198,12 +197,12 @@ def _repair_empty(
 
     A group's parameter step fits every restart at once; only a restart
     left with an empty cluster comes here, one at a time.  ``params`` is
-    its S x n slice of the group's fit, bitwise what ``fit_clusters`` gives
-    for the 0-based ``labels`` over ``range(S)``, and ``empty`` lists its
-    empty clusters in ascending order.  Each is reseeded with the
-    currently worst-fit sample (largest residual against its own cluster's
-    fresh parameters); a cluster that has to be reseeded twice marks the
-    restart degenerate.  Each repair adds a new label to ``reseeded``, so a
+    its S x n slice of the group's fit, and ``empty`` lists its empty
+    clusters in ascending order.  Each is reseeded with the currently
+    worst-fit sample (largest residual against its own cluster's fresh
+    parameters), and the two clusters that changed are refitted with
+    ``fit_members``, the group's kernel; a cluster that has to be reseeded
+    twice marks the restart degenerate.  Each repair adds a new label to ``reseeded``, so a
     restart makes at most S repairs.  ``labels`` and ``params`` are
     modified in place; returns the degeneracy flag.
     """
@@ -216,8 +215,9 @@ def _repair_empty(
         k = int(np.argmax(np.abs(data.outputs - preds)))
         donor = labels[k]
         labels[k] = s
-        params[[s, donor]], now_empty = fit_clusters(data, labels, (s, donor), table=table)
-        if now_empty[1]:
+        member = (labels == np.array([[s], [donor]])).astype(float)
+        params[[s, donor]], _ = fit_members(table, member, data.n)
+        if not member[1].any():
             empty.append(donor)
     return False
 
@@ -300,12 +300,11 @@ def _run_group(
         a = len(active)
         buf = work[:a]
         np.equal(labels[:, None, :], clusters, out=buf)
-        sums = (table @ buf.transpose(0, 2, 1)).transpose(0, 2, 1)
-        params, _ = gram_solve(sums, data.n)
+        params, svals = fit_members(table, buf, data.n)
         degenerate = np.zeros(a, dtype=bool)
-        # a nonempty cluster's sum of x_1^2 (table row 0) can be zero, an
-        # empty one's is never positive, so only the rest are looked at
-        for i in np.flatnonzero(~(sums[:, :, 0] > 0).all(axis=1)):
+        # an empty cluster's Gram is zero, but so is one of zero rows: only
+        # the restarts with such a Gram are checked for emptiness
+        for i in np.flatnonzero(~(svals[..., 0] > 0).all(axis=1)):
             empty = np.flatnonzero(~buf[i].any(axis=1)).tolist()
             if empty:
                 degenerate[i] = _repair_empty(

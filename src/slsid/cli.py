@@ -71,6 +71,13 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+class _FreshAppend(argparse.Action):
+    # action="append" whose first explicit value replaces a --config list
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if items is self.default else items), values])
+
+
 def _emit(args, text: str, filename: str) -> None:
     if args.output is not None:
         outdir = Path(args.output)
@@ -361,7 +368,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="Monte-Carlo sweep over scenario cells")
     p.add_argument(
         "--cell",
-        action="append",
+        action=_FreshAppend,
         type=_cell,
         required=need("cell"),
         metavar="n,S,N",

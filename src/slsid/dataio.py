@@ -34,7 +34,7 @@ def save_dataset(path, data: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV; a malformed row raises ValueError naming its line."""
+    """Read a dataset CSV; a ValueError names the file, and a bad row's line."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -66,8 +66,11 @@ def load_dataset(path) -> Dataset:
                     ) from None
     if not outputs:
         raise ValueError(f"{path}: no data rows after the header")
-    truth = Assignment(np.array(labels)) if has_labels else None
-    return Dataset(np.array(regressors), np.array(outputs), truth=truth)
+    try:
+        truth = Assignment(np.array(labels)) if has_labels else None
+        return Dataset(np.array(regressors), np.array(outputs), truth=truth)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_model(path, model: SLModel) -> None:

@@ -7,13 +7,13 @@ bank, label sequence, noise description), the residual matrix and the
 hard-assignment objective.  The paper's penalty relaxation over fractional
 memberships has the same minimizers, so no fractional membership type is
 needed.  Least squares runs on sufficient statistics: ``moment_table``
-holds each sample's x x^T (upper triangle) and x y, one matmul with a
-membership matrix sums them per cluster, and ``gram_solve`` solves a whole
-stack of cluster Gram matrices with one batched symmetric
+holds each sample's x x^T (upper triangle) and x y, and ``gram_solve``
+solves a whole stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
-the rank test.  ``fit_clusters`` wraps the two for the descent's
-empty-cluster repair; the exact oracle calls
-``gram_solve`` on whole chunks of label prefixes and strings.  The fits agree with a
+the rank test.  ``fit_members`` is the one cluster fit built on the two:
+one matmul with a stack of one-hot memberships sums the table per cluster,
+and ``gram_solve`` solves the sums.  The descent, its empty-cluster repair
+and the exact oracle all fit through it.  The fits agree with a
 per-cluster ``lstsq`` on the rows to rounding, not bitwise.
 
 Conventions: regressors are stored row-major (one sample per row), labels
@@ -23,7 +23,6 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,27 +286,17 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, -np.sort(-svals, axis=-1)
 
 
-def fit_clusters(
-    data: Dataset,
-    labels: np.ndarray,
-    clusters: Sequence[int],
-    table: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares parameters of each listed cluster.
+def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gram_solve` of clusters given by float one-hot memberships.
 
-    For every label s in ``clusters`` the rows with ``labels == s`` get the
-    minimum-norm least-squares solution of :func:`gram_solve`, which is
-    defined for any nonempty cluster.  ``table`` is the dataset's
-    :func:`moment_table`, built once by the caller that fits the same data
-    repeatedly.
-
-    Returns ``(theta, empty)``, one row or entry per listed cluster: the
-    parameters, and whether no row carries the label.  Empty clusters have
-    a zero Gram, so their parameters are zero.
+    ``member[..., s, k]`` is 1.0 when sample k of the first
+    ``member.shape[-1]`` is in cluster s, with stacks along leading axes;
+    ``table`` is the dataset's :func:`moment_table`.  One matmul per 2-D
+    slice sums the table per cluster, so a slice gets the same bits alone
+    as in any stack.  An empty cluster's fit and singular values are zero.
     """
-    member = labels == np.asarray(clusters)[:, None]
-    theta, _ = gram_solve((table @ member.T.astype(float)).T, data.n)
-    return theta, ~member.any(axis=1)
+    sums = table[:, : member.shape[-1]] @ np.swapaxes(member, -1, -2)
+    return gram_solve(np.swapaxes(sums, -1, -2), n)
 
 
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:

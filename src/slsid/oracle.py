@@ -20,10 +20,10 @@ per length, never a whole level.  No prefix of a string within 1e-9 of the
 optimum is dropped, so the optimum and the classes are bit for bit those
 of a scan of every string, which is what the pass is when U is infinite.
 
-Prefixes and strings are scored in fixed-size chunks: one matmul of the
-chunk's one-hot memberships against the dataset's ``model.moment_table``
-gives every cluster's Gram and moment, ``model.gram_solve`` (the descent's
-Gram solve, one batched eigendecomposition per chunk) gives the
+Prefixes and strings are scored in fixed-size chunks: one
+``model.fit_members`` call on the chunk's one-hot memberships (the
+descent's cluster fit: one matmul against the dataset's
+``model.moment_table`` and one batched eigendecomposition) gives the
 minimum-norm fits and the Grams' singular values, and SSEs are summed from
 explicit residuals.  A prefix's bound counts only its clusters whose Gram
 passes ``partitions.gram_full_rank``: a rank-deficient or empty cluster's
@@ -53,7 +53,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import Dataset, gram_solve, moment_table
+from .model import Dataset, fit_members, moment_table
 from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
@@ -141,14 +141,13 @@ def _regroup(chunks, size: int):
 def _score(labels, S: int, n: int, table, X, y):
     """Least-squares fits of a chunk of label prefixes, and their residuals.
 
-    One matmul of the one-hot memberships against the prefix's rows of the
-    transposed moment table gives every cluster's Gram and moment,
-    ``gram_solve`` the minimum-norm fits and the Grams' singular values.
+    ``fit_members`` gives the minimum-norm fits and the Grams' singular
+    values of every (string, cluster) pair from one 2-D membership stack.
     Residuals are explicit: y'y - m'theta would cancel on exact fits.
     """
     count, length = labels.shape
     member = (labels[:, None, :] == np.arange(S)[:, None]).reshape(-1, length).astype(float)
-    theta, svals = gram_solve((member @ table[:length]).reshape(count, S, -1), n)
+    theta, svals = (a.reshape(count, S, n) for a in fit_members(table, member, n))
     # each sample's own fit, gathered through the flat (string, cluster) index
     own = theta.reshape(-1, n).take(np.arange(0, count * S, S)[:, None] + labels, axis=0)
     r = y[:length] - np.einsum("bkj,kj->bk", own, X[:length])
@@ -200,13 +199,15 @@ def oracle_global(
     search that sets the upper bound counts its own nodes against the same
     limit.  Neither count can exceed S^N, so any ``limit >= S**N`` is
     enough; :class:`EnumerationLimitError` is raised when a batch would go
-    over.
+    over, and ValueError when ``limit`` is negative.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     N, n = data.N, data.n
     X, y = data.regressors, data.outputs
-    table = moment_table(data).T
+    table = moment_table(data)
 
     def fit(labels):
         return _score(labels, S, n, table, X, y)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slsid import (
@@ -15,13 +15,15 @@ from slsid import (
     assign_step,
     bcd_solve,
     generate_random_scenario,
+    min_samples_ours,
     objective_integer,
     oracle_global,
+    pe_report,
     simulate,
 )
 from slsid import bcd, fixtures
 from slsid.bcd import DescentError, SolverFailure
-from slsid.model import fit_clusters, gram_solve, moment_table
+from slsid.model import fit_members, gram_solve, moment_table
 from slsid.oracle import same_param_set
 from slsid.partitions import gram_full_rank
 
@@ -36,16 +38,12 @@ def assert_trace_descends(trace):
 
 
 def _fit_with_rank(data, labels, clusters):
-    """``fit_clusters`` plus each cluster's full-rank flag.
-
-    The flag is ``gram_full_rank`` on the singular values ``gram_solve``
-    returns for the same cluster sums.
-    """
-    table = moment_table(data)
-    theta, empty = fit_clusters(data, labels, clusters, table)
-    member = labels == np.asarray(clusters)[:, None]
-    _, svals = gram_solve((table @ member.T.astype(float)).T, data.n)
-    return theta, gram_full_rank(svals, data.n), empty
+    """``fit_members`` on the listed clusters' memberships: the fits, each
+    cluster's full-rank flag from the singular values it returns, and
+    whether the cluster is empty."""
+    member = (labels == np.asarray(clusters)[:, None]).astype(float)
+    theta, svals = fit_members(moment_table(data), member, data.n)
+    return theta, gram_full_rank(svals, data.n), ~member.any(axis=1)
 
 
 class TestFitClusterParams:
@@ -128,6 +126,57 @@ def test_kernel_matches_per_cluster_lstsq(n, scale):
         assert full_rank.tolist() == [False, True, one, one, one, False]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_and_prefix_memberships(n, monkeypatch):
+    # a 3-D stack of memberships over a prefix of the samples: each slice's
+    # sums, fits and singular values bitwise those of the slice passed
+    # alone, and each cluster's fit lstsq's on its prefix rows to rounding
+    rng = np.random.default_rng(40 + n)
+    X, labels = _kernel_cases(rng, n)
+    data = Dataset(X, rng.normal(0, 1, size=labels.size))
+    table = moment_table(data)
+    clusters = np.arange(1, 7)[:, None]
+    sums = []
+
+    def recording(total, width):
+        sums.append(total)
+        return gram_solve(total, width)
+
+    monkeypatch.setattr("slsid.model.gram_solve", recording)
+    shapes = set()
+    for length in (1, n + 2, labels.size // 2, labels.size):
+        stack = np.stack(
+            [labels[:length] == clusters]
+            + [rng.permutation(labels)[:length] == clusters for _ in range(3)]
+        ).astype(float)
+        sums.clear()
+        theta, svals = fit_members(table, stack, n)
+        for g, member in enumerate(stack):
+            alone = fit_members(table, member, n)
+            assert sums[1 + g].tobytes() == sums[0][g].tobytes()
+            assert theta[g].tobytes() == alone[0].tobytes()
+            assert svals[g].tobytes() == alone[1].tobytes()
+        full_rank = gram_full_rank(svals[0], n)
+        for i, s in enumerate(clusters[:, 0]):
+            idx = labels[:length] == s
+            where = f"n={n} length={length} cluster {s}"
+            if not idx.any():
+                assert not theta[0, i].any() and not svals[0, i].any(), where
+                shapes.add("empty")
+                continue
+            rows, outputs = X[:length][idx], data.outputs[:length][idx]
+            ref, _, _, sv = np.linalg.lstsq(rows, outputs, rcond=None)
+            assert full_rank[i] == gram_full_rank(sv**2, n), where
+            rtol = 1e-10 if full_rank[i] else 1e-7
+            np.testing.assert_allclose(
+                theta[0, i], ref, rtol=rtol, atol=rtol * np.abs(ref).max(), err_msg=where
+            )
+            shapes.add("full" if full_rank[i] else "deficient")
+    # the prefixes must hold every kind of cluster the kernel meets; at
+    # n = 1 only a zero row is deficient, and the cases hold none
+    assert shapes == {"empty", "full"} | ({"deficient"} if n > 1 else set())
+
+
 def test_solve_builds_moments_once_and_calls_no_lstsq(monkeypatch):
     _, data = generate_random_scenario(3, 3, 300, (-5, 5), NoiseSpec("gaussian", 0.1), 6)
     tables, lstsq_calls = [], []
@@ -153,14 +202,14 @@ def test_rising_objective_raises_descent_error(monkeypatch):
     # a parameter half-step that goes wrong on its second call raises the
     # objective at iteration 2 of restart 0
     _, data = generate_random_scenario(2, 2, 100, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
-    solve, calls = bcd.gram_solve, []
+    solve, calls = bcd.fit_members, []
 
     def broken(*args):
         params, svals = solve(*args)
         calls.append(1)
         return (params + 100.0 if len(calls) == 2 else params), svals
 
-    monkeypatch.setattr(bcd, "gram_solve", broken)
+    monkeypatch.setattr(bcd, "fit_members", broken)
     with pytest.raises(DescentError) as info:
         bcd_solve(data, SolverConfig(S=2, restarts=3, seed=4))
     err = info.value
@@ -174,7 +223,7 @@ def test_lowest_failing_restart_of_a_group_is_raised(monkeypatch):
     # restarts 1 and 3 share one group; 3 breaks at iteration 2 and 1 at
     # iteration 3, and a one-at-a-time run would raise restart 1's error
     _, data = generate_random_scenario(2, 2, 100, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
-    solve, calls = bcd.gram_solve, []
+    solve, calls = bcd.fit_members, []
 
     def broken(*args):
         params, svals = solve(*args)
@@ -185,7 +234,7 @@ def test_lowest_failing_restart_of_a_group_is_raised(monkeypatch):
             params[1] += 100.0
         return params, svals
 
-    monkeypatch.setattr(bcd, "gram_solve", broken)
+    monkeypatch.setattr(bcd, "fit_members", broken)
     with pytest.raises(DescentError) as info:
         bcd_solve(data, SolverConfig(S=2, restarts=5, seed=4))
     # one group of five; only restart 3 left it before iteration 3
@@ -194,8 +243,10 @@ def test_lowest_failing_restart_of_a_group_is_raised(monkeypatch):
 
 
 def test_zero_first_regressor_is_not_an_empty_cluster():
-    # the parameter step tests a cluster for emptiness only when its sum of
-    # x_1^2 is not positive; here that sum is zero for every cluster
+    # the parameter step tests a restart for an empty cluster only when a
+    # cluster's largest Gram singular value is not positive; with x_1 = 0
+    # every Gram is singular, but a nonempty cluster's largest singular
+    # value stays positive
     _, data = generate_random_scenario(2, 2, 200, (-5, 5), NoiseSpec("gaussian", 0.1), 11)
     X = data.regressors.copy()
     X[:, 0] = 0.0
@@ -332,6 +383,31 @@ def test_objective_never_below_oracle(seed, S, n, extra):
     assert report.objective == objective_integer(data, report.model, report.assignment)
 
 
+def _canonical(labels) -> tuple[int, ...]:
+    """Labels renumbered by first appearance."""
+    mapping: dict[int, int] = {}
+    return tuple(mapping.setdefault(int(v), len(mapping)) for v in labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_certified_exact_fit_is_the_truth(seed):
+    # on noise-free data whose truth labels certify, the truth is the only
+    # zero-residual split, so any descent fit that reaches zero objective
+    # (to 1e-20 y'y) has the truth labels up to relabeling; N spans the
+    # certificate's sample count, from 3 below it to 11 above
+    rng = np.random.default_rng(seed)
+    n, S = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    N = max(S, min_samples_ours(n, S) + int(rng.integers(-3, 12)))
+    labels = Assignment(rng.integers(1, S + 1, size=N))
+    model = SLModel(rng.uniform(-5, 5, size=(S, n)))
+    data = simulate(model, rng.uniform(-5, 5, size=(N, n)), labels)
+    assume(pe_report(data, model).certified)
+    report = bcd_solve(data, SolverConfig(S=S, restarts=20, seed=seed))
+    assume(report.objective <= 1e-20 * float(data.outputs @ data.outputs))
+    assert _canonical(report.assignment.labels) == _canonical(labels.labels)
+
+
 class TestAssignStep:
     def test_true_model_recovers_labels(self):
         model, data = fixtures.example_two()
@@ -394,7 +470,7 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=1, restarts=1, seed=0))
         assert report.iterations == 1
         assert report.converged
-        theta, _ = fit_clusters(data, np.ones(30, int), [1], moment_table(data))
+        theta, _ = fit_members(moment_table(data), np.ones((1, 30)), data.n)
         np.testing.assert_array_equal(report.model.params[0], theta[0])
         assert is_stationary(data, report)
 

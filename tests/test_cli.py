@@ -231,6 +231,29 @@ def test_malformed_dataset_row_is_usage_error(tmp_path, capsys, bad_row):
     assert err.startswith("error: ") and "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1.0,2.0,0\n", "labels are 1-based; smallest allowed label is 1"),
+        ("1.0,nan,1\n", "sample 1 (1-based) holds a NaN or infinite value"),
+    ],
+)
+def test_dataset_value_errors_name_the_file(tmp_path, capsys, body, message):
+    path = tmp_path / "values.csv"
+    path.write_text("x1,y,zeta\n" + body)
+    assert run(["fit", "--data", str(path), "--S", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_oracle_negative_limit_is_usage_error(tmp_path, capsys):
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    code = run(
+        ["oracle", "--data", str(tmp_path / "example2.csv"), "--S", "2", "--limit", "-5"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: limit must be >= 0, got -5\n"
+
+
 def test_header_only_dataset_is_usage_error(tmp_path, capsys):
     path = tmp_path / "header.csv"
     path.write_text("x1,x2,y,zeta\n")
@@ -438,6 +461,24 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, config,
     err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     value = next(iter(config.values()))
     assert err == [f"slsid {command[0]}: error: argument {flag}: invalid value {value!r} in --config"]
+
+
+@pytest.mark.parametrize("config_cell", ["1,1,20", [1, 1, 20]])
+def test_explicit_cells_replace_the_config_cells(tmp_path, config_cell):
+    # a valid config cell, and one the config alone would reject: either way
+    # the explicit --cell values are the only cells run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cell": [config_cell]}))
+    for cells in (["1,2,20"], ["1,2,20", "2,2,30"]):
+        flags = [arg for cell in cells for arg in ("--cell", cell)]
+        code = run(
+            ["--config", str(cfg), "bench", *flags, "--repetitions", "1",
+             "--restarts", "1", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        rows = (tmp_path / "bench_summary.csv").read_text().splitlines()[1:]
+        run_cells = [row.split(",")[:3] for row in rows]
+        assert run_cells == [[c.split(",")[i] for i in (0, 2, 1)] for c in cells]
 
 
 def test_malformed_cell_names_the_flag(capsys):

@@ -17,7 +17,7 @@ from slsid import (
     simulate,
 )
 from slsid import fixtures, oracle
-from slsid.model import SLModel, fit_clusters, gram_solve, moment_table
+from slsid.model import SLModel, fit_members, moment_table
 from slsid.partitions import gram_full_rank, gram_nonsingular
 from slsid.oracle import same_param_set, unique_optimum
 
@@ -118,6 +118,14 @@ def test_enumeration_limit_refused():
     data = Dataset(rng.normal(size=(25, 2)), rng.normal(size=25))
     with pytest.raises(EnumerationLimitError):
         oracle_global(data, 2, limit=1000)
+
+
+def test_negative_limit_rejected():
+    # a negative budget is a usage error, not an enumeration limit; a zero
+    # budget stays an EnumerationLimitError (test_node_budget_on_zero_outputs)
+    _, data = fixtures.example_two()
+    with pytest.raises(ValueError, match="limit must be >= 0, got -5"):
+        oracle_global(data, 2, limit=-5)
 
 
 def _reference_scan(data, S, tol=1e-9):
@@ -244,7 +252,7 @@ def test_random_instances_match_reference_enumeration():
 
 
 def test_classes_match_per_cluster_least_squares():
-    # the scan's chunked fits against fit_clusters on each class's labels
+    # the scan's chunked fits against fit_members on each class's labels
     # (test_bcd holds the kernel's lstsq reference): equal to rounding,
     # looser where a rank-deficient Gram is solved
     rng = np.random.default_rng(31)
@@ -261,10 +269,8 @@ def test_classes_match_per_cluster_least_squares():
             for c in oracle_global(data, S)[1]:
                 where = f"S={S} n={n} N={N} {kind} {c.labels}"
                 labels = np.asarray(c.labels)
-                table = moment_table(data)
-                params, _ = fit_clusters(data, labels, range(1, S + 1), table)
                 member = (labels == np.arange(1, S + 1)[:, None]).astype(float)
-                _, svals = gram_solve((table @ member.T).T, n)
+                params, svals = fit_members(moment_table(data), member, n)
                 assert c.degenerate == (not gram_full_rank(svals, n).all()), where
                 rtol = 1e-7 if c.degenerate else 1e-10
                 np.testing.assert_allclose(
