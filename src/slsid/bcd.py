@@ -110,9 +110,9 @@ class SolverConfig:
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         # the negated comparison is True for NaN, which would keep the
-        # objective-stall stop from ever firing
-        if not self.obj_tol >= 0:
-            raise ValueError(f"obj_tol must be >= 0, got {self.obj_tol}")
+        # objective-stall stop from ever firing; inf would fire it at once
+        if not 0 <= self.obj_tol < np.inf:
+            raise ValueError(f"obj_tol must be finite and >= 0, got {self.obj_tol}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
-from .metrics import classification_error, nmse
+from .metrics import MAX_ALIGN_S, classification_error, nmse
 from .model import NoiseSpec, generate_random_scenario
 from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
@@ -58,6 +58,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        # scoring aligns labels by trying every permutation
+        if self.S > MAX_ALIGN_S:
+            raise ValueError(
+                f"cell ({self.n},{self.S},{self.N}): exhaustive alignment "
+                f"supports S <= {MAX_ALIGN_S}"
+            )
 
 
 @dataclass(frozen=True)

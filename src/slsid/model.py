@@ -223,6 +223,9 @@ def generate_random_scenario(
     if n < 1 or S < 1 or N < 1:
         raise ValueError("n, S, N must all be >= 1")
     lo, hi = float(param_range[0]), float(param_range[1])
+    # a width that overflows makes numpy's uniform draw raise
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"param_range ({lo}, {hi}) must have a finite width")
     if not lo < hi:
         raise ValueError(f"param_range ({lo}, {hi}) is an empty interval")
     rng = np.random.default_rng(seed)

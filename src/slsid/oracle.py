@@ -10,15 +10,19 @@ largest before it), which visit each relabeling class once.
 The search is a branch-and-bound over string prefixes, the labels of the
 first samples.  Adding a sample never lowers a cluster's least-squares
 SSE, so the SSE of a prefix bounds the objective of every string that
-extends it.  A beam search first finds one string; its objective U bounds
-the optimum from above.  One pass then extends the surviving prefixes
-length by length, ``_STEP`` samples at a time up to the last bounded
-length N - ``_STEP``, and drops a prefix whose bound exceeds U + 1e-9 by
-more than a rounding margin; the surviving full strings are scored last.
-Chunks stream from one length to the next, so memory holds a few chunks
-per length, never a whole level.  No prefix of a string within 1e-9 of the
-optimum is dropped, so the optimum and the classes are bit for bit those
-of a scan of every string, which is what the pass is when U is infinite.
+extends it.  The upper bound U on the optimum is the objective of one
+string, the labels of a default ``bcd.bcd_solve`` run with min(S, N)
+subsystems, scored as the pass scores strings; when the descent raises
+``SolverFailure`` or ``DescentError`` (its Gram solve is not exact on rows
+of widely different scales), U is infinite.  One pass then extends the
+surviving prefixes length by length, ``_STEP`` samples at a time up to the
+last bounded length N - ``_STEP``, and drops a prefix whose bound exceeds
+U + 1e-9 by more than a rounding margin; the surviving full strings are
+scored last.  Prefixes stream from one length to the next in chunks, never
+a whole level, but every optimal class is kept.  No prefix of a string
+within 1e-9 of the optimum is dropped, so the optimum and the classes are
+bit for bit those of a scan of every string, which is what the pass is
+when U is infinite.
 
 Prefixes and strings are scored in fixed-size chunks: one
 ``model.fit_members`` call on the chunk's one-hot memberships (the
@@ -53,6 +57,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
 from .model import Dataset, fit_members, moment_table
 from .partitions import gram_full_rank
 
@@ -63,8 +68,6 @@ _OPTIMUM_TOL = 1e-9
 _CHUNK = 1024
 # samples the pass adds to every surviving prefix per batch
 _STEP = 2
-# strings the beam search keeps at each prefix length
-_BEAM = 16
 # rounding margin of a prefix bound, relative to y'y
 _PRUNE_RTOL = 1e-8
 
@@ -154,36 +157,6 @@ def _score(labels, S: int, n: int, table, X, y):
     return member.reshape(count, S, length), theta, svals, r
 
 
-def _spend(nodes: int, count: int, limit: int) -> int:
-    """``nodes + count``, or EnumerationLimitError when that exceeds ``limit``."""
-    if nodes + count > limit:
-        raise EnumerationLimitError(
-            f"the exact search would build more than {limit} label prefixes and strings"
-        )
-    return nodes + count
-
-
-def _dive(root, lengths: list[int], N: int, S: int, fit, limit: int) -> float:
-    """Objective of one string found by a beam search: an upper bound.
-
-    From ``root``, at each bounded prefix length and then at N, the beam
-    keeps the ``_BEAM`` extensions with the lowest SSE, ties to the lowest
-    labels; the result is the lowest SSE among the full strings, scored as
-    the pass scores them.
-    """
-    beam, nodes = root, 0
-    for length in [*lengths, N]:
-        kids, sse = [], []
-        for labels in _extend(beam, length - beam.shape[1], S):
-            nodes = _spend(nodes, len(labels), limit)
-            r = fit(labels)[3]
-            kids.append(labels)
-            sse.append(np.einsum("bk,bk->b", r, r))
-        sse = np.concatenate(sse)
-        beam = np.concatenate(kids)[np.argsort(sse, kind="stable")[:_BEAM]]
-    return float(sse.min())
-
-
 def oracle_global(
     data: Dataset, S: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> tuple[float, list[SolutionClass]]:
@@ -195,11 +168,13 @@ def oracle_global(
     ``partitions.gram_full_rank`` at its default tolerance.
 
     ``limit`` is a node budget: the count of label prefixes and full
-    strings the exact pass builds, checked before each batch.  The beam
-    search that sets the upper bound counts its own nodes against the same
-    limit.  Neither count can exceed S^N, so any ``limit >= S**N`` is
-    enough; :class:`EnumerationLimitError` is raised when a batch would go
-    over, and ValueError when ``limit`` is negative.
+    strings the pass builds, checked before each batch.  The descent that
+    sets the upper bound is not counted.  The pass cannot build more than
+    S^N nodes, so any ``limit >= S**N`` is enough;
+    :class:`EnumerationLimitError` is raised when a batch would go over,
+    and ValueError when ``limit`` is negative.  Every optimal class is kept
+    until the result is returned, so where every string is optimal
+    (all-zero outputs) memory grows with the budget, not with a chunk.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -224,7 +199,14 @@ def oracle_global(
     reach = np.cumsum(y * y)
     cut = _OPTIMUM_TOL + _PRUNE_RTOL * float(y @ y)
     if any(reach[length - 1] > cut for length in lengths):
-        cut += _dive(root, lengths, N, S, fit, limit)
+        try:
+            found = bcd_solve(data, SolverConfig(S=min(S, N)))
+        except (SolverFailure, DescentError):
+            # no string, no bound: the pass is the scan
+            cut = np.inf
+        else:
+            r = fit(found.assignment.labels[None] - 1)[3]
+            cut += float(np.einsum("bk,bk->b", r, r)[0])
 
     nodes = 0
 
@@ -235,7 +217,12 @@ def oracle_global(
         # about a chunk of children per group of parents
         for parents in _regroup(stream, max(1, _CHUNK // S**_STEP)):
             for labels in _extend(parents, length - parents.shape[1], S):
-                nodes = _spend(nodes, len(labels), limit)
+                nodes += len(labels)
+                if nodes > limit:
+                    raise EnumerationLimitError(
+                        f"the exact search would build more than {limit} "
+                        "label prefixes and strings"
+                    )
                 yield labels
 
     def bounded(stream, length: int):

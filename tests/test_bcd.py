@@ -503,13 +503,14 @@ class TestBcdSolve:
         np.testing.assert_array_equal(r1.trace, r2.trace)
 
     def test_nan_obj_tol_rejected(self):
-        # with a NaN tolerance the objective-stall stop could never fire
-        with pytest.raises(ValueError, match="obj_tol"):
-            SolverConfig(S=2, obj_tol=float("nan"))
-        with pytest.raises(ValueError, match="obj_tol"):
-            SolverConfig(S=2, obj_tol=-1e-12)
+        # with a NaN tolerance the objective-stall stop could never fire,
+        # and with an infinite one it would fire at its first check
+        for bad in (float("nan"), -1e-12, float("inf")):
+            with pytest.raises(ValueError, match="obj_tol must be finite and >= 0"):
+                SolverConfig(S=2, obj_tol=bad)
         assert SolverConfig(S=2, obj_tol=0.0).obj_tol == 0.0
         assert SolverConfig(S=2, obj_tol=1e-6).obj_tol == 1e-6
+        assert SolverConfig(S=2, obj_tol=1e300).obj_tol == 1e300
 
     def test_init_labels_checked(self):
         _, data = fixtures.example_two()

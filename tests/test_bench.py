@@ -80,6 +80,12 @@ def test_repro_unknown_id():
         repro("table9")
 
 
+def test_cell_beyond_alignment_limit_rejected():
+    with pytest.raises(ValueError, match=r"cell \(1,9,50\).*S <= 8"):
+        ScenarioSpec(n=1, S=9, N=50)
+    assert ScenarioSpec(n=1, S=8, N=50).S == 8
+
+
 @pytest.mark.parametrize("repetitions", [0, -1])
 def test_repetitions_below_one_rejected(repetitions):
     with pytest.raises(ValueError, match="repetitions must be >= 1"):

@@ -264,12 +264,32 @@ def test_header_only_dataset_is_usage_error(tmp_path, capsys):
 
 def test_fit_nan_tol_is_usage_error(tmp_path, capsys):
     run(["simulate", "--example", "2", "--output", str(tmp_path)])
-    code = run(["fit", "--data", str(tmp_path / "example2.csv"), "--S", "2",
-                "--tol", "nan", "--output", str(tmp_path)])
+    for tol in ("nan", "inf"):
+        code = run(["fit", "--data", str(tmp_path / "example2.csv"), "--S", "2",
+                    "--tol", tol, "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "obj_tol" in err[0]
+        assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--range-lo=-inf"], ["--range-lo=-1e308", "--range-hi=1e308"]]
+)
+def test_simulate_range_of_infinite_width_is_usage_error(tmp_path, capsys, bounds):
+    code = run(["simulate", "--n", "2", "--S", "2", "--N", "5", *bounds,
+                "--output", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "obj_tol" in err[0]
-    assert not (tmp_path / "fit.json").exists()
+    assert len(err) == 1 and err[0].startswith("error: ") and "param_range" in err[0]
+
+
+def test_bench_cell_beyond_alignment_limit_is_usage_error(tmp_path, capsys):
+    code = run(["bench", "--cell", "1,9,50", "--repetitions", "1", "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cell (1,9,50)" in err[0]
+    assert not (tmp_path / "bench_raw.csv").exists()
 
 
 def test_pe_check_without_truth_labels_is_usage_error(tmp_path, capsys):

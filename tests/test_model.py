@@ -156,6 +156,14 @@ class TestGenerateRandomScenario:
         with pytest.raises(ValueError):
             generate_random_scenario(2, 2, 10, (3.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(-np.inf, 5.0), (-5.0, np.inf), (np.nan, 5.0), (-1e308, 1e308)],
+    )
+    def test_range_of_infinite_width_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"param_range .* finite width"):
+            generate_random_scenario(2, 2, 5, bad)
+
 
 class TestObjectives:
     def test_truth_fits_exactly(self):

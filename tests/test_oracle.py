@@ -10,6 +10,7 @@ from slsid import (
     Dataset,
     EnumerationLimitError,
     SolverConfig,
+    SolverFailure,
     bcd_solve,
     objective_integer,
     oracle_global,
@@ -17,6 +18,7 @@ from slsid import (
     simulate,
 )
 from slsid import fixtures, oracle
+from slsid.bcd import DescentError
 from slsid.model import SLModel, fit_members, moment_table
 from slsid.partitions import gram_full_rank, gram_nonsingular
 from slsid.oracle import same_param_set, unique_optimum
@@ -301,6 +303,11 @@ def _same_classes(a, b):
         np.testing.assert_array_equal(c.params, d.params)
 
 
+def _no_descent(data, cfg):
+    # a descent that finds no string leaves the oracle without an upper bound
+    raise SolverFailure("every restart degenerated")
+
+
 def test_small_chunks_give_identical_results(monkeypatch):
     rng = np.random.default_rng(3)
     noisy = Dataset(rng.uniform(-3, 3, size=(8, 2)), rng.normal(0, 1.0, size=8))
@@ -313,7 +320,7 @@ def test_small_chunks_give_identical_results(monkeypatch):
     # unpruned, the first 3-string chunk (all ones, then a lone 2 in the
     # last or the second-to-last place) keeps candidates a later chunk's
     # optimum drops
-    monkeypatch.setattr(oracle, "_dive", lambda *args: np.inf)
+    monkeypatch.setattr(oracle, "bcd_solve", _no_descent)
     unpruned = oracle_global(noisy, 2), oracle_global(zero, 3)
     first = [np.ones(8, dtype=int) for _ in range(3)]
     first[1][-1] = first[2][-2] = 2
@@ -400,8 +407,9 @@ def _output_kind(rng, X, S, kind):
 
 
 def test_pruning_changes_nothing(monkeypatch):
-    # with an infinite upper bound no prefix is dropped and the pass is the
-    # scan of every string; pruned and unpruned results agree bit for bit
+    # when the descent fails there is no upper bound, no prefix is dropped
+    # and the pass is the scan of every string; pruned and unpruned results
+    # agree bit for bit
     rng = np.random.default_rng(41)
     cases = [(S, N) for S in range(1, 4) for N in range(1, 11)]
     results = []
@@ -412,11 +420,26 @@ def test_pruning_changes_nothing(monkeypatch):
         data = _random_instance(rng, S, n, N, rows)
         data = Dataset(data.regressors, _output_kind(rng, data.regressors, S, outputs))
         results.append((f"S={S} N={N} n={n} {rows} {outputs}", data, S, oracle_global(data, S)))
-    monkeypatch.setattr(oracle, "_dive", lambda *args: np.inf)
+    monkeypatch.setattr(oracle, "bcd_solve", _no_descent)
     for where, data, S, pruned in results:
         full = oracle_global(data, S)
         assert _exact_repr(pruned) == _exact_repr(full), where
         _same_classes(pruned, full)
+
+
+def test_failed_descent_leaves_the_scan():
+    # on rows whose scales differ by up to 1e12 the descent's Gram solve is
+    # not an exact least-squares step, so its objective rises and it raises;
+    # the oracle then has no upper bound and scans every string
+    rng = np.random.default_rng(16)
+    X = rng.uniform(-3, 3, size=(8, 2)) * 10.0 ** rng.integers(-6, 7, size=(8, 1))
+    data = Dataset(X, rng.normal(0, 1, size=8))
+    with pytest.raises(DescentError):
+        bcd_solve(data, SolverConfig(S=2))
+    best, classes = oracle_global(data, 2)
+    ref_best, ref_labels = _reference_scan(data, 2)
+    assert best == pytest.approx(ref_best, rel=1e-12)
+    assert {c.labels for c in classes} == ref_labels
 
 
 def _nodes_unpruned(N, S):
@@ -441,8 +464,9 @@ def test_node_budget_on_zero_outputs(S, N):
 
 
 def test_planted_labels_beyond_the_old_guard():
-    # 2^60 strings: far above the default budget, which the pruned pass
-    # stays within
+    # 2^60 strings: far above the default budget.  The descent finds the
+    # planted split, so U is about 0 and the pass keeps few prefixes per
+    # length: a thousand nodes suffice
     rng = np.random.default_rng(60)
     S, N = 2, 60
     labels = rng.permutation(np.resize(np.arange(1, S + 1), N))
@@ -450,7 +474,7 @@ def test_planted_labels_beyond_the_old_guard():
     X = rng.uniform(-5, 5, size=(N, 2))
     data = Dataset(X, np.einsum("ij,ij->i", X, model.params[labels - 1]))
     assert S**N > oracle.DEFAULT_ENUM_LIMIT
-    optimum, classes = oracle_global(data, S)
+    optimum, classes = oracle_global(data, S, limit=1000)
     assert optimum <= 1e-12
     assert [c.labels for c in classes] == [canonical_labels(labels)]
     assert unique_optimum(classes)
