@@ -6,7 +6,9 @@ stable key order, so a rerun with the same seed is byte-identical apart
 from wall-clock timing columns.
 
 Exit codes: 0 success, 1 usage error, 2 reproduction mismatch,
-3 enumeration limit exceeded, 4 no usable fit (every fit restart degenerated).
+3 enumeration limit exceeded, 4 no usable fit (every fit restart degenerated,
+or the descent broke: its objective rose, as it can on rows of widely
+different scales).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import bench, fixtures
-from .bcd import SolverConfig, SolverFailure, bcd_solve
+from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import NoiseSpec, generate_random_scenario
 from .oracle import DEFAULT_ENUM_LIMIT, EnumerationLimitError, oracle_global, unique_optimum
@@ -160,7 +162,7 @@ def _cmd_oracle(args) -> int:
     optimum, classes = oracle_global(data, args.S, limit=args.limit)
     payload = {
         "optimum": optimum,
-        "classes": [c.to_dict() for c in classes],
+        "classes": classes.to_dicts(),
         "unique": unique_optimum(classes),
     }
     _emit(args, _json(payload), "oracle.json")
@@ -425,7 +427,7 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENUM_LIMIT
-    except SolverFailure as exc:
+    except (SolverFailure, DescentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
     except (ValueError, OSError) as exc:

@@ -41,7 +41,12 @@ A string within 1e-9 of the optimum keeps what its chunk computed: the fits
 become the class parameters, the residual sum its objective, and the
 singular values its rank flags.  Because the fits are solved on the Gram,
 they agree with a per-cluster ``lstsq`` on the rows to rounding, not
-bitwise.
+bitwise.  The classes stay in those per-chunk arrays, in a read-only
+sequence that builds a :class:`SolutionClass` only when an index is read,
+so a caller that reads the count and the first class (as
+:func:`unique_optimum` does) builds one object, not one per optimal
+string.  Each optimal class holds N + 8*S*n + 9 bytes: its labels (one
+byte each while S < 256), its fits, its objective and its flag.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -52,8 +57,11 @@ non-unique.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -98,6 +106,62 @@ class SolutionClass:
             "objective": self.objective,
             "degenerate": self.degenerate,
         }
+
+
+class _Classes(Sequence):
+    """The optimal classes of one oracle call, kept as the pass's arrays.
+
+    ``chunks`` holds, per chunk of the pass, the objectives, the 0-based
+    labels (in the pass's integer type), the fits and the degenerate flags
+    of its optimal strings, in canonical order.  The :class:`SolutionClass`
+    at an index is built when it is read; iteration builds them chunk by
+    chunk.
+    """
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        # one past the last index of each chunk; bisect_right passes over
+        # the chunks that keep no string
+        self._ends = list(accumulate(len(c[0]) for c in chunks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("class index out of range")
+        k = bisect_right(self._ends, index)
+        j = index - (self._ends[k - 1] if k else 0)
+        objectives, labels, fits, flags = self._chunks[k]
+        return SolutionClass(
+            tuple((labels[j] + 1).tolist()), fits[j], float(objectives[j]), bool(flags[j])
+        )
+
+    def __iter__(self):
+        # one tolist() per chunk gives the Python floats, ints and bools
+        for objectives, labels, fits, flags in self._chunks:
+            for obj, canon, params, flag in zip(
+                objectives.tolist(), (labels + 1).tolist(), fits, flags.tolist()
+            ):
+                yield SolutionClass(tuple(canon), params, obj, flag)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def to_dicts(self) -> list[dict]:
+        """``[c.to_dict() for c in self]``, built from the arrays."""
+        return [
+            {"labels": canon, "params": params, "objective": obj, "degenerate": flag}
+            for objectives, labels, fits, flags in self._chunks
+            for obj, canon, params, flag in zip(
+                objectives.tolist(), (labels + 1).tolist(), fits.tolist(), flags.tolist()
+            )
+        ]
 
 
 def _extend(parents, width: int, S: int):
@@ -159,22 +223,25 @@ def _score(labels, S: int, n: int, table, X, y):
 
 def oracle_global(
     data: Dataset, S: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> tuple[float, list[SolutionClass]]:
+) -> tuple[float, Sequence[SolutionClass]]:
     """Global minimum of the hard-assignment objective and all optimal classes.
 
     Every assignment within 1e-9 (absolute) of the global minimum
     contributes one class; the classes are sorted by their canonical label
     sequence, and their ``degenerate`` flags come from
-    ``partitions.gram_full_rank`` at its default tolerance.
+    ``partitions.gram_full_rank`` at its default tolerance.  The classes
+    come as a read-only sequence over the pass's arrays: the
+    :class:`SolutionClass` at an index is built when it is read, and
+    iterating builds each in turn.
 
     ``limit`` is a node budget: the count of label prefixes and full
     strings the pass builds, checked before each batch.  The descent that
     sets the upper bound is not counted.  The pass cannot build more than
     S^N nodes, so any ``limit >= S**N`` is enough;
     :class:`EnumerationLimitError` is raised when a batch would go over,
-    and ValueError when ``limit`` is negative.  Every optimal class is kept
-    until the result is returned, so where every string is optimal
-    (all-zero outputs) memory grows with the budget, not with a chunk.
+    and ValueError when ``limit`` is negative.  Every optimal class is kept,
+    at N + 8*S*n + 9 bytes each, so where every string is optimal (all-zero
+    outputs) memory grows with the budget, not with a chunk.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -256,19 +323,11 @@ def oracle_global(
         kept.append((sse[near], labels[near], theta[near], degenerate))
 
     # restricted-growth strings are canonical and come in ascending order,
-    # so every kept string is its own class, already sorted; one tolist()
-    # per chunk gives the Python floats, ints and bools
-    classes = [
-        SolutionClass(tuple(canon), params, obj, flag)
-        for objectives, labs, thetas, flags in kept
-        for obj, canon, params, flag in zip(
-            objectives.tolist(), (labs + 1).tolist(), thetas, flags.tolist()
-        )
-    ]
-    return best, classes
+    # so every kept string is its own class, already sorted
+    return best, _Classes(kept)
 
 
-def unique_optimum(classes: list[SolutionClass]) -> bool:
+def unique_optimum(classes: Sequence[SolutionClass]) -> bool:
     """Whether the optimal classes are a single well-posed one."""
     return len(classes) == 1 and not classes[0].degenerate
 

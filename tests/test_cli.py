@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from slsid import Dataset, load_dataset, oracle_global, save_dataset
 from slsid.cli import main
+from slsid.oracle import unique_optimum
 
 
 def run(args):
@@ -66,6 +68,30 @@ def test_oracle_command(tmp_path):
     assert payload["unique"] is False
     assert payload["optimum"] <= 1e-12
     assert len(payload["classes"]) >= 2
+
+
+@pytest.mark.parametrize("source", ["example1", "example2", "zero"])
+def test_oracle_json_matches_the_class_dicts(tmp_path, source):
+    # the command writes from the oracle's arrays; the bytes must equal the
+    # JSON of each class's own to_dict()
+    if source == "zero":
+        rng = np.random.default_rng(10)
+        path = tmp_path / "zero.csv"
+        save_dataset(path, Dataset(rng.uniform(-3, 3, size=(10, 2)), np.zeros(10)))
+    else:
+        run(["simulate", "--example", source[-1], "--output", str(tmp_path)])
+        path = tmp_path / f"{source}.csv"
+    assert run(["oracle", "--data", str(path), "--S", "2", "--output", str(tmp_path)]) == 0
+    optimum, classes = oracle_global(load_dataset(path), 2)
+    payload = {
+        "optimum": optimum,
+        "classes": [c.to_dict() for c in classes],
+        "unique": unique_optimum(classes),
+    }
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "oracle.json").read_bytes() == want.encode()
+    # all-zero outputs: every one of the 2^9 strings is its own class
+    assert len(classes) == 512 or source != "zero"
 
 
 def test_oracle_enumeration_limit_exit_code(tmp_path):
@@ -330,6 +356,23 @@ def test_select_order_without_usable_fit_exits_4(tmp_path, capsys, monkeypatch):
     code = run(["select-order", "--data", str(tmp_path / "example2.csv"), "--s-bar", "3"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: candidate S'=2")
+
+
+@pytest.mark.parametrize("command", [["fit", "--S", "2"], ["select-order", "--s-bar", "3"]])
+def test_broken_descent_exits_4(tmp_path, capsys, command):
+    # rows whose scales differ by up to 1e12 (the data of test_oracle's
+    # test_failed_descent_leaves_the_scan): the descent's Gram solve is not
+    # exact there, its objective rises and it raises DescentError
+    rng = np.random.default_rng(16)
+    X = rng.uniform(-3, 3, size=(8, 2)) * 10.0 ** rng.integers(-6, 7, size=(8, 1))
+    path = tmp_path / "scaled.csv"
+    save_dataset(path, Dataset(X, rng.normal(0, 1, size=8)))
+    code = run([command[0], "--data", str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 4
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "descent broken" in lines[0]
+    assert "Traceback" not in err
 
 
 def test_oracle_command_enumerates_once(tmp_path, monkeypatch):

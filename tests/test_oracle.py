@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -461,6 +463,53 @@ def test_node_budget_on_zero_outputs(S, N):
     assert len(oracle_global(data, S, limit=nodes)[1]) == len(classes)
     with pytest.raises(EnumerationLimitError):
         oracle_global(data, S, limit=nodes - 1)
+
+
+@pytest.mark.parametrize("zero, tol", [(True, 1e-9), (False, 0.5)])
+def test_classes_are_a_sequence(monkeypatch, zero, tol):
+    # three-string chunks spread the classes over many chunks; on noisy
+    # outputs with a wide tolerance some chunks keep no string
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-3, 3, size=(8, 2))
+    data = Dataset(X, np.zeros(8) if zero else rng.normal(0, 1.0, size=8))
+    monkeypatch.setattr(oracle, "_OPTIMUM_TOL", tol)
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    best, classes = oracle_global(data, 2)
+    listed = list(classes)
+    count = len(listed)
+    assert len(classes) == count > 3
+    assert isinstance(classes, Sequence)
+    # canonical order: the label strings ascend
+    assert [c.labels for c in listed] == sorted(c.labels for c in listed)
+    for i in range(count):
+        picked = [classes[i], classes[np.int64(i)], classes[i - count]]
+        _same_classes((best, picked), (best, [listed[i]] * 3))
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            classes[index]
+    for part in (slice(None), slice(2, -1, 3), slice(None, None, -2), slice(count, None)):
+        _same_classes((best, classes[part]), (best, listed[part]))
+    assert repr(classes) == repr(listed)
+    assert _exact_repr((best, classes)) == _exact_repr((best, listed))
+    assert [c.to_dict() for c in classes] == classes.to_dicts()
+
+
+def test_classes_hold_little_memory():
+    # all-zero outputs: every one of the 2^15 strings is optimal.  Each
+    # class holds its labels, fits, objective and flag as array rows,
+    # N + 8*S*n + 9 = 57 bytes, about 1.9 MB in all; one SolutionClass per
+    # string held about 15 MB
+    rng = np.random.default_rng(16)
+    data = Dataset(rng.uniform(-3, 3, size=(16, 2)), np.zeros(16))
+    oracle_global(data, 2)
+    tracemalloc.start()
+    try:
+        _, classes = oracle_global(data, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 2**15
+    assert held < 4e6
 
 
 def test_planted_labels_beyond_the_old_guard():
