@@ -26,7 +26,6 @@ from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import NoiseSpec, generate_random_scenario
 from .oracle import DEFAULT_ENUM_LIMIT, EnumerationLimitError, oracle_global, unique_optimum
 from .order import OrderSelectConfig, SweepScenario, consistency_sweep, select_order
-from .partitions import GRAM_RTOL
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
 EXIT_OK = 0
@@ -132,7 +131,6 @@ def _cmd_fit(args) -> int:
     cfg = SolverConfig(
         S=args.S,
         max_iters=args.max_iters,
-        obj_tol=args.tol,
         restarts=args.restarts,
         seed=args.seed,
         keep_history=args.trace,
@@ -172,7 +170,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_pe_check(args) -> int:
     data = load_dataset(args.data)
     model = load_model(args.model)
-    report = pe_report(data, model, tol=args.tol)
+    report = pe_report(data, model)
     _emit(args, _json(report.to_dict()), "pe_report.json")
     return EXIT_ENUM_LIMIT if report.undecided else EXIT_OK
 
@@ -307,13 +305,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="block-coordinate descent fit")
+    p = sub.add_parser("fit", help="block-coordinate descent fit; fixed stall stop 1e-12")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--S", type=int, required=need("S"))
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=SolverConfig.obj_tol)
     p.add_argument("--trace", action="store_true", help="emit per-iteration CSV")
     add_output(p)
     p.set_defaults(func=_cmd_fit)
@@ -331,10 +328,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("pe-check", help="excitation certificate for labeled data")
+    p = sub.add_parser("pe-check", help="excitation certificate; fixed rank tolerance 1e-10")
     p.add_argument("--data", required=need("data"))
     p.add_argument("--model", required=need("model"))
-    p.add_argument("--tol", type=float, default=GRAM_RTOL)
     add_output(p)
     p.set_defaults(func=_cmd_pe_check)
 

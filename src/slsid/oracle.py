@@ -229,7 +229,7 @@ def oracle_global(
     Every assignment within 1e-9 (absolute) of the global minimum
     contributes one class; the classes are sorted by their canonical label
     sequence, and their ``degenerate`` flags come from
-    ``partitions.gram_full_rank`` at its default tolerance.  The classes
+    ``partitions.gram_full_rank`` at ``GRAM_RTOL``.  The classes
     come as a read-only sequence over the pass's arrays: the
     :class:`SolutionClass` at an index is built when it is read, and
     iterating builds each in turn.
@@ -332,12 +332,12 @@ def unique_optimum(classes: Sequence[SolutionClass]) -> bool:
     return len(classes) == 1 and not classes[0].degenerate
 
 
-def same_param_set(A: np.ndarray, B: np.ndarray, atol: float = 1e-7) -> bool:
-    """Whether two parameter banks coincide as sets, entrywise within atol."""
+def same_param_set(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether two parameter banks coincide as sets, entrywise within 1e-7."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.shape != B.shape:
         return False
     return any(
-        np.allclose(A[list(perm)], B, atol=atol, rtol=0.0)
+        np.allclose(A[list(perm)], B, atol=1e-7, rtol=0.0)
         for perm in permutations(range(A.shape[0]))
     )

@@ -1,16 +1,22 @@
 """Gram rank test, the n-subset rank scan and the rank-deficient partition search.
 
-``gram_full_rank`` is the one rank decision of the package: the Gram
-matrix of a set of regressor rows has full rank when its smallest singular
-value exceeds a relative tolerance times its largest.
+Two rank rules serve the package, both at the fixed relative tolerance
+``GRAM_RTOL``.  The exact test, ``gram_full_rank``, decides every verdict:
+the Gram matrix of a set of regressor rows has full rank when its smallest
+singular value exceeds ``GRAM_RTOL`` times its largest.  The floor test
+only prunes: a set of rows whose smallest Gram singular value exceeds
+``GRAM_RTOL`` (plus rounding slack) times the squared norm of all the rows
+at hand is full rank, and so is every superset of it among those rows.
 ``subset_gram_svals`` yields the Gram singular values of every n-row subset
 of a set of rows, one batched SVD per fixed-size chunk.
 ``min_rank_deficient_partition`` is the adversarial search used by the
 excitation checker: the smallest number of nonempty blocks into which a set
 of regressor rows can be split with every block's Gram matrix
-rank-deficient.  The search walks restricted-growth strings depth-first and
-prunes any branch as soon as one block reaches full rank, since adding rows
-to a full-rank block cannot lower its rank.
+rank-deficient.  The search walks restricted-growth strings depth-first,
+prunes a branch as soon as one block passes the floor test, and accepts a
+complete string only when every block fails the exact test.  The exact
+test cannot prune: on rows of widely different scales a large added row
+raises the largest singular value, so a full-rank block can turn deficient.
 
 Before the walk, one subset scan bounds the size h of any rank-deficient
 block: every n-subset of a deficient block of b >= n rows is deficient, so
@@ -19,15 +25,11 @@ A split into k blocks of at most h rows holds at most k*h rows, so block
 counts k with k*h below the row count are skipped without a walk.  Generic
 rows have h = n-1, which is the capacity argument behind the sample count
 ((n-1)S^2 + (n+1)S)/2; any other cluster gets the trivial h = m, and its
-scan stops at the first chunk holding a deficient subset.  This rests on
-the same monotonicity (a subset of a deficient block is deficient) as the
-full-rank prune.  The relative test is not monotone when rows differ widely
-in scale, since added rows raise the largest singular value too; the scan
-therefore counts a subset as possibly deficient unless its smallest
-singular value clears the tolerance against the squared norm of all rows,
-which bounds every block's largest value.  Skipped counts are exactly those
-whose walk finds no split, so the result is the one the unpruned walk
-returns.
+scan stops at the first chunk holding a deficient subset.  The scan uses
+the floor test too: a subset that passes it cannot lie in a deficient
+block.  Skipped counts are exactly those whose walk finds no split, so the
+result is the smallest all-deficient split in restricted-growth order, as
+a brute force over all partitions finds it.
 """
 
 from __future__ import annotations
@@ -40,34 +42,41 @@ GRAM_RTOL = 1e-10
 # n-subsets per batched SVD: the chunk's Grams hold n*n floats per subset
 SCAN_CHUNK = 4096
 # relative room above the rounding of a Gram and its singular values, so a
-# subset that clears the capacity floor keeps every superset's Gram full rank
+# subset that clears the floor keeps every superset's Gram full rank
 _ROUNDING_SLACK = 1e-12
+# block states of the partition search
+_DEFICIENT, _FULL, _SURELY_FULL = 0, 1, 2
 
 
-def gram_full_rank(svals: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> np.ndarray:
+def _floor(rows: np.ndarray) -> float:
+    # no block of these rows has a Gram singular value above ||rows||_F^2
+    return (GRAM_RTOL + _ROUNDING_SLACK) * float(np.einsum("ij,ij->", rows, rows))
+
+
+def gram_full_rank(svals: np.ndarray, n: int) -> np.ndarray:
     """Whether a Gram matrix with singular values ``svals`` has full rank n.
 
     ``svals`` holds one Gram's values in descending order, or one Gram per
     row of a 2-D array; the result is a numpy bool, or one per row.  Fewer
     than n values means rank below n.  Scale-invariant: the smallest value
-    must exceed ``rtol`` times the largest.
+    must exceed ``GRAM_RTOL`` times the largest.
     """
     if svals.shape[-1] != n:
         return np.zeros(svals.shape[:-1], dtype=bool)
     # .T[k] reads column k of a stack, or item k of a single Gram's values
     # as a numpy scalar, which keeps the single-Gram call cheap
     top, low = svals.T[0], svals.T[-1]
-    return (top > 0.0) & (low > rtol * top)
+    return (top > 0.0) & (low > GRAM_RTOL * top)
 
 
-def gram_nonsingular(rows: np.ndarray, n: int, rtol: float = GRAM_RTOL) -> bool:
+def gram_nonsingular(rows: np.ndarray, n: int) -> bool:
     """Whether sum_k x_k x_k^T over the given rows has full rank n.
 
     The decision is :func:`gram_full_rank` on the Gram's singular values;
     no rows give a zero Gram, which is not full rank.
     """
     gram = rows.T @ rows
-    return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n, rtol))
+    return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n))
 
 
 def subset_gram_svals(rows: np.ndarray):
@@ -76,7 +85,7 @@ def subset_gram_svals(rows: np.ndarray):
     Yields ``(subsets, svals)``: at most ``SCAN_CHUNK`` subsets as an
     index array of shape (c, n), in :func:`itertools.combinations` order,
     and their Grams' singular values in descending order, shape (c, n),
-    from one batched SVD.  ``gram_full_rank(svals, n, rtol)`` then gives the
+    from one batched SVD.  ``gram_full_rank(svals, n)`` then gives the
     same decisions as :func:`gram_nonsingular` on each subset.  Yields
     nothing when there are fewer than n rows.
     """
@@ -92,12 +101,13 @@ def subset_gram_svals(rows: np.ndarray):
         yield subsets, np.linalg.svd(grams, compute_uv=False)
 
 
-def deficient_block_capacity(rows: np.ndarray, rtol: float = GRAM_RTOL) -> int:
+def deficient_block_capacity(rows: np.ndarray) -> int:
     """Upper bound on the row count of any rank-deficient block of ``rows``.
 
-    An n-subset is possibly deficient when its smallest Gram singular value
-    is at most ``rtol`` (plus rounding slack) times the squared norm of all
-    rows, which bounds the largest singular value of any block's Gram.  A
+    An n-subset is possibly deficient when it fails the floor test: its
+    smallest Gram singular value is at most ``GRAM_RTOL`` (plus rounding
+    slack) times the squared norm of all rows, which bounds the largest
+    singular value of any block's Gram.  A
     block of b >= n rows whose Gram fails :func:`gram_nonsingular` has every
     n-subset possibly deficient.  So the bound is n-1 when no n-subset is
     possibly deficient, and m otherwise, found at the first chunk of
@@ -106,7 +116,7 @@ def deficient_block_capacity(rows: np.ndarray, rtol: float = GRAM_RTOL) -> int:
     m, n = rows.shape
     if m < n:
         return m
-    floor = (rtol + _ROUNDING_SLACK) * float(np.einsum("ij,ij->", rows, rows))
+    floor = _floor(rows)
     for _, svals in subset_gram_svals(rows):
         if (svals[:, -1] <= floor).any():
             return m
@@ -114,7 +124,7 @@ def deficient_block_capacity(rows: np.ndarray, rtol: float = GRAM_RTOL) -> int:
 
 
 def min_rank_deficient_partition(
-    rows: np.ndarray, max_blocks: int, rtol: float = GRAM_RTOL
+    rows: np.ndarray, max_blocks: int
 ) -> tuple[int, list[list[int]]] | None:
     """Smallest all-rank-deficient split of ``rows`` into <= max_blocks blocks.
 
@@ -129,15 +139,18 @@ def min_rank_deficient_partition(
     n-subset.
     """
     m, n = rows.shape
-    capacity = deficient_block_capacity(rows, rtol)
+    capacity = deficient_block_capacity(rows)
+    floor = _floor(rows)
     # keyed by the member tuple: the walk appends rows in ascending order
-    singular_cache: dict[tuple[int, ...], bool] = {}
+    state_cache: dict[tuple[int, ...], int] = {}
 
-    def block_singular(members: tuple[int, ...]) -> bool:
-        hit = singular_cache.get(members)
+    def block_state(members: tuple[int, ...]) -> int:
+        hit = state_cache.get(members)
         if hit is None:
-            hit = not gram_nonsingular(rows[list(members)], n, rtol)
-            singular_cache[members] = hit
+            block = rows[list(members)]
+            svals = np.linalg.svd(block.T @ block, compute_uv=False)
+            hit = _SURELY_FULL if svals[-1] > floor else int(gram_full_rank(svals, n))
+            state_cache[members] = hit
         return hit
 
     def search(target: int) -> list[list[int]] | None:
@@ -145,12 +158,12 @@ def min_rank_deficient_partition(
 
         def rec(i: int) -> bool:
             if i == m:
-                return True
+                return all(block_state(tuple(b)) == _DEFICIENT for b in blocks)
             for b in range(min(len(blocks) + 1, target)):
                 if b == len(blocks):
                     blocks.append([])
                 blocks[b].append(i)
-                if block_singular(tuple(blocks[b])) and rec(i + 1):
+                if block_state(tuple(blocks[b])) != _SURELY_FULL and rec(i + 1):
                     return True
                 blocks[b].pop()
                 if not blocks[b]:

@@ -16,10 +16,10 @@ It also provides the three competing minimum-sample-count formulas and a
 sufficient certificate based on n-genericity plus cluster-size thresholds.
 All verdicts are exact; when an enumeration guard (``MAX_BLOCK_SIZE``,
 ``MAX_GENERICITY_SUBSETS``) is hit the result is an explicit "undecided",
-never a guess.  The rank tolerance ``tol`` must be finite with
-1e-14 <= tol < 1, the model's n must match the dataset's, and the labels
-must be one per sample with none above S; anything else raises ValueError
-before a check runs.
+never a guess.  Every rank and angle decision uses the fixed relative
+tolerance ``partitions.GRAM_RTOL``.  The model's n must match the
+dataset's, and the labels must be one per sample with none above S;
+anything else raises ValueError before a check runs.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ _DISTINCT_TOL = 1e-9
 # rows, and the genericity scan returns None beyond this many n-subsets
 MAX_BLOCK_SIZE = 14
 MAX_GENERICITY_SUBSETS = 200_000
-# smallest accepted rank tolerance: rounding leaves sigma_min/sigma_max of a
-# rank-deficient Gram up to about 1e-15, which a lower tol counts as full rank
-_TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -97,14 +94,6 @@ def _check_ns(n: int, S: int) -> None:
         raise ValueError("n and S must both be >= 1")
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN tolerance makes every comparison False, and one below rounding
-    # makes rank-deficient Grams full rank: both give confident wrong
-    # verdicts.  The chained comparison is False for NaN and infinities too.
-    if not _TOL_FLOOR <= tol < 1.0:
-        raise ValueError(f"tol must be finite with {_TOL_FLOOR:g} <= tol < 1, got {tol}")
-
-
 def check_distinct_params(model: SLModel) -> bool:
     """True when all pairwise parameter differences have norm above 1e-9."""
     for i, j in combinations(range(model.S), 2):
@@ -114,16 +103,16 @@ def check_distinct_params(model: SLModel) -> bool:
 
 
 def check_no_separating_regressor(
-    data: Dataset, model: SLModel, tol: float = GRAM_RTOL
+    data: Dataset, model: SLModel
 ) -> tuple[bool, list[tuple[int, int, int]]]:
     """Check that no regressor separates a pair of subsystems.
 
     A sample k violates the condition when x_k is (numerically) orthogonal
     to theta_i - theta_j for some pair i < j, i.e. both subsystems predict
-    the same output there.  Returns the verdict and the list of violating
-    (k, i, j), all 1-based.
+    the same output there: |x_k . d| <= GRAM_RTOL |x_k| |d| for the
+    difference d.  Returns the verdict and the list of violating (k, i, j),
+    all 1-based.
     """
-    _check_tol(tol)
     _check_pair(data, model)
     violations: list[tuple[int, int, int]] = []
     xnorm = np.linalg.norm(data.regressors, axis=1)
@@ -131,23 +120,20 @@ def check_no_separating_regressor(
         diff = model.params[i] - model.params[j]
         dnorm = np.linalg.norm(diff)
         inner = np.abs(data.regressors @ diff)
-        bad = np.flatnonzero(inner <= tol * xnorm * dnorm)
+        bad = np.flatnonzero(inner <= GRAM_RTOL * xnorm * dnorm)
         violations.extend((int(k) + 1, i + 1, j + 1) for k in bad)
     violations.sort()
     return not violations, violations
 
 
-def check_cluster_pe(
-    data: Dataset, a: Assignment, s: int, tol: float = GRAM_RTOL
-) -> bool:
+def check_cluster_pe(data: Dataset, a: Assignment, s: int) -> bool:
     """Classical single-system excitation of cluster s: full-rank Gram."""
-    _check_tol(tol)
     if len(a) != data.N:
         raise ValueError("assignment length does not match dataset")
     if s < 1:
         raise ValueError("s is a 1-based subsystem label")
     rows = data.regressors[a.indices_of(s)]
-    return gram_nonsingular(rows, data.n, tol)
+    return gram_nonsingular(rows, data.n)
 
 
 @dataclass(frozen=True)
@@ -180,9 +166,7 @@ class PartitionCheck:
         return self.status == CERTIFIED
 
 
-def check_partition_condition(
-    data: Dataset, a: Assignment, S: int, tol: float = GRAM_RTOL
-) -> PartitionCheck:
+def check_partition_condition(data: Dataset, a: Assignment, S: int) -> PartitionCheck:
     """Search for an ordering of clusters certifying the partition condition.
 
     For each cluster the adversary seeks a split into few all-rank-deficient
@@ -196,7 +180,6 @@ def check_partition_condition(
     certificate.  A cluster of more than ``MAX_BLOCK_SIZE`` rows makes the
     result UNDECIDED.
     """
-    _check_tol(tol)
     a.validate(data.N, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
     if any(idx.size > MAX_BLOCK_SIZE for idx in members.values()):
@@ -207,7 +190,7 @@ def check_partition_condition(
     f: dict[int, int | None] = {}
     splits: dict[int, list[list[int]]] = {}
     for s, idx in members.items():
-        found = min_rank_deficient_partition(data.regressors[idx], S, tol)
+        found = min_rank_deficient_partition(data.regressors[idx], S)
         if found is None:
             f[s] = None
         else:
@@ -233,9 +216,7 @@ def check_partition_condition(
     return PartitionCheck(status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f)
 
 
-def check_genericity_sufficient(
-    data: Dataset, a: Assignment, S: int, tol: float = GRAM_RTOL
-) -> bool | None:
+def check_genericity_sufficient(data: Dataset, a: Assignment, S: int) -> bool | None:
     """Sufficient excitation certificate from n-genericity and cluster sizes.
 
     True when every n-subset of every cluster has a full-rank Gram and the
@@ -246,7 +227,6 @@ def check_genericity_sufficient(
     fixed-size chunk, so memory stays bounded at any guard; the scan stops
     at the first chunk holding a deficient subset.
     """
-    _check_tol(tol)
     a.validate(data.N, S)
     n = data.n
     sizes = sorted(a.cluster_sizes(S), reverse=True)
@@ -258,7 +238,7 @@ def check_genericity_sufficient(
         return None
     for s in range(1, S + 1):
         for _, svals in subset_gram_svals(data.regressors[a.indices_of(s)]):
-            if not gram_full_rank(svals, n, tol).all():
+            if not gram_full_rank(svals, n).all():
                 return False
     return True
 
@@ -299,7 +279,7 @@ class PEReport:
         }
 
 
-def pe_report(data: Dataset, model: SLModel, tol: float = GRAM_RTOL) -> PEReport:
+def pe_report(data: Dataset, model: SLModel) -> PEReport:
     """Run conditions 1-3 and per-cluster excitation; certified iff 1-3 pass.
 
     The labels certified are the dataset's truth labels; a dataset without
@@ -310,14 +290,13 @@ def pe_report(data: Dataset, model: SLModel, tol: float = GRAM_RTOL) -> PEReport
     a = data.truth
     if a is None:
         raise ValueError("dataset carries no truth labels (no zeta column) to certify")
-    _check_tol(tol)
     _check_pair(data, model)
     S = model.S
     a.validate(data.N, S)
     cond1 = check_distinct_params(model)
-    cond2, violations = check_no_separating_regressor(data, model, tol)
-    cluster_pe = tuple(check_cluster_pe(data, a, s, tol) for s in range(1, S + 1))
-    part = check_partition_condition(data, a, S, tol)
+    cond2, violations = check_no_separating_regressor(data, model)
+    cluster_pe = tuple(check_cluster_pe(data, a, s) for s in range(1, S + 1))
+    part = check_partition_condition(data, a, S)
     return PEReport(
         cond1_distinct_params=cond1,
         cond2_no_separating_regressor=cond2,

@@ -430,7 +430,9 @@ class TestBcdSolve:
         report = bcd_solve(data, SolverConfig(S=2, restarts=10, seed=1))
         assert report.objective < 1e-12
         assert report.converged
-        assert same_param_set(report.model.params, model.params, atol=1e-9)
+        # the two rows in either order, entrywise within 1e-9
+        P = report.model.params
+        assert min(np.abs(P - model.params).max(), np.abs(P[::-1] - model.params).max()) <= 1e-9
         canon = {tuple(report.assignment.labels), tuple(3 - report.assignment.labels)}
         assert tuple(fixtures.EXAMPLE2_LABELS) in canon
         assert_trace_descends(report.trace)
@@ -452,9 +454,9 @@ class TestBcdSolve:
         for seed in range(40):
             report = bcd_solve(data, SolverConfig(S=2, restarts=1, seed=seed))
             if report.objective < 1e-12:
-                if same_param_set(report.model.params, model.params, atol=1e-6):
+                if same_param_set(report.model.params, model.params):
                     found_truth = True
-                elif same_param_set(report.model.params, EXAMPLE2_ALT, atol=1e-6):
+                elif same_param_set(report.model.params, EXAMPLE2_ALT):
                     found_alt = True
         assert found_truth and found_alt
 
@@ -501,16 +503,6 @@ class TestBcdSolve:
         assert r1.objective == r2.objective
         assert r1.restart_index == r2.restart_index
         np.testing.assert_array_equal(r1.trace, r2.trace)
-
-    def test_nan_obj_tol_rejected(self):
-        # with a NaN tolerance the objective-stall stop could never fire,
-        # and with an infinite one it would fire at its first check
-        for bad in (float("nan"), -1e-12, float("inf")):
-            with pytest.raises(ValueError, match="obj_tol must be finite and >= 0"):
-                SolverConfig(S=2, obj_tol=bad)
-        assert SolverConfig(S=2, obj_tol=0.0).obj_tol == 0.0
-        assert SolverConfig(S=2, obj_tol=1e-6).obj_tol == 1e-6
-        assert SolverConfig(S=2, obj_tol=1e300).obj_tol == 1e300
 
     def test_init_labels_checked(self):
         _, data = fixtures.example_two()

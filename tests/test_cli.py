@@ -288,17 +288,6 @@ def test_header_only_dataset_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(path) in err and "no data rows" in err
 
 
-def test_fit_nan_tol_is_usage_error(tmp_path, capsys):
-    run(["simulate", "--example", "2", "--output", str(tmp_path)])
-    for tol in ("nan", "inf"):
-        code = run(["fit", "--data", str(tmp_path / "example2.csv"), "--S", "2",
-                    "--tol", tol, "--output", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "obj_tol" in err[0]
-        assert not (tmp_path / "fit.json").exists()
-
-
 @pytest.mark.parametrize(
     "bounds", [["--range-lo=-inf"], ["--range-lo=-1e308", "--range-hi=1e308"]]
 )
@@ -392,19 +381,6 @@ def test_oracle_command_enumerates_once(tmp_path, monkeypatch):
     run(["simulate", "--example", "1", "--output", str(tmp_path)])
     assert run(["oracle", "--data", str(tmp_path / "example1.csv"), "--S", "2"]) == 0
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1", "1", "0", "1e-17"])
-def test_pe_check_bad_tol_is_usage_error(tmp_path, capsys, tol):
-    run(["simulate", "--example", "1", "--output", str(tmp_path)])
-    capsys.readouterr()
-    code = run(["pe-check", "--data", str(tmp_path / "example1.csv"),
-                "--model", str(tmp_path / "example1_model.json"),
-                "--tol", tol, "--output", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "1e-14 <= tol < 1" in err[0]
-    assert not (tmp_path / "pe_report.json").exists()
 
 
 def test_pe_check_model_n_mismatch_is_usage_error(tmp_path, capsys):
@@ -645,20 +621,16 @@ def test_malformed_config_rejected(tmp_path):
 def test_defaults_match_library_defaults():
     import inspect
 
-    from slsid import SolverConfig, cli, oracle_global, pe_report
+    from slsid import SolverConfig, cli, oracle_global
     from slsid.bench import ScenarioSpec
 
     solver = SolverConfig(S=1)
     spec = ScenarioSpec(n=1, S=1, N=1)
     parse = cli.build_parser().parse_args
     fit = parse(["fit", "--data", "d.csv", "--S", "2"])
-    assert (fit.restarts, fit.max_iters, fit.tol) == (
-        solver.restarts, solver.max_iters, solver.obj_tol
-    )
+    assert (fit.restarts, fit.max_iters) == (solver.restarts, solver.max_iters)
     oracle = parse(["oracle", "--data", "d.csv", "--S", "2"])
     assert oracle.limit == inspect.signature(oracle_global).parameters["limit"].default
-    pe_check = parse(["pe-check", "--data", "d.csv", "--model", "m.json"])
-    assert pe_check.tol == inspect.signature(pe_report).parameters["tol"].default
     select = parse(["select-order", "--data", "d.csv", "--s-bar", "3"])
     assert select.restarts == solver.restarts
     sweep = parse(["consistency-sweep", "--n", "2", "--S", "2", "--N", "40", "--s-bar", "3"])

@@ -159,12 +159,13 @@ def _mixed_rows(rng, m, n):
 
 def test_search_matches_brute_force_reference():
     # the search must return the smallest all-deficient block count and,
-    # for it, the first witness in restricted-growth order
+    # for it, the first witness in restricted-growth order; the second half
+    # of the trials scales rows by 10^k, k in -6..6
     rng = np.random.default_rng(3)
-    for trial in range(150):
+    for trial in range(300):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
         max_blocks = int(rng.integers(1, 5))
-        rows = _mixed_rows(rng, m, n)
+        rows = _structured_rows(rng, "repeated" if trial < 150 else "wide_scale", m, n)
         expected = None
         for blocks in set_partitions(range(m), max_blocks):
             if all(not gram_nonsingular(rows[b], n) for b in blocks):
@@ -177,19 +178,26 @@ def test_search_matches_brute_force_reference():
             assert found == (len(expected), expected), f"trial {trial}"
 
 
-def _reference_dfs(rows, max_blocks, rtol=partitions.GRAM_RTOL):
-    """The depth-first search without the capacity bound, kept as a reference."""
+def _reference_dfs(rows, max_blocks):
+    """The depth-first search without the capacity bound, kept as a reference.
+
+    A branch is pruned once a block's smallest Gram singular value clears
+    the floor against all rows, which keeps every superset full rank; a
+    complete split counts only when every block fails the exact test.
+    """
     m, n = rows.shape
     if m == 0:
         return 0, []
-    singular_cache: dict[frozenset[int], bool] = {}
+    floor = (partitions.GRAM_RTOL + partitions._ROUNDING_SLACK) * float(np.sum(rows * rows))
+    surely_cache: dict[frozenset[int], bool] = {}
 
-    def block_singular(members: tuple[int, ...]) -> bool:
+    def surely_full(members) -> bool:
         key = frozenset(members)
-        hit = singular_cache.get(key)
+        hit = surely_cache.get(key)
         if hit is None:
-            hit = not gram_nonsingular(rows[list(members)], n, rtol)
-            singular_cache[key] = hit
+            block = rows[list(members)]
+            hit = np.linalg.svd(block.T @ block, compute_uv=False)[-1] > floor
+            surely_cache[key] = hit
         return hit
 
     def search(target: int) -> list[list[int]] | None:
@@ -197,12 +205,12 @@ def _reference_dfs(rows, max_blocks, rtol=partitions.GRAM_RTOL):
 
         def rec(i: int) -> bool:
             if i == m:
-                return True
+                return all(not gram_nonsingular(rows[b], n) for b in blocks)
             for b in range(min(len(blocks) + 1, target)):
                 if b == len(blocks):
                     blocks.append([])
                 blocks[b].append(i)
-                if block_singular(tuple(blocks[b])) and rec(i + 1):
+                if not surely_full(blocks[b]) and rec(i + 1):
                     return True
                 blocks[b].pop()
                 if not blocks[b]:
@@ -238,7 +246,8 @@ def _structured_rows(rng, kind, m, n):
     if kind == "integer":
         return rng.integers(-1, 2, size=(m, n)).astype(float)
     # rows whose norms span twelve decades: the relative rank test is not
-    # monotone under adding rows here, which the capacity bound must allow
+    # monotone under adding rows here, which the search's prune and the
+    # capacity bound must allow
     return rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7, size=(m, 1))
 
 
