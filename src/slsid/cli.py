@@ -405,7 +405,8 @@ def main(argv=None) -> int:
     if config is not None:
         try:
             defaults = json.loads(Path(config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: not UTF-8, or not JSON
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(defaults, dict):

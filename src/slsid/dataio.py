@@ -37,7 +37,11 @@ def load_dataset(path) -> Dataset:
     """Read a dataset CSV; a ValueError names the file, and a bad row's line."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        reader = csv.reader(lines)
         header = next(reader, [])
         has_labels = bool(header) and header[-1] == "zeta"
         n = len(header) - (2 if has_labels else 1)
@@ -83,8 +87,12 @@ def save_model(path, model: SLModel) -> None:
 
 
 def load_model(path) -> SLModel:
-    """Read a model JSON; a payload of the wrong shape raises ValueError."""
-    payload = json.loads(Path(path).read_text())
+    """Read a model JSON; a ValueError names the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model JSON must be an object")
     missing = [key for key in ("n", "S", "params") if key not in payload]

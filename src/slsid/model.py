@@ -10,7 +10,13 @@ needed.  Least squares runs on sufficient statistics: ``moment_table``
 holds each sample's x x^T (upper triangle) and x y, and ``gram_solve``
 solves a whole stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
-the rank test.  ``fit_members`` is the one cluster fit built on the two:
+the rank test.  At n = 2 a stack of at least ``_EIGH2_MIN`` Grams (the
+oracle's chunks, never the descent's batches) is decomposed by
+``_eigh2``, a vectorized port of LAPACK's closed-form 2 x 2 path that
+returns bit for bit what ``np.linalg.eigh`` (``dsyevd``) returns; Grams
+that LAPACK would rescale, with a nonzero largest entry outside about
+[1.2e-122, 1e146], stay with ``eigh``.  So the path changes the speed,
+never a result.  ``fit_members`` is the one cluster fit built on the two:
 one matmul with a stack of one-hot memberships sums the table per cluster,
 and ``gram_solve`` solves the sums.  The descent, its empty-cluster repair
 and the exact oracle all fit through it.  The fits agree with a
@@ -266,6 +272,94 @@ def moment_table(data: Dataset) -> np.ndarray:
     return table
 
 
+# LAPACK's machine constants (DLAMCH): eps is the unit roundoff, safmin
+# the smallest normal double
+_EPS = 2.0**-53
+_SAFMIN = 2.0**-1022
+# A 2 x 2 symmetric matrix is eigendecomposed without rescaling when its
+# largest entry is zero or lies in [_SSFMIN, _RMAX]: dsteqr rescales a block
+# below SSFMIN = sqrt(safmin) / eps^2, dsyevd a matrix above RMAX =
+# sqrt(2 * eps / safmin) (its own lower limit, RMIN = 1 / RMAX, is below
+# SSFMIN)
+_SSFMIN = np.sqrt(_SAFMIN) / _EPS**2
+_RMAX = np.sqrt(2 * _EPS / _SAFMIN)
+# batches of 2 x 2 Grams from which _eigh2 is faster than eigh: the
+# crossover lay between 128 (eigh faster) and 192 (_eigh2 faster) on one
+# x86-64 core
+_EIGH2_MIN = 160
+
+
+def _eigh2(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(grams, UPLO="U")`` of a stack of 2 x 2 symmetric
+    matrices, bit for bit, by LAPACK's closed form.
+
+    At n = 2 ``dsyevd`` reduces to ``dsteqr`` on the matrix itself: a split
+    test for a negligible off-diagonal (then the diagonal is the spectrum),
+    else ``dlaev2``'s eigenvalues and rotation applied to the identity, and
+    an ascending sort.  This is that path, vectorized with LAPACK's order of
+    operations.  Matrices that LAPACK would rescale go to ``eigh``.
+    """
+    a, b, c = grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 1]
+    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
+    anorm = np.maximum(np.maximum(aa, ab), ac)
+    scaled = (anorm > _RMAX) | (anorm < _SSFMIN) & (anorm > 0)
+    # the unsplit arithmetic divides by zero on split matrices, whose
+    # results it does not keep
+    with np.errstate(all="ignore"):
+        # dsteqr's two tests; the second scales the diagonal entry of smaller
+        # magnitude first, which rounds differently near underflow
+        split = (ab <= np.sqrt(aa) * np.sqrt(ac) * _EPS) | (
+            ab * ab <= _EPS**2 * np.minimum(aa, ac) * np.maximum(aa, ac) + _SAFMIN
+        )
+        # dlaev2: rt1 is the eigenvalue of larger magnitude, (cs1, sn1)
+        # below its unit eigenvector
+        sm, df, tb = a + c, a - c, b + b
+        adf, atb = np.abs(df), np.abs(tb)
+        hi, lo = np.maximum(adf, atb), np.minimum(adf, atb)
+        rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)
+        neg = sm < 0
+        rt1 = 0.5 * (sm + np.where(neg, -rt, rt))
+        big = aa > ac
+        rt2 = np.where(
+            sm == 0,
+            -0.5 * rt,
+            (np.where(big, a, c) / rt1) * np.where(big, c, a) - (b / rt1) * b,
+        )
+        pos = df >= 0
+        cs = df + np.where(pos, rt, -rt)
+        first = np.abs(cs) > atb
+        t = -np.where(first, tb, cs) / np.where(first, cs, tb)
+        u = 1.0 / np.sqrt(1.0 + t * t)
+        v = t * u
+    # dlaev2 sets (cs1, sn1) = (v, u) where first, else (u, v), and then
+    # (-sn1, cs1) where the signs of sm and df differ
+    flip = neg ^ pos
+    swapped = first ^ flip
+    sn1 = np.where(swapped, u, v)
+    cs1 = np.where(swapped, v, u)
+    cs1 = np.where(flip, -cs1, cs1)
+    # off the split cs1 and sn1 are nonzero, so the rotation of the identity
+    # is exactly [[cs1, -sn1], [sn1, cs1]]
+    d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    z11 = np.where(split, 1.0, cs1)
+    z12 = np.where(split, 0.0, -sn1)
+    z21 = np.where(split, 0.0, sn1)
+    swap = d2 < d1
+    w = np.stack([np.where(swap, d2, d1), np.where(swap, d1, d2)], axis=-1)
+    V = np.stack(
+        [
+            np.where(swap, z12, z11),
+            np.where(swap, z11, z12),
+            np.where(swap, z11, z21),
+            np.where(swap, z21, z11),
+        ],
+        axis=-1,
+    ).reshape(grams.shape)
+    if scaled.any():
+        w[scaled], V[scaled] = np.linalg.eigh(grams[scaled], UPLO="U")
+    return w, V
+
+
 def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares fits from summed moment-table columns.
 
@@ -276,11 +370,22 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``partitions.gram_full_rank``.  Eigenvalues at or below n * eps times the
     largest are dropped, lstsq's default cutoff for an n x n system, so a
     rank-deficient or empty (zero) Gram gets its minimum-norm solution.
+
+    The decomposition is ``np.linalg.eigh`` (LAPACK's ``dsyevd``), except
+    for a stack of at least ``_EIGH2_MIN`` 2 x 2 Grams, which takes the
+    same bits from :func:`_eigh2`, a vectorized port of ``dsyevd``'s
+    closed-form 2 x 2 path.  Grams whose largest entry is nonzero and lies
+    outside [``_SSFMIN``, ``_RMAX``], about [1.2e-122, 1e146], are rescaled
+    by LAPACK and stay with ``eigh``.  So the results do not depend on the
+    size of the stack.
     """
     tri = n * (n + 1) // 2
     grams = np.zeros(sums.shape[:-1] + (n, n))
     grams[(...,) + _upper_triangle(n)] = sums[..., :tri]
-    w, V = np.linalg.eigh(grams, UPLO="U")
+    if n == 2 and grams.size >= 4 * _EIGH2_MIN:
+        w, V = _eigh2(grams)
+    else:
+        w, V = np.linalg.eigh(grams, UPLO="U")
     svals = np.abs(w)
     keep = svals > n * np.finfo(float).eps * svals.max(axis=-1, keepdims=True)
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)

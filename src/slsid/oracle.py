@@ -27,10 +27,12 @@ when U is infinite.
 Prefixes and strings are scored in fixed-size chunks: one
 ``model.fit_members`` call on the chunk's one-hot memberships (the
 descent's cluster fit: one matmul against the dataset's
-``model.moment_table`` and one batched eigendecomposition) gives the
-minimum-norm fits and the Grams' singular values, and SSEs are summed from
-explicit residuals.  A prefix's bound counts only its clusters whose Gram
-passes ``partitions.gram_full_rank``: a rank-deficient or empty cluster's
+``model.moment_table`` and one batched eigendecomposition; at n = 2 a
+full chunk's Grams take ``model``'s closed-form port of LAPACK's 2 x 2
+path, which gives ``eigh``'s bits faster) gives the minimum-norm fits and
+the Grams' singular values, and SSEs are summed from explicit residuals.
+A prefix's bound counts only its clusters whose Gram passes
+``partitions.gram_full_rank``: a rank-deficient or empty cluster's
 rounded fit is not trusted, so it adds 0, the least an SSE can be.  The
 rounding margin is ``_PRUNE_RTOL`` times y'y, the SSE of theta = 0; over
 400 random instances (noisy, planted, near-collinear, repeated and

@@ -271,6 +271,25 @@ def test_dataset_value_errors_name_the_file(tmp_path, capsys, body, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_dataset_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x1,y\n\xff1.0,2.0\n")
+    assert run(["fit", "--data", str(path), "--S", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "decode" in err[0]
+
+
+def test_truncated_model_json_names_the_file(tmp_path, capsys):
+    run(["simulate", "--example", "1", "--output", str(tmp_path)])
+    capsys.readouterr()
+    model = tmp_path / "example1_model.json"
+    model.write_text(model.read_text()[:30])
+    code = run(["pe-check", "--data", str(tmp_path / "example1.csv"), "--model", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
+
+
 def test_oracle_negative_limit_is_usage_error(tmp_path, capsys):
     run(["simulate", "--example", "2", "--output", str(tmp_path)])
     code = run(
@@ -548,6 +567,9 @@ def test_config_equals_form_and_unreadable_config(tmp_path, capsys):
     assert run([f"--config={cfg}", "min-samples"]) == 0
     assert json.loads(capsys.readouterr().out)["ours"] == 8
     assert run([f"--config={tmp_path / 'missing.json'}", "min-samples"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+    cfg.write_bytes(b"\xff{}")
+    assert run([f"--config={cfg}", "min-samples"]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
 

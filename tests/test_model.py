@@ -9,12 +9,17 @@ from slsid import (
     Assignment,
     Dataset,
     NoiseSpec,
+    OrderSelectConfig,
     SLModel,
+    SolverConfig,
+    bcd_solve,
     generate_random_scenario,
     objective_integer,
+    oracle_global,
+    select_order,
     simulate,
 )
-from slsid import fixtures
+from slsid import fixtures, model
 
 from claims import one_hot, relaxed_objective
 
@@ -262,3 +267,84 @@ def test_relaxed_and_integer_minima_coincide_small_grid():
 def test_bad_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _upper_grams(rows):
+    """The 2 x 2 Grams of a stack of row sets, upper triangle only, as
+    ``gram_solve`` builds them."""
+    grams = np.einsum("bki,bkj->bij", rows, rows)
+    grams[:, 1, 0] = 0.0
+    return grams
+
+
+def test_eigh2_matches_lapack_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    normal = rng.normal(size=(256, 4, 2))
+    axis = rng.normal(size=(256, 4, 2))
+    axis[:, :2, 0] = axis[:, 2:, 1] = 0.0
+    row_sets = [
+        normal,
+        rng.normal(size=(256, 1, 2)),
+        rng.normal(size=(256, 1, 2)) * rng.normal(size=(256, 3, 1)),
+        axis,
+        rng.integers(-3, 4, size=(256, 4, 2)).astype(float),
+        np.zeros((4, 4, 2)),
+    ]
+    row_sets += [normal[:32] * 10.0**k for k in range(-8, 9)]
+    # Gram entries near and beyond both ends of LAPACK's unscaled range
+    row_sets += [normal[:64] * 10.0**k for k in (-61, -65, -75, 73, 75, 80)]
+    grams = [_upper_grams(rows) for rows in row_sets]
+    # general symmetric matrices reach dlaev2's sign branches and its ties
+    grams.append(np.triu(rng.integers(-3, 4, size=(512, 2, 2)).astype(float)))
+    grams = np.concatenate(grams)
+    anorm = np.abs(grams).max(axis=(1, 2))
+    scaled = (anorm > 2.0**485) | (anorm < 2.0**-405) & (anorm > 0)
+    assert 0 < scaled.sum() < len(grams)
+
+    eigh, sent = np.linalg.eigh, []
+
+    def recording(a, UPLO="L"):
+        sent.append(len(a))
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    w, V = model._eigh2(grams)
+    # only the Grams LAPACK would rescale reach eigh
+    assert sent == [scaled.sum()]
+    w0, V0 = eigh(grams, UPLO="U")
+    # as integers, so signed zeros must match too
+    assert np.array_equal(w.view(np.int64), w0.view(np.int64))
+    assert np.array_equal(V.view(np.int64), V0.view(np.int64))
+
+
+def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-5.0, 5.0, size=(14, 2))
+    planted = SLModel(rng.uniform(-5.0, 5.0, size=(2, 2)))
+    oracle_cases = [
+        (Dataset(X[:12], np.zeros(12)), 2),
+        (simulate(planted, X, Assignment(np.resize([1, 2], 14))), 2),
+        (Dataset(X[:9], rng.normal(size=9)), 3),
+    ]
+    _, noisy = generate_random_scenario(2, 2, 120, noise=NoiseSpec("gaussian", 0.1), seed=3)
+    order_cfg = OrderSelectConfig(S_bar=3, solver=SolverConfig(S=1))
+    port, calls = model._eigh2, []
+
+    def counted(grams):
+        calls.append(len(grams))
+        return port(grams)
+
+    monkeypatch.setattr(model, "_eigh2", counted)
+    found = []
+    # at 0 every n = 2 stack takes the port; above every batch none does
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(model, "_EIGH2_MIN", cutoff)
+        calls.clear()
+        found.append(
+            [repr((best, classes.to_dicts()))
+             for best, classes in (oracle_global(data, S) for data, S in oracle_cases)]
+            + [repr(bcd_solve(noisy, SolverConfig(S=2)).to_dict()),
+               repr(select_order(noisy, order_cfg).to_dict())]
+        )
+        assert bool(calls) == (cutoff == 0)
+    assert found[0] == found[1]
