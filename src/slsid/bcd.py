@@ -41,6 +41,7 @@ are dropped.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,15 @@ _GROUP_CELLS = 2**17
 # a restart stalls, and stops as converged, once an iteration (both
 # half-steps) lowers its objective by less than this
 _STALL_TOL = 1e-12
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int through ``operator.index``: numpy integers pass
+    and True is 1, but a float or a string is a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class SolverFailure(RuntimeError):
@@ -99,6 +109,9 @@ class SolverConfig:
     retains per-iteration parameters and labels of the winning restart for
     trace output; while a group of restarts runs, each of them keeps its
     own.  The stall stop is the constant ``_STALL_TOL``, not a field.
+    ``S``, ``max_iters``, ``restarts`` and a non-None ``seed`` are stored
+    as ints through ``operator.index`` (numpy integers pass, True is 1); a
+    float or a string is a TypeError and a negative seed a ValueError.
     """
 
     S: int
@@ -109,10 +122,16 @@ class SolverConfig:
     keep_history: bool = False
 
     def __post_init__(self):
+        for name in ("S", "max_iters", "restarts"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.S < 1:
             raise ValueError("S must be >= 1")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _count("seed", self.seed))
+            if self.seed < 0:
+                raise ValueError(f"seed must be None or >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     data = load_dataset(args.data)
+    # as in fit; the pass's arrays grow with S, and above N every class has
+    # an empty cluster
+    if args.S > data.N:
+        raise ValueError(f"need at least S={args.S} samples, got N={data.N}")
     optimum, classes = oracle_global(data, args.S, limit=args.limit)
     payload = {
         "optimum": optimum,
@@ -323,7 +327,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ENUM_LIMIT,
         help="node budget: label prefixes and strings the exact search may build"
-        " (never more than S^N are needed); exit 3 when it would go over",
+        " (never more than 2*S^N are needed); exit 3 when it would go over",
     )
     add_output(p)
     p.set_defaults(func=_cmd_oracle)

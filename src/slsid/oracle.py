@@ -10,19 +10,37 @@ largest before it), which visit each relabeling class once.
 The search is a branch-and-bound over string prefixes, the labels of the
 first samples.  Adding a sample never lowers a cluster's least-squares
 SSE, so the SSE of a prefix bounds the objective of every string that
-extends it.  The upper bound U on the optimum is the objective of one
-string, the labels of a default ``bcd.bcd_solve`` run with min(S, N)
-subsystems, scored as the pass scores strings; when the descent raises
-``SolverFailure`` or ``DescentError`` (its Gram solve is not exact on rows
-of widely different scales), U is infinite.  One pass then extends the
-surviving prefixes length by length, ``_STEP`` samples at a time up to the
-last bounded length N - ``_STEP``, and drops a prefix whose bound exceeds
-U + 1e-9 by more than a rounding margin; the surviving full strings are
-scored last.  Prefixes stream from one length to the next in chunks, never
-a whole level, but every optimal class is kept.  No prefix of a string
-within 1e-9 of the optimum is dropped, so the optimum and the classes are
-bit for bit those of a scan of every string, which is what the pass is
-when U is infinite.
+extends it.  A pass with an upper bound U extends the surviving prefixes
+length by length, ``_STEP`` samples at a time up to the last bounded
+length N - ``_STEP``, and drops a prefix whose bound exceeds U + 1e-9 by
+more than a rounding margin; the surviving full strings are scored last.
+Prefixes stream from one length to the next in chunks, never a whole
+level, but every optimal class is kept.  While U is at least the optimum,
+no prefix of a string within 1e-9 of the optimum is dropped, so the
+optimum and the classes are bit for bit those of a scan of every string,
+which is what a pass is when U is infinite or when it drops nothing.
+
+U comes from up to three sources, in this order:
+
+1. The first pass guesses U at the rounding margin, ``_PRUNE_RTOL`` times
+   y'y, which holds on data that some split fits exactly.  If it keeps a
+   full string whose SSE is at most the guess, U is at least that SSE and
+   so at least the optimum: the pass was exact and its result is final.
+   Noise-free data needs no descent.
+2. Otherwise, when the first pass dropped a prefix, a second pass runs.
+   Its U is the SSE of the best full string the first pass kept, the
+   objective of a split and so at least the optimum.
+3. When the first pass kept no string (on noisy data it builds only its
+   head, the prefixes whose clusters all fit within the guess), U is the
+   objective of one string, the labels of a default ``bcd.bcd_solve`` run
+   with min(S, N) subsystems, scored as the pass scores strings; when the
+   descent raises ``SolverFailure`` or ``DescentError`` (its Gram solve is
+   not exact on rows of widely different scales), U is infinite and the
+   second pass is the scan.
+
+A first pass that drops nothing is the scan, and the only pass; with
+all-zero outputs no length can be bounded, so none is scored.  The node
+budget counts the prefixes and strings of every pass, not the descent.
 
 Prefixes and strings are scored in fixed-size chunks: one
 ``model.fit_members`` call on the chunk's one-hot memberships (the
@@ -67,7 +85,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
+from .bcd import DescentError, SolverConfig, SolverFailure, _count, bcd_solve
 from .model import Dataset, fit_members, moment_table
 from .partitions import gram_full_rank
 
@@ -223,6 +241,29 @@ def _score(labels, S: int, n: int, table, X, y):
     return member.reshape(count, S, length), theta, svals, r
 
 
+def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
+    """The upper bound U on the optimum for a pass of :func:`oracle_global`.
+
+    Before the first pass (``best`` None), U is guessed at the rounding
+    margin ``_PRUNE_RTOL`` * y'y.  After a pass that kept no string within
+    it, U is ``best``, the SSE of the best full string that pass kept; when
+    it kept none, U is the objective of a default ``bcd_solve`` run with
+    min(S, N) subsystems, scored by ``score`` as the pass scores strings,
+    and infinite when the descent raises ``SolverFailure`` or
+    ``DescentError``.
+    """
+    if best is None:
+        return _PRUNE_RTOL * float(data.outputs @ data.outputs)
+    if best < np.inf:
+        return best
+    try:
+        found = bcd_solve(data, SolverConfig(S=min(S, data.N)))
+    except (SolverFailure, DescentError):
+        return np.inf
+    r = score(found.assignment.labels[None] - 1)[3]
+    return float(np.einsum("bk,bk->b", r, r)[0])
+
+
 def oracle_global(
     data: Dataset, S: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> tuple[float, Sequence[SolutionClass]]:
@@ -236,15 +277,26 @@ def oracle_global(
     :class:`SolutionClass` at an index is built when it is read, and
     iterating builds each in turn.
 
+    The upper bound U of the search comes from the first pass's own guess
+    (U = ``_PRUNE_RTOL`` * y'y, final when a kept string is within it, as
+    on noise-free data), else from the best string that pass kept, else
+    from a default ``bcd_solve`` run (infinite when the descent raises);
+    the last two set U for a second pass.  Each is at least the optimum
+    whenever it is used, so the result is the scan's (module docstring).
+
     ``limit`` is a node budget: the count of label prefixes and full
-    strings the pass builds, checked before each batch.  The descent that
-    sets the upper bound is not counted.  The pass cannot build more than
-    S^N nodes, so any ``limit >= S**N`` is enough;
-    :class:`EnumerationLimitError` is raised when a batch would go over,
-    and ValueError when ``limit`` is negative.  Every optimal class is kept,
-    at N + 8*S*n + 9 bytes each, so where every string is optimal (all-zero
-    outputs) memory grows with the budget, not with a chunk.
+    strings built by every pass, checked before each batch.  The descent
+    that may set the upper bound is not counted.  A pass cannot build more
+    than S^N nodes and a call runs at most two, so any ``limit >= 2 *
+    S**N`` is enough, and ``S**N`` where one pass decides (noise-free data,
+    all-zero outputs); :class:`EnumerationLimitError` is raised when a
+    batch would go over, ValueError when ``limit`` is negative, and
+    TypeError when ``S`` or ``limit`` is not an integer.  Every optimal
+    class is kept, at N + 8*S*n + 9 bytes each, so where every string is
+    optimal (all-zero outputs) memory grows with the budget, not with a
+    chunk.
     """
+    S, limit = _count("S", S), _count("limit", limit)
     if S < 1:
         raise ValueError("S must be >= 1")
     if limit < 0:
@@ -266,18 +318,8 @@ def oracle_global(
     # theta = 0 bounds a prefix's SSE by its outputs' y'y, so at a length
     # whose y'y is within the cut no prefix can be dropped, and none is scored
     reach = np.cumsum(y * y)
-    cut = _OPTIMUM_TOL + _PRUNE_RTOL * float(y @ y)
-    if any(reach[length - 1] > cut for length in lengths):
-        try:
-            found = bcd_solve(data, SolverConfig(S=min(S, N)))
-        except (SolverFailure, DescentError):
-            # no string, no bound: the pass is the scan
-            cut = np.inf
-        else:
-            r = fit(found.assignment.labels[None] - 1)[3]
-            cut += float(np.einsum("bk,bk->b", r, r)[0])
-
-    nodes = 0
+    margin = _OPTIMUM_TOL + _PRUNE_RTOL * float(y @ y)
+    nodes, dropped = 0, False
 
     def extend(stream, length: int):
         # every extension of the streamed prefixes to ``length``, in chunks
@@ -294,35 +336,47 @@ def oracle_global(
                     )
                 yield labels
 
-    def bounded(stream, length: int):
+    def bounded(stream, length: int, cut: float):
+        nonlocal dropped
         for labels in extend(stream, length):
             if reach[length - 1] > cut:
                 member, _, svals, r = fit(labels)
                 full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
                 bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
-                labels = labels[bound <= cut]
+                keep = bound <= cut
+                dropped |= not keep.all()
+                labels = labels[keep]
             yield labels
 
-    stream = iter([root])
-    for length in lengths:
-        stream = bounded(stream, length)
+    def search(upper: float):
+        # one pass with upper bound U = ``upper``: the best SSE of the full
+        # strings it keeps and, per chunk, the objectives, labels, fits and
+        # degenerate flags of those within _OPTIMUM_TOL of the running best
+        stream = iter([root])
+        for length in lengths:
+            stream = bounded(stream, length, margin + upper)
+        best = np.inf
+        kept: list[tuple[np.ndarray, ...]] = []
+        for labels in extend(stream, N):
+            _, theta, svals, r = fit(labels)
+            sse = np.einsum("bk,bk->b", r, r)
+            if sse.min() < best:
+                best = float(sse.min())
+                kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
+            near = sse <= best + _OPTIMUM_TOL
+            # an empty cluster has a zero Gram, so it fits theta = 0 and fails
+            # the rank test, which makes its class degenerate
+            full = gram_full_rank(svals[near].reshape(-1, n), n)
+            degenerate = ~full.reshape(-1, S).all(axis=1)
+            kept.append((sse[near], labels[near], theta[near], degenerate))
+        return best, kept
 
-    best = np.inf
-    # per chunk: objective, labels, fits and degenerate flags of the
-    # strings within _OPTIMUM_TOL of the running best
-    kept: list[tuple[np.ndarray, ...]] = []
-    for labels in extend(stream, N):
-        _, theta, svals, r = fit(labels)
-        sse = np.einsum("bk,bk->b", r, r)
-        if sse.min() < best:
-            best = float(sse.min())
-            kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
-        near = sse <= best + _OPTIMUM_TOL
-        # an empty cluster has a zero Gram, so it fits theta = 0 and fails
-        # the rank test, which makes its class degenerate
-        full = gram_full_rank(svals[near].reshape(-1, n), n)
-        degenerate = ~full.reshape(-1, S).all(axis=1)
-        kept.append((sse[near], labels[near], theta[near], degenerate))
+    upper = _upper_bound(data, S, None, fit)
+    best, kept = search(upper)
+    # a kept string within U proves U >= optimum, and a pass that drops
+    # nothing is the scan; otherwise a second pass runs with a proven U
+    if best > upper and dropped:
+        best, kept = search(_upper_bound(data, S, best, fit))
 
     # restricted-growth strings are canonical and come in ascending order,
     # so every kept string is its own class, already sorted

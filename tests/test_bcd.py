@@ -309,6 +309,29 @@ def test_solver_config_counts_rejected(kwargs, message):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"S": 2.5}, TypeError, "S must be an integer, got 2.5"),
+        ({"S": 2, "restarts": 2.5}, TypeError, "restarts must be an integer, got 2.5"),
+        ({"S": 2, "max_iters": 1.5}, TypeError, "max_iters must be an integer, got 1.5"),
+        ({"S": 2, "seed": 1.0}, TypeError, "seed must be an integer, got 1.0"),
+        ({"S": 2, "seed": -1}, ValueError, "seed must be None or >= 0, got -1"),
+    ],
+)
+def test_solver_config_non_integer_counts_rejected(kwargs, error, message):
+    # rejected at construction, naming the field, not inside bcd_solve
+    with pytest.raises(error, match=message):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_counts_are_ints():
+    cfg = SolverConfig(S=np.int64(2), max_iters=np.int32(5), restarts=True, seed=np.uint8(3))
+    assert (cfg.S, cfg.max_iters, cfg.restarts, cfg.seed) == (2, 5, 1, 3)
+    assert all(type(v) is int for v in (cfg.S, cfg.max_iters, cfg.restarts, cfg.seed))
+    assert SolverConfig(S=2, seed=None).seed is None
+
+
 def test_init_labels_start_the_last_restart():
     # with init_labels, R restarts give the better of R - 1 cold restarts
     # (the same seeds) and one restart from the labels; a tie goes to cold

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import Dataset, load_dataset, oracle_global, save_dataset
 from slsid.cli import main
@@ -661,3 +667,66 @@ def test_defaults_match_library_defaults():
     assert (bench.sigma, bench.repetitions, bench.restarts) == (
         spec.sigma, spec.repetitions, spec.restarts
     )
+
+
+def test_oracle_S_above_N_is_usage_error(tmp_path, capsys):
+    # as in fit: the pass's arrays grow with S, so a huge S never reaches it
+    save_dataset(tmp_path / "d.csv", Dataset(np.eye(3, 2), np.ones(3)))
+    for S in ("4", "1000000"):
+        assert run(["oracle", "--data", str(tmp_path / "d.csv"), "--S", S]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: need at least S={S} samples, got N=3"]
+
+
+def _oracle_csv(path, kind, N, seed):
+    """A tiny n=2 dataset CSV of the given kind, well formed or not."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3, 3, size=(N, 2))
+    if kind == "scaled":
+        X *= 10.0 ** rng.choice([-6, 6], size=(N, 1))
+    if kind == "zero":
+        y = np.zeros(N)
+    elif kind == "planted":
+        params = rng.uniform(-3, 3, size=(2, 2))
+        y = np.einsum("ij,ij->i", X, params[rng.integers(0, 2, size=N)])
+    else:
+        y = rng.normal(size=N)
+    lines = ["x1,x2,y"] + [f"{a!r},{b!r},{c!r}" for (a, b), c in zip(X.tolist(), y.tolist())]
+    if kind == "nan":
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+    elif kind == "inf":
+        lines[-1] = "-inf," + lines[-1].split(",", 1)[1]
+    elif kind == "ragged":
+        lines[-1] += ",1.0"
+    elif kind == "header only":
+        lines = lines[:1]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        ["planted", "zero", "noise", "scaled", "nan", "inf", "ragged", "header only"]
+    ),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.sampled_from(["abc", "-1", "0", "1", "2", "3", "9", "1000000", "99999999999999999999"]),
+    st.sampled_from([None, "abc", "-1", "0", "1", "40", "99999999999999999999"]),
+)
+def test_oracle_cli_contract(kind, N, seed, S, limit):
+    # any input file and any --S / --limit: an exit code of the documented
+    # set (argparse's usage exit is 1 too), no traceback, one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        _oracle_csv(path, kind, N, seed)
+        argv = ["oracle", "--data", str(path), "--S", S]
+        argv += [] if limit is None else ["--limit", limit]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 1, argv
+    assert code in {0, 1, 2, 3, 4}, argv
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, argv

@@ -12,7 +12,6 @@ from slsid import (
     Dataset,
     EnumerationLimitError,
     SolverConfig,
-    SolverFailure,
     bcd_solve,
     objective_integer,
     oracle_global,
@@ -228,6 +227,8 @@ def _random_instance(rng, S, n, N, kind):
         X[-1] = X[0]
     if kind == "collinear" and N > 1:
         X[1:] = X[0] * rng.uniform(-2, 2, size=(N - 1, 1))
+    if kind == "scaled":
+        X *= 10.0 ** rng.integers(-6, 7, size=(N, 1))
     y = np.zeros(N) if kind == "zero" else rng.normal(0, 1.0, size=N)
     return Dataset(X, y)
 
@@ -305,9 +306,10 @@ def _same_classes(a, b):
         np.testing.assert_array_equal(c.params, d.params)
 
 
-def _no_descent(data, cfg):
-    # a descent that finds no string leaves the oracle without an upper bound
-    raise SolverFailure("every restart degenerated")
+def _no_bound(data, S, best, score):
+    # no source of U gives a bound, so the pass drops no prefix: it is the
+    # scan of every string
+    return np.inf
 
 
 def test_small_chunks_give_identical_results(monkeypatch):
@@ -322,7 +324,7 @@ def test_small_chunks_give_identical_results(monkeypatch):
     # unpruned, the first 3-string chunk (all ones, then a lone 2 in the
     # last or the second-to-last place) keeps candidates a later chunk's
     # optimum drops
-    monkeypatch.setattr(oracle, "bcd_solve", _no_descent)
+    monkeypatch.setattr(oracle, "_upper_bound", _no_bound)
     unpruned = oracle_global(noisy, 2), oracle_global(zero, 3)
     first = [np.ones(8, dtype=int) for _ in range(3)]
     first[1][-1] = first[2][-2] = 2
@@ -392,53 +394,125 @@ def test_subsystem_count_below_one_rejected(S):
         oracle_global(data, S)
 
 
+@pytest.mark.parametrize("S", [2.0, "2"])
+def test_non_integer_subsystem_count_rejected(S):
+    # rejected at entry, naming the argument, not deep inside the pass
+    _, data = fixtures.example_one()
+    with pytest.raises(TypeError, match=f"S must be an integer, got {S!r}"):
+        oracle_global(data, S)
+
+
+@pytest.mark.parametrize("limit", [2.5, float("nan"), float("inf")])
+def test_non_integer_limit_rejected(limit):
+    # a NaN budget would compare false against every node count and so
+    # never stop the search
+    _, data = fixtures.example_one()
+    with pytest.raises(TypeError, match="limit must be an integer"):
+        oracle_global(data, 2, limit=limit)
+
+
+def test_integer_like_subsystem_counts_accepted():
+    _, data = fixtures.example_one()
+    _same_classes(oracle_global(data, np.int64(2)), oracle_global(data, 2))
+    _same_classes(oracle_global(data, True), oracle_global(data, 1))
+
+
 def _exact_repr(result):
     """repr of an oracle result with every float at full precision."""
     with np.printoptions(precision=17, floatmode="unique"):
         return repr(result)
 
 
-def _output_kind(rng, X, S, kind):
+def _output_kind(rng, X, S, kind, sigma=0.0):
     N, n = X.shape
     if kind == "zero":
         return np.zeros(N)
     if kind == "noisy":
         return rng.normal(0, 1.0, size=N)
     params = rng.uniform(-3, 3, size=(S, n))
-    return np.einsum("ij,ij->i", X, params[rng.integers(0, S, size=N)])
+    y = np.einsum("ij,ij->i", X, params[rng.integers(0, S, size=N)])
+    return y + sigma * rng.normal(size=N) if sigma else y
+
+
+def _scaled_rows(seed, N=8):
+    """n=2 rows whose scales differ by up to 1e12, and pure-noise outputs."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3, 3, size=(N, 2)) * 10.0 ** rng.integers(-6, 7, size=(N, 1))
+    return Dataset(X, rng.normal(0, 1, size=N))
+
+
+def _bound_source(best, upper):
+    """Which source gave ``_upper_bound``'s U for the last best SSE."""
+    if best is None:
+        return "guess"
+    if best < np.inf:
+        return "best string"
+    return "descent" if upper < np.inf else "no bound"
 
 
 def test_pruning_changes_nothing(monkeypatch):
-    # when the descent fails there is no upper bound, no prefix is dropped
-    # and the pass is the scan of every string; pruned and unpruned results
-    # agree bit for bit
+    # whichever source gives U (the guess, the guess pass's best string, the
+    # descent, or none when the descent raises), the pruned results are the
+    # scan's bit for bit; with no bound from any source the pass is the scan
     rng = np.random.default_rng(41)
-    cases = [(S, N) for S in range(1, 4) for N in range(1, 11)]
+    # 9 lengths per S, so each output kind falls on different N at each S
+    cases = [(S, N) for S in range(1, 4) for N in range(2, 11)]
+    outputs = (
+        ("noisy", 0.0), ("planted", 0.0), ("zero", 0.0), ("planted", 1e-3), ("planted", 1e-6)
+    )
     results = []
     for i, (S, N) in enumerate(cases):
         n = int(rng.integers(1, 4))
-        rows = ("generic", "repeated", "collinear")[i % 3]
-        outputs = ("noisy", "planted", "zero")[i // 3 % 3]
+        rows = ("generic", "repeated", "collinear", "scaled")[i % 4]
+        kind, sigma = outputs[i % 5]
         data = _random_instance(rng, S, n, N, rows)
-        data = Dataset(data.regressors, _output_kind(rng, data.regressors, S, outputs))
-        results.append((f"S={S} N={N} n={n} {rows} {outputs}", data, S, oracle_global(data, S)))
-    monkeypatch.setattr(oracle, "bcd_solve", _no_descent)
-    for where, data, S, pruned in results:
+        data = Dataset(data.regressors, _output_kind(rng, data.regressors, S, kind, sigma))
+        results.append((f"S={S} N={N} n={n} {rows} {kind} {sigma}", data, S))
+    # the guess pass keeps no string on these two; the descent then sets U
+    # on pure noise and raises on the scaled rows
+    results.append(("pure noise S=2 N=10", _random_instance(rng, 2, 2, 10, "generic"), 2))
+    results.append(("scaled rows, seed 18", _scaled_rows(18), 2))
+    real = oracle._upper_bound
+    sources = []
+
+    def spy(data, S, best, score):
+        upper = real(data, S, best, score)
+        sources.append(_bound_source(best, upper))
+        return upper
+
+    monkeypatch.setattr(oracle, "_upper_bound", spy)
+    outs, final = [], set()
+    for where, data, S in results:
+        outs.append(oracle_global(data, S))
+        # the source of the U that the call's last pass ran with
+        final.add(sources[-1])
+    assert final == {"guess", "best string", "descent", "no bound"}
+    monkeypatch.setattr(oracle, "_upper_bound", _no_bound)
+    for (where, data, S), pruned in zip(results, outs):
         full = oracle_global(data, S)
         assert _exact_repr(pruned) == _exact_repr(full), where
         _same_classes(pruned, full)
 
 
-def test_failed_descent_leaves_the_scan():
+def test_failed_descent_leaves_the_scan(monkeypatch):
     # on rows whose scales differ by up to 1e12 the descent's Gram solve is
-    # not an exact least-squares step, so its objective rises and it raises;
-    # the oracle then has no upper bound and scans every string
-    rng = np.random.default_rng(16)
-    X = rng.uniform(-3, 3, size=(8, 2)) * 10.0 ** rng.integers(-6, 7, size=(8, 1))
-    data = Dataset(X, rng.normal(0, 1, size=8))
+    # not an exact least-squares step, so its objective rises and it raises.
+    # The guess pass keeps a string here, so U would come from it; with that
+    # string hidden U comes from the descent, which leaves no bound, and the
+    # second pass scans every string
+    data = _scaled_rows(16)
     with pytest.raises(DescentError):
         bcd_solve(data, SolverConfig(S=2))
+    real = oracle._upper_bound
+    bounds = []
+
+    def from_descent(data, S, best, score):
+        bounds.append(real(data, S, None if best is None else np.inf, score))
+        return bounds[-1]
+
+    monkeypatch.setattr(oracle, "_upper_bound", from_descent)
     best, classes = oracle_global(data, 2)
+    assert len(bounds) == 2 and bounds[1] == np.inf
     ref_best, ref_labels = _reference_scan(data, 2)
     assert best == pytest.approx(ref_best, rel=1e-12)
     assert {c.labels for c in classes} == ref_labels
@@ -512,22 +586,86 @@ def test_classes_hold_little_memory():
     assert held < 4e6
 
 
-def test_planted_labels_beyond_the_old_guard():
-    # 2^60 strings: far above the default budget.  The descent finds the
-    # planted split, so U is about 0 and the pass keeps few prefixes per
-    # length: a thousand nodes suffice
-    rng = np.random.default_rng(60)
-    S, N = 2, 60
+def _planted(seed, S, N):
+    """Noise-free outputs of S planted n=2 systems, clusters as equal as
+    possible; the labels, the model and the dataset."""
+    rng = np.random.default_rng(seed)
     labels = rng.permutation(np.resize(np.arange(1, S + 1), N))
     model = SLModel(rng.uniform(-5, 5, size=(S, 2)))
     X = rng.uniform(-5, 5, size=(N, 2))
-    data = Dataset(X, np.einsum("ij,ij->i", X, model.params[labels - 1]))
+    return labels, model, Dataset(X, np.einsum("ij,ij->i", X, model.params[labels - 1]))
+
+
+def test_planted_labels_beyond_the_old_guard():
+    # 2^60 strings: far above the default budget.  The planted split fits
+    # exactly, so the guess pass keeps few prefixes per length: a thousand
+    # nodes suffice
+    S, N = 2, 60
+    labels, model, data = _planted(60, S, N)
     assert S**N > oracle.DEFAULT_ENUM_LIMIT
     optimum, classes = oracle_global(data, S, limit=1000)
     assert optimum <= 1e-12
     assert [c.labels for c in classes] == [canonical_labels(labels)]
     assert unique_optimum(classes)
     assert same_param_set(classes[0].params, model.params)
+
+
+@pytest.mark.parametrize(
+    "S, N, limit",
+    [(2, 14, oracle.DEFAULT_ENUM_LIMIT), (3, 9, oracle.DEFAULT_ENUM_LIMIT), (2, 60, 1000)],
+)
+def test_exact_fit_needs_no_descent(monkeypatch, S, N, limit):
+    # on noise-free data the guess pass keeps the planted string within its
+    # bound, so its result is final and the descent never runs
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(oracle, "bcd_solve", no_descent)
+    labels, _, data = _planted(N, S, N)
+    optimum, classes = oracle_global(data, S, limit=limit)
+    assert optimum <= 1e-12
+    assert [c.labels for c in classes] == [canonical_labels(labels)]
+
+
+def test_pure_noise_runs_the_descent_once(monkeypatch):
+    # the guess pass keeps no string, so the descent sets U for the second
+    # pass, once
+    rng = np.random.default_rng(10)
+    data = Dataset(rng.uniform(-3, 3, size=(10, 2)), rng.normal(size=10))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bcd_solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "bcd_solve", counting)
+    oracle_global(data, 2)
+    assert len(calls) == 1
+
+
+def test_node_budget_counts_every_pass(monkeypatch):
+    # noisy outputs: the guess pass builds its head and keeps no string, and
+    # the second pass runs with the descent's U; the budget holds the nodes
+    # of both passes and not one fewer
+    rng = np.random.default_rng(12)
+    data = Dataset(rng.uniform(-3, 3, size=(12, 2)), rng.normal(size=12))
+    real = oracle._extend
+    sizes, roots = [], []
+
+    def counting(parents, width, S):
+        roots.append(parents.shape[1] == 1)
+        for labels in real(parents, width, S):
+            sizes.append(len(labels))
+            yield labels
+
+    monkeypatch.setattr(oracle, "_extend", counting)
+    want = oracle_global(data, 2)
+    nodes = sum(sizes)
+    assert sum(roots) == 2
+    monkeypatch.setattr(oracle, "_extend", real)
+    _same_classes(oracle_global(data, 2, limit=nodes), want)
+    with pytest.raises(EnumerationLimitError):
+        oracle_global(data, 2, limit=nodes - 1)
 
 
 @settings(max_examples=40, deadline=None)
