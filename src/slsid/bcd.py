@@ -17,13 +17,15 @@ restarts in lockstep groups of G = ``_GROUP_CELLS // (S * N)`` (at least
 one, at most ``restarts``) that share one G x S x N work buffer, so a small
 fit pays numpy's per-call overhead once per group, not once per restart.
 An iteration's parameter half-step is one ``model.fit_members`` call on
-the group's stack of memberships.  One stack of squared residual matrices,
-each computed as ``residual_matrix`` computes it, then gives every fit
-objective by a label gather and every relabeling with its objective by a
-row-wise minimum, so the reported objective equals ``objective_integer``
-bit for bit.  Each step computes,
-slice by slice, what a lone restart computes, so results do not depend on
-G.  A restart whose labels leave a cluster empty is repaired on its own.
+the group's stack of memberships; it sums the table in blocks of samples
+whose size depends on n alone (``model._SUM_BLOCK``), so a restart's sums
+are the same in any group.  One stack of squared residual matrices, each
+computed in one matmul as ``residual_matrix`` computes it, then gives
+every fit objective by a label gather and every relabeling with its
+objective by a row-wise minimum, so the reported objective equals
+``objective_integer`` bit for bit.  Each step computes, slice by slice,
+what a lone restart computes, so results do not depend on G.  A restart
+whose labels leave a cluster empty is repaired on its own.
 ``assign_step`` is the same relabeling as a public call; the loop does not
 call it.
 
@@ -41,7 +43,6 @@ are dropped.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from .model import (
     Assignment,
     Dataset,
     SLModel,
+    _count,
     fit_members,
     moment_table,
     objective_integer,  # unused here; perfbench/tracing.py wraps it under this name
@@ -66,15 +68,6 @@ _GROUP_CELLS = 2**17
 # a restart stalls, and stops as converged, once an iteration (both
 # half-steps) lowers its objective by less than this
 _STALL_TOL = 1e-12
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int through ``operator.index``: numpy integers pass
-    and True is 1, but a float or a string is a TypeError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class SolverFailure(RuntimeError):

@@ -17,10 +17,23 @@ returns bit for bit what ``np.linalg.eigh`` (``dsyevd``) returns; Grams
 that LAPACK would rescale, with a nonzero largest entry outside about
 [1.2e-122, 1e146], stay with ``eigh``.  So the path changes the speed,
 never a result.  ``fit_members`` is the one cluster fit built on the two:
-one matmul with a stack of one-hot memberships sums the table per cluster,
-and ``gram_solve`` solves the sums.  The descent, its empty-cluster repair
-and the exact oracle all fit through it.  The fits agree with a
-per-cluster ``lstsq`` on the rows to rounding, not bitwise.
+matmuls with a stack of one-hot memberships sum the table per cluster, and
+``gram_solve`` solves the sums.  The descent, its empty-cluster repair and
+the exact oracle all fit through it.  The fits agree with a per-cluster
+``lstsq`` on the rows to rounding, not bitwise.
+
+The sums run in blocks of ``_SUM_BLOCK // T`` samples, T the table's row
+count, one matmul per block, added in order.  The OpenBLAS that numpy
+bundles packs both operands of a GEMM above about 10^6 multiply-adds: on
+one Xeon core, for T in {9, 20, 35} and S in {2, 4, 8}, a table entry cost
+0.3-0.8 ns at 0.5-0.9 * 10^6 multiply-adds and 1.1-1.9 ns at 1.1-2 * 10^6.
+At ``_SUM_BLOCK`` = 2^17 entries a block's table slice is 1 MiB and a
+block's matmul stays below 10^6 multiply-adds for up to 7 clusters.  The
+block depends on T and the sample count alone, never on the stack size,
+so a slice's sums are the same alone as in any stack.  A call whose
+samples fit in one block is a single matmul, so only calls that reach a
+second block sum in another order than one matmul over all samples, and
+can differ from it in the last bits.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
@@ -29,9 +42,19 @@ construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int through ``operator.index``: numpy integers pass
+    and True is 1, but a float or a string is a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -224,8 +247,10 @@ def generate_random_scenario(
     Parameter and regressor entries are iid uniform on ``param_range`` and
     labels iid uniform on {1, ..., S}.  When the noise spec carries no seed
     of its own, one is derived from ``seed`` so the whole scenario is a
-    function of a single integer.
+    function of a single integer.  ``n``, ``S`` and ``N`` pass through
+    ``operator.index``, so a float count is a TypeError naming its field.
     """
+    n, S, N = _count("n", n), _count("S", S), _count("N", N)
     if n < 1 or S < 1 or N < 1:
         raise ValueError("n, S, N must all be >= 1")
     lo, hi = float(param_range[0]), float(param_range[1])
@@ -287,6 +312,13 @@ _RMAX = np.sqrt(2 * _EPS / _SAFMIN)
 # crossover lay between 128 (eigh faster) and 192 (_eigh2 faster) on one
 # x86-64 core
 _EIGH2_MIN = 160
+# fit_members sums the moment table in blocks of this many entries, T rows
+# times _SUM_BLOCK // T samples.  Swept over 2**14..2**19 on one Xeon core:
+# at (n, S, N) = (5, 4, 20000), (8, 3, 30000) and (5, 4, 100000),
+# fit_members was fastest at 2**16..2**17, and 2**18 lost most of the gain
+# at n = 5, where T = 20 and a block's matmul passes 10**6 multiply-adds
+# at S = 4
+_SUM_BLOCK = 2**17
 
 
 def _eigh2(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,11 +431,20 @@ def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarr
 
     ``member[..., s, k]`` is 1.0 when sample k of the first
     ``member.shape[-1]`` is in cluster s, with stacks along leading axes;
-    ``table`` is the dataset's :func:`moment_table`.  One matmul per 2-D
-    slice sums the table per cluster, so a slice gets the same bits alone
-    as in any stack.  An empty cluster's fit and singular values are zero.
+    ``table`` is the dataset's :func:`moment_table`.  The table is summed
+    per cluster in blocks of ``_SUM_BLOCK // T`` samples (T the table's
+    row count), one matmul per block and 2-D slice, added in order, so a
+    slice gets the same bits alone as in any stack.  A call whose samples
+    fit in one block is a single matmul; a longer one can differ from a
+    single matmul over all its samples in the last bits.  An empty
+    cluster's fit and singular values are zero.
     """
-    sums = table[:, : member.shape[-1]] @ np.swapaxes(member, -1, -2)
+    table = table[:, : member.shape[-1]]
+    block = max(1, _SUM_BLOCK // table.shape[0])
+    member = np.swapaxes(member, -1, -2)
+    sums = table[:, :block] @ member[..., :block, :]
+    for start in range(block, table.shape[1], block):
+        sums += table[:, start : start + block] @ member[..., start : start + block, :]
     return gram_solve(np.swapaxes(sums, -1, -2), n)
 
 

@@ -85,8 +85,8 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .bcd import DescentError, SolverConfig, SolverFailure, _count, bcd_solve
-from .model import Dataset, fit_members, moment_table
+from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
+from .model import Dataset, _count, fit_members, moment_table
 from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import Assignment, Dataset, NoiseSpec, generate_random_scenario
+from .model import Assignment, Dataset, NoiseSpec, _count, generate_random_scenario
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -39,7 +39,8 @@ class OrderSelectConfig:
     S_bar-candidate residual) is far too small here, because refitting the
     assignment lets surplus clusters absorb an N-independent share of the
     noise variance.  The template's S and init_labels are set per
-    candidate, and every S' >= 2 runs one restart more than it.
+    candidate, and every S' >= 2 runs one restart more than it.  ``S_bar``
+    is stored as an int through ``operator.index``; a float is a TypeError.
     """
 
     S_bar: int
@@ -47,6 +48,7 @@ class OrderSelectConfig:
     solver: SolverConfig = SolverConfig(S=1)
 
     def __post_init__(self):
+        object.__setattr__(self, "S_bar", _count("S_bar", self.S_bar))
         if self.S_bar < 1:
             raise ValueError("S_bar must be >= 1")
         if isinstance(self.penalty, str):
@@ -171,11 +173,16 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
 @dataclass(frozen=True)
 class SweepScenario:
     """Data-generating settings for the consistency sweep; parameters and
-    regressors are drawn on ``generate_random_scenario``'s default range."""
+    regressors are drawn on ``generate_random_scenario``'s default range.
+    ``n`` and ``S`` are stored as ints through ``operator.index``."""
 
     n: int
     S: int
     sigma: float
+
+    def __post_init__(self):
+        for name in ("n", "S"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
 
 
 def consistency_sweep(
@@ -189,8 +196,11 @@ def consistency_sweep(
 
     Each (N, trial) cell draws an independent scenario from a seed derived
     from ``seed`` and runs :func:`select_order`.  Rows are dicts with keys
-    N, trials, recovery_rate.
+    N, trials, recovery_rate.  ``trials`` and every N pass through
+    ``operator.index``, so a float count is a TypeError naming its field.
     """
+    trials = _count("trials", trials)
+    N_list = [_count(f"N_list[{i}]", N) for i, N in enumerate(N_list)]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.S_bar < scenario.S:

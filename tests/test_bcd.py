@@ -126,12 +126,10 @@ def test_kernel_matches_per_cluster_lstsq(n, scale):
         assert full_rank.tolist() == [False, True, one, one, one, False]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_and_prefix_memberships(n, monkeypatch):
+def _check_stacked_prefixes(rng, n, lengths, monkeypatch):
     # a 3-D stack of memberships over a prefix of the samples: each slice's
     # sums, fits and singular values bitwise those of the slice passed
     # alone, and each cluster's fit lstsq's on its prefix rows to rounding
-    rng = np.random.default_rng(40 + n)
     X, labels = _kernel_cases(rng, n)
     data = Dataset(X, rng.normal(0, 1, size=labels.size))
     table = moment_table(data)
@@ -144,7 +142,7 @@ def test_stacked_and_prefix_memberships(n, monkeypatch):
 
     monkeypatch.setattr("slsid.model.gram_solve", recording)
     shapes = set()
-    for length in (1, n + 2, labels.size // 2, labels.size):
+    for length in lengths(labels.size):
         stack = np.stack(
             [labels[:length] == clusters]
             + [rng.permutation(labels)[:length] == clusters for _ in range(3)]
@@ -175,6 +173,41 @@ def test_stacked_and_prefix_memberships(n, monkeypatch):
     # the prefixes must hold every kind of cluster the kernel meets; at
     # n = 1 only a zero row is deficient, and the cases hold none
     assert shapes == {"empty", "full"} | ({"deficient"} if n > 1 else set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_and_prefix_memberships(n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    _check_stacked_prefixes(rng, n, lambda size: (1, n + 2, size // 2, size), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocked_sums_stack_like_one_slice(n, monkeypatch):
+    # blocks of 4 samples: prefixes that end inside the first block, at a
+    # block edge, past the edge inside a later block, and the whole data
+    rows = n * (n + 3) // 2
+    monkeypatch.setattr("slsid.model._SUM_BLOCK", 4 * rows)
+    rng = np.random.default_rng(50 + n)
+    _check_stacked_prefixes(rng, n, lambda size: (3, 4, 8, 10, size), monkeypatch)
+    # the sums are the blocks' matmuls added in order
+    table = rng.normal(size=(rows, 10))
+    member = (rng.integers(0, 3, size=10) == np.arange(3)[:, None]).astype(float)
+    sums = []
+    monkeypatch.setattr("slsid.model.gram_solve", lambda total, width: sums.append(total))
+    fit_members(table, member, n)
+    blocks = [table[:, k : k + 4] @ member[:, k : k + 4].T for k in (0, 4, 8)]
+    assert sums[0].tobytes() == ((blocks[0] + blocks[1]) + blocks[2]).T.tobytes()
+
+
+def test_fit_above_the_real_block_keeps_its_objective_exact():
+    # 20 table rows times 7000 samples is past the unpatched block, so the
+    # descent's sums add two blocks
+    from slsid.model import _SUM_BLOCK
+
+    _, data = generate_random_scenario(5, 4, 7000, (-5, 5), NoiseSpec("gaussian", 0.1), 9)
+    assert _SUM_BLOCK // moment_table(data).shape[0] < data.N
+    report = bcd_solve(data, SolverConfig(S=4, restarts=2, max_iters=3, seed=9))
+    assert report.objective == objective_integer(data, report.model, report.assignment)
 
 
 def test_solve_builds_moments_once_and_calls_no_lstsq(monkeypatch):
@@ -267,7 +300,7 @@ def _outcome(data, cfg):
     return report.to_dict(), history
 
 
-def test_group_size_does_not_change_results(monkeypatch):
+def _check_group_sizes(monkeypatch):
     noisy = generate_random_scenario(3, 3, 400, (-5, 5), NoiseSpec("gaussian", 0.1), 3)[1]
     cases = [(noisy, SolverConfig(S=3, restarts=7, seed=5, keep_history=True))]
     # noise-free data with a surplus cluster: restarts degenerate, and some
@@ -294,6 +327,17 @@ def test_group_size_does_not_change_results(monkeypatch):
     assert 0 < len(reports) < len(cases)
     assert any(report["degenerate_restarts"] for report in reports)
     assert (reports[-1]["iterations"], reports[-1]["converged"]) == (2, False)
+
+
+def test_group_size_does_not_change_results(monkeypatch):
+    _check_group_sizes(monkeypatch)
+
+
+def test_group_size_does_not_change_blocked_results(monkeypatch):
+    # blocks of 2 samples at n = 3 and of 9 at n = 1, so every fit of
+    # every case sums more than one block
+    monkeypatch.setattr("slsid.model._SUM_BLOCK", 18)
+    _check_group_sizes(monkeypatch)
 
 
 @pytest.mark.parametrize(

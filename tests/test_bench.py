@@ -90,3 +90,12 @@ def test_cell_beyond_alignment_limit_rejected():
 def test_repetitions_below_one_rejected(repetitions):
     with pytest.raises(ValueError, match="repetitions must be >= 1"):
         ScenarioSpec(n=2, S=2, N=40, repetitions=repetitions)
+
+
+@pytest.mark.parametrize("field", ["n", "S", "N", "repetitions", "restarts"])
+def test_non_integer_counts_rejected(field):
+    kwargs = dict(n=2, S=2, N=40, repetitions=1, restarts=1)
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got 2.0"):
+        ScenarioSpec(**(kwargs | {field: 2.0}))
+    spec = ScenarioSpec(**(kwargs | {field: np.int64(2)}))
+    assert type(getattr(spec, field)) is int

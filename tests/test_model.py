@@ -269,6 +269,22 @@ def test_bad_arguments_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.5, 2, 10), "n must be an integer, got 2.5"),
+        ((2, 2.0, 10), "S must be an integer, got 2.0"),
+        ((2, 2, "10"), "N must be an integer, got '10'"),
+    ],
+)
+def test_non_integer_scenario_counts_rejected(args, message):
+    with pytest.raises(TypeError, match=message):
+        generate_random_scenario(*args)
+    # numpy integers are counts
+    _, data = generate_random_scenario(np.int64(2), np.int32(2), np.uint8(10))
+    assert data.regressors.shape == (10, 2)
+
+
 def _upper_grams(rows):
     """The 2 x 2 Grams of a stack of row sets, upper triangle only, as
     ``gram_solve`` builds them."""

@@ -539,6 +539,22 @@ def test_node_budget_on_zero_outputs(S, N):
         oracle_global(data, S, limit=nodes - 1)
 
 
+def test_chunk_size_does_not_change_blocked_results(monkeypatch):
+    # blocks of 2 samples, so every prefix past the second sample and every
+    # string sums more than one block, in chunks of every fill
+    monkeypatch.setattr("slsid.model._SUM_BLOCK", 10)
+    rng = np.random.default_rng(3)
+    noisy = Dataset(rng.uniform(-3, 3, size=(8, 2)), rng.normal(0, 1.0, size=8))
+    zero = Dataset(rng.uniform(-3, 3, size=(7, 2)), np.zeros(7))
+    monkeypatch.setattr(oracle, "_OPTIMUM_TOL", 0.5)
+    default = oracle_global(noisy, 2), oracle_global(zero, 3)
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    small = oracle_global(noisy, 2), oracle_global(zero, 3)
+    for a, b in zip(default, small):
+        _same_classes(a, b)
+    assert len(default[1][1]) > 1 and len(default[0][1]) > 1
+
+
 @pytest.mark.parametrize("zero, tol", [(True, 1e-9), (False, 0.5)])
 def test_classes_are_a_sequence(monkeypatch, zero, tol):
     # three-string chunks spread the classes over many chunks; on noisy

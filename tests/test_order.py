@@ -207,3 +207,33 @@ def test_noise_free_pool_keeps_one_call_per_candidate(monkeypatch):
 def test_counts_below_one_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OrderSelectConfig(S_bar=2.5), "S_bar must be an integer, got 2.5"),
+        (lambda: SweepScenario(2, 2.5, 0.1), "S must be an integer, got 2.5"),
+        (lambda: SweepScenario(2.0, 2, 0.1), "n must be an integer, got 2.0"),
+        (
+            lambda: consistency_sweep(SweepScenario(2, 2, 0.1), [40], 2.5, _config(2)),
+            "trials must be an integer, got 2.5",
+        ),
+        (
+            lambda: consistency_sweep(SweepScenario(2, 2, 0.1), [40, 20.0], 1, _config(2)),
+            r"N_list\[1\] must be an integer, got 20.0",
+        ),
+    ],
+)
+def test_non_integer_counts_rejected(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def test_counts_stored_as_ints():
+    assert OrderSelectConfig(S_bar=np.int64(3)).S_bar == 3
+    assert type(OrderSelectConfig(S_bar=np.int64(3)).S_bar) is int
+    assert SweepScenario(np.int32(2), True, 0.1) == SweepScenario(2, 1, 0.1)
+    rows = consistency_sweep(SweepScenario(1, 1, 0.0), [np.int64(4)], True, _config(1))
+    assert rows == [{"N": 4, "trials": 1, "recovery_rate": 1.0}]
+    assert type(rows[0]["trials"]) is int and type(rows[0]["N"]) is int
