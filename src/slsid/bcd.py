@@ -52,6 +52,7 @@ from .model import (
     Dataset,
     SLModel,
     _count,
+    _seed,
     fit_members,
     moment_table,
     objective_integer,  # unused here; perfbench/tracing.py wraps it under this name
@@ -121,10 +122,7 @@ class SolverConfig:
             raise ValueError("S must be >= 1")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _count("seed", self.seed))
-            if self.seed < 0:
-                raise ValueError(f"seed must be None or >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import MAX_ALIGN_S, classification_error, nmse
-from .model import NoiseSpec, _count, generate_random_scenario
+from .model import NoiseSpec, _count, _seed, generate_random_scenario
 from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
@@ -45,8 +45,9 @@ class ScenarioSpec:
 
     A ``sigma`` of 0 means noise-free data.  A repetition counts toward the
     cell's nrftp when its NMSE is below the fixed 1e-4.  The counts n, S,
-    N, repetitions and restarts are stored as ints through
-    ``operator.index``; a float is a TypeError naming its field.
+    N, repetitions and restarts, and a non-None seed, are stored as ints
+    through ``operator.index``; a float is a TypeError naming its field,
+    and a negative seed a ValueError.
     """
 
     n: int
@@ -55,11 +56,12 @@ class ScenarioSpec:
     sigma: float = 0.1
     repetitions: int = 20
     restarts: int = 10
-    seed: int = 0
+    seed: int | None = 0
 
     def __post_init__(self):
         for name in ("n", "S", "N", "repetitions", "restarts"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         # scoring aligns labels by trying every permutation

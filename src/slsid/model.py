@@ -10,7 +10,12 @@ needed.  Least squares runs on sufficient statistics: ``moment_table``
 holds each sample's x x^T (upper triangle) and x y, and ``gram_solve``
 solves a whole stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
-the rank test.  At n = 2 a stack of at least ``_EIGH2_MIN`` Grams (the
+the rank test.  The eigenvalues come in ascending order, so the largest
+magnitude is at one end, and the singular values in descending order are
+the magnitudes reversed, except in a Gram whose smallest eigenvalue
+rounded below zero: only those rows are sorted.  No max or sort runs over
+a whole stack's short n axis, and the results are those of a max and a
+sort.  At n = 2 a stack of at least ``_EIGH2_MIN`` Grams (the
 oracle's chunks, never the descent's batches) is decomposed by
 ``_eigh2``, a vectorized port of LAPACK's closed-form 2 x 2 path that
 returns bit for bit what ``np.linalg.eigh`` (``dsyevd``) returns; Grams
@@ -55,6 +60,17 @@ def _count(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seed(value) -> int | None:
+    """A seed: None, or a nonnegative int through :func:`_count`; a float
+    is a TypeError and a negative value a ValueError, both naming it."""
+    if value is None:
+        return None
+    value = _count("seed", value)
+    if value < 0:
+        raise ValueError(f"seed must be None or >= 0, got {value}")
+    return value
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -142,7 +158,9 @@ class SLModel:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive output noise; ``sigma`` is finite and nonnegative, and zero
-    exactly when ``kind`` is "none"."""
+    exactly when ``kind`` is "none".  A non-None ``seed`` is stored as an
+    int through ``operator.index``: a float is a TypeError and a negative
+    seed a ValueError."""
 
     kind: str = "none"
     sigma: float = 0.0
@@ -156,6 +174,7 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if (self.sigma == 0.0) != (self.kind == "none"):
             raise ValueError("sigma must be 0 exactly when kind is 'none'")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -247,10 +266,11 @@ def generate_random_scenario(
     Parameter and regressor entries are iid uniform on ``param_range`` and
     labels iid uniform on {1, ..., S}.  When the noise spec carries no seed
     of its own, one is derived from ``seed`` so the whole scenario is a
-    function of a single integer.  ``n``, ``S`` and ``N`` pass through
-    ``operator.index``, so a float count is a TypeError naming its field.
+    function of a single integer.  ``n``, ``S``, ``N`` and a non-None
+    ``seed`` pass through ``operator.index``, so a float is a TypeError
+    naming its field, and a negative seed is a ValueError.
     """
-    n, S, N = _count("n", n), _count("S", S), _count("N", N)
+    n, S, N, seed = _count("n", n), _count("S", S), _count("N", N), _seed(seed)
     if n < 1 or S < 1 or N < 1:
         raise ValueError("n, S, N must all be >= 1")
     lo, hi = float(param_range[0]), float(param_range[1])
@@ -402,6 +422,11 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``partitions.gram_full_rank``.  Eigenvalues at or below n * eps times the
     largest are dropped, lstsq's default cutoff for an n x n system, so a
     rank-deficient or empty (zero) Gram gets its minimum-norm solution.
+    Both decompositions below return the eigenvalues w in ascending order,
+    so the largest |w| is the larger of the two ends, and |w| reversed is
+    in descending order unless the smallest w rounded below zero; only
+    those Grams' values are sorted, so the result is the sort's, bit for
+    bit.
 
     The decomposition is ``np.linalg.eigh`` (LAPACK's ``dsyevd``), except
     for a stack of at least ``_EIGH2_MIN`` 2 x 2 Grams, which takes the
@@ -419,11 +444,16 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         w, V = np.linalg.eigh(grams, UPLO="U")
     svals = np.abs(w)
-    keep = svals > n * np.finfo(float).eps * svals.max(axis=-1, keepdims=True)
+    top = np.maximum(svals[..., :1], svals[..., -1:])
+    keep = svals > n * np.finfo(float).eps * top
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
     theta = np.einsum("...ij,...j->...i", V, coef)
-    return theta, -np.sort(-svals, axis=-1)
+    svals = svals[..., ::-1].copy()
+    low = w[..., 0] < 0
+    if low.any():
+        svals[low] = -np.sort(-svals[low], axis=-1)
+    return theta, svals
 
 
 def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,10 @@ of the samples into at most S clusters, with each nonempty cluster fitted
 by least squares, and all optimal solutions grouped into classes under
 subsystem relabeling.  Splits are restricted-growth label strings (the
 first sample is in cluster 1 and each later label is at most one above the
-largest before it), which visit each relabeling class once.
+largest before it), which visit each relabeling class once.  With S > N
+the clusters past the N-th are empty in every string, so the search runs
+with N clusters, and every class is degenerate and gets zero fits for the
+others when it is read.
 
 The search is a branch-and-bound over string prefixes, the labels of the
 first samples.  Adding a sample never lowers a cluster's least-squares
@@ -14,11 +17,15 @@ extends it.  A pass with an upper bound U extends the surviving prefixes
 length by length, ``_STEP`` samples at a time up to the last bounded
 length N - ``_STEP``, and drops a prefix whose bound exceeds U + 1e-9 by
 more than a rounding margin; the surviving full strings are scored last.
-Prefixes stream from one length to the next in chunks, never a whole
-level, but every optimal class is kept.  While U is at least the optimum,
-no prefix of a string within 1e-9 of the optimum is dropped, so the
-optimum and the classes are bit for bit those of a scan of every string,
-which is what a pass is when U is infinite or when it drops nothing.
+Only restricted-growth children are built: a prefix's children are
+looked up from its largest label in a table of the valid suffixes for
+each (width, base), built once per process by ``_children``, and come in
+ascending order, at most ``_CHUNK`` to a chunk.  Prefixes stream from one
+length to the next in chunks, never a whole level, but every optimal class
+is kept.  While U is at least the optimum, no prefix of a string within
+1e-9 of the optimum is dropped, so the optimum and the classes are bit for
+bit those of a scan of every string, which is what a pass is when U is
+infinite or when it drops nothing.
 
 U comes from up to three sources, in this order:
 
@@ -51,7 +58,9 @@ path, which gives ``eigh``'s bits faster) gives the minimum-norm fits and
 the Grams' singular values, and SSEs are summed from explicit residuals.
 A prefix's bound counts only its clusters whose Gram passes
 ``partitions.gram_full_rank``: a rank-deficient or empty cluster's
-rounded fit is not trusted, so it adds 0, the least an SSE can be.  The
+rounded fit is not trusted, so it adds 0, the least an SSE can be.
+Sums and rank tests over a chunk's S clusters are adds and ands over its
+cluster columns, in the order of numpy's sum, not per-row reductions.  The
 rounding margin is ``_PRUNE_RTOL`` times y'y, the SSE of theta = 0; over
 400 random instances (noisy, planted, near-collinear, repeated and
 widely scaled rows) no bound exceeded the SSE of a string extending its
@@ -65,8 +74,10 @@ bitwise.  The classes stay in those per-chunk arrays, in a read-only
 sequence that builds a :class:`SolutionClass` only when an index is read,
 so a caller that reads the count and the first class (as
 :func:`unique_optimum` does) builds one object, not one per optimal
-string.  Each optimal class holds N + 8*S*n + 9 bytes: its labels (one
-byte each while S < 256), its fits, its objective and its flag.
+string.  A chunk whose strings are all within 1e-9 of the running best
+is kept as computed, without a copy.  Each optimal class holds
+N + 8*min(S, N)*n + 9 bytes: its labels (one byte each while S < 256), its
+fits, its objective and its flag.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -77,6 +88,7 @@ non-unique.
 
 from __future__ import annotations
 
+import functools
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -133,13 +145,18 @@ class _Classes(Sequence):
 
     ``chunks`` holds, per chunk of the pass, the objectives, the 0-based
     labels (in the pass's integer type), the fits and the degenerate flags
-    of its optimal strings, in canonical order.  The :class:`SolutionClass`
-    at an index is built when it is read; iteration builds them chunk by
-    chunk.
+    of its optimal strings, in canonical order.  ``empty`` more clusters,
+    past the pass's, are empty in every string (S > N): every class is
+    degenerate, and each class read gets their zero fits.  The
+    :class:`SolutionClass` at an index is built when it is read; iteration
+    builds them chunk by chunk.
     """
 
-    def __init__(self, chunks):
+    def __init__(self, chunks, empty: int = 0):
+        if empty:
+            chunks = [(*c[:3], np.ones_like(c[3])) for c in chunks]
         self._chunks = chunks
+        self._empty = empty
         # one past the last index of each chunk; bisect_right passes over
         # the chunks that keep no string
         self._ends = list(accumulate(len(c[0]) for c in chunks))
@@ -159,7 +176,10 @@ class _Classes(Sequence):
         j = index - (self._ends[k - 1] if k else 0)
         objectives, labels, fits, flags = self._chunks[k]
         return SolutionClass(
-            tuple((labels[j] + 1).tolist()), fits[j], float(objectives[j]), bool(flags[j])
+            tuple((labels[j] + 1).tolist()),
+            self._padded(fits[j]),
+            float(objectives[j]),
+            bool(flags[j]),
         )
 
     def __iter__(self):
@@ -168,46 +188,79 @@ class _Classes(Sequence):
             for obj, canon, params, flag in zip(
                 objectives.tolist(), (labels + 1).tolist(), fits, flags.tolist()
             ):
-                yield SolutionClass(tuple(canon), params, obj, flag)
+                yield SolutionClass(tuple(canon), self._padded(params), obj, flag)
+
+    def _padded(self, params):
+        if not self._empty:
+            return params
+        return np.concatenate([params, np.zeros((self._empty, params.shape[1]))])
 
     def __repr__(self) -> str:
         return repr(list(self))
 
     def to_dicts(self) -> list[dict]:
         """``[c.to_dict() for c in self]``, built from the arrays."""
-        return [
+        dicts = [
             {"labels": canon, "params": params, "objective": obj, "degenerate": flag}
             for objectives, labels, fits, flags in self._chunks
             for obj, canon, params, flag in zip(
                 objectives.tolist(), (labels + 1).tolist(), fits.tolist(), flags.tolist()
             )
         ]
+        if self._empty:
+            for d in dicts:
+                n = len(d["params"][0])
+                d["params"] += [[0.0] * n for _ in range(self._empty)]
+        return dicts
+
+
+@functools.lru_cache(maxsize=64)
+def _children(width: int, base: int):
+    """The restricted-growth suffixes of ``width`` labels below ``base``,
+    after each largest label ``top`` = 0, ..., base - 1 of a prefix.
+
+    Returns read-only ``(codes, starts, counts)``: from row ``starts[top]``
+    of ``codes``, ``counts[top]`` rows hold the suffixes after ``top`` in
+    ascending order, each label at most one above the largest before it.
+    They are the codes 0..base^width - 1 (labels most significant first)
+    that pass that test, so the table is built once per (width, base).
+    """
+    every = np.arange(base**width)[:, None] // base ** np.arange(width - 1, -1, -1) % base
+    groups = []
+    for top in range(base):
+        before = np.column_stack([np.full(len(every), top), every[:, :-1]])
+        groups.append(every[(every <= np.maximum.accumulate(before, axis=1) + 1).all(axis=1)])
+    counts = np.array([len(g) for g in groups])
+    codes = np.concatenate(groups).astype(np.min_scalar_type(base))
+    table = codes, np.cumsum(counts) - counts, counts
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _extend(parents, width: int, S: int):
     """Restricted-growth extensions of each parent by ``width`` labels, in chunks.
 
-    Labels are 0-based.  Codes 0..B^width-1 are the added labels, most
-    significant first, in base B = min(S, length) for the extended length:
-    no label reaches it.  Chunks of (parent, code) pairs come in
-    parent-major order, so ascending parents give ascending children; a
-    child is kept when each label is at most one above the largest before
-    it.
+    Labels are 0-based.  Each parent is followed by the suffixes
+    :func:`_children` lists after its largest label, for base B = min(S,
+    length) at the extended length: no label reaches it.  Chunks of at most
+    ``_CHUNK`` children come in parent-major order, so ascending parents
+    give ascending children.
     """
     length = parents.shape[1] + width
-    base = min(S, length)
-    codes = base**width
-    place = base ** np.arange(width - 1, -1, -1)
-    total = len(parents) * codes
-    for start in range(0, total, _CHUNK):
-        pairs = np.arange(start, min(start + _CHUNK, total))
-        labels = np.empty((pairs.size, length), dtype=parents.dtype)
-        labels[:, : length - width] = parents[pairs // codes]
-        labels[:, length - width :] = pairs[:, None] % codes // place % base
-        ceiling = np.maximum.accumulate(labels, axis=1)[:, :-1] + 1
-        valid = (labels[:, 1:] <= ceiling).all(axis=1)
-        if valid.any():
-            yield labels[valid]
+    codes, starts, counts = _children(width, min(S, length))
+    tops = parents.max(axis=1)
+    sizes = counts[tops]
+    ends = np.cumsum(sizes)
+    # each child's parent and its row of codes
+    parent = np.repeat(np.arange(len(parents)), sizes)
+    row = np.arange(ends[-1]) + np.repeat(starts[tops] - (ends - sizes), sizes)
+    for start in range(0, ends[-1], _CHUNK):
+        part = slice(start, start + _CHUNK)
+        labels = np.empty((len(parent[part]), length), dtype=parents.dtype)
+        labels[:, : length - width] = parents[parent[part]]
+        labels[:, length - width :] = codes[row[part]]
+        yield labels
 
 
 def _regroup(chunks, size: int):
@@ -233,31 +286,53 @@ def _score(labels, S: int, n: int, table, X, y):
     Residuals are explicit: y'y - m'theta would cancel on exact fits.
     """
     count, length = labels.shape
-    member = (labels[:, None, :] == np.arange(S)[:, None]).reshape(-1, length).astype(float)
-    theta, svals = (a.reshape(count, S, n) for a in fit_members(table, member, n))
+    member = np.empty((count, S, length))
+    np.equal(labels[:, None, :], np.arange(S)[:, None], out=member)
+    fits = fit_members(table, member.reshape(-1, length), n)
+    theta, svals = (a.reshape(count, S, n) for a in fits)
     # each sample's own fit, gathered through the flat (string, cluster) index
     own = theta.reshape(-1, n).take(np.arange(0, count * S, S)[:, None] + labels, axis=0)
     r = y[:length] - np.einsum("bkj,kj->bk", own, X[:length])
-    return member.reshape(count, S, length), theta, svals, r
+    return member, theta, svals, r
+
+
+def _row_sums(x):
+    """``x.sum(axis=1)`` up to the sign of a zero.  Below 8 columns numpy
+    adds them in turn, as the adds over columns here do without its
+    per-row reduction; from 8 on it sums pairwise, and its sum is kept."""
+    if x.shape[1] >= 8:
+        return x.sum(axis=1)
+    total = x[:, 0]
+    for column in x.T[1:]:
+        total = total + column
+    return total
+
+
+def _row_all(x):
+    """``x.all(axis=1)`` of a 2-D bool array, by ands over its columns."""
+    total = x[:, 0]
+    for column in x.T[1:]:
+        total = total & column
+    return total
 
 
 def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
-    """The upper bound U on the optimum for a pass of :func:`oracle_global`.
+    """The upper bound U on the optimum for a pass of :func:`oracle_global`
+    with S <= N clusters.
 
     Before the first pass (``best`` None), U is guessed at the rounding
     margin ``_PRUNE_RTOL`` * y'y.  After a pass that kept no string within
     it, U is ``best``, the SSE of the best full string that pass kept; when
-    it kept none, U is the objective of a default ``bcd_solve`` run with
-    min(S, N) subsystems, scored by ``score`` as the pass scores strings,
-    and infinite when the descent raises ``SolverFailure`` or
-    ``DescentError``.
+    it kept none, U is the objective of a default ``bcd_solve`` run with S
+    subsystems, scored by ``score`` as the pass scores strings, and
+    infinite when the descent raises ``SolverFailure`` or ``DescentError``.
     """
     if best is None:
         return _PRUNE_RTOL * float(data.outputs @ data.outputs)
     if best < np.inf:
         return best
     try:
-        found = bcd_solve(data, SolverConfig(S=min(S, data.N)))
+        found = bcd_solve(data, SolverConfig(S=S))
     except (SolverFailure, DescentError):
         return np.inf
     r = score(found.assignment.labels[None] - 1)[3]
@@ -275,7 +350,9 @@ def oracle_global(
     ``partitions.gram_full_rank`` at ``GRAM_RTOL``.  The classes
     come as a read-only sequence over the pass's arrays: the
     :class:`SolutionClass` at an index is built when it is read, and
-    iterating builds each in turn.
+    iterating builds each in turn.  With S > N the search runs with N
+    clusters; every class is degenerate, and its parameters get S - N
+    zero rows when it is read.
 
     The upper bound U of the search comes from the first pass's own guess
     (U = ``_PRUNE_RTOL`` * y'y, final when a kept string is within it, as
@@ -292,9 +369,9 @@ def oracle_global(
     all-zero outputs); :class:`EnumerationLimitError` is raised when a
     batch would go over, ValueError when ``limit`` is negative, and
     TypeError when ``S`` or ``limit`` is not an integer.  Every optimal
-    class is kept, at N + 8*S*n + 9 bytes each, so where every string is
-    optimal (all-zero outputs) memory grows with the budget, not with a
-    chunk.
+    class is kept, at N + 8*min(S, N)*n + 9 bytes each, so where every
+    string is optimal (all-zero outputs) memory grows with the budget, not
+    with a chunk.
     """
     S, limit = _count("S", S), _count("limit", limit)
     if S < 1:
@@ -302,6 +379,9 @@ def oracle_global(
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     N, n = data.N, data.n
+    # clusters past the N-th are empty in every string, so the pass runs
+    # with min(S, N) and the classes add their zero fits
+    S, empty = min(S, N), max(S - N, 0)
     X, y = data.regressors, data.outputs
     table = moment_table(data)
 
@@ -342,7 +422,7 @@ def oracle_global(
             if reach[length - 1] > cut:
                 member, _, svals, r = fit(labels)
                 full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
-                bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
+                bound = _row_sums(np.einsum("bsk,bk->bs", member, r * r) * full)
                 keep = bound <= cut
                 dropped |= not keep.all()
                 labels = labels[keep]
@@ -364,11 +444,12 @@ def oracle_global(
                 best = float(sse.min())
                 kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
             near = sse <= best + _OPTIMUM_TOL
+            if not near.all():
+                sse, labels, theta, svals = sse[near], labels[near], theta[near], svals[near]
             # an empty cluster has a zero Gram, so it fits theta = 0 and fails
             # the rank test, which makes its class degenerate
-            full = gram_full_rank(svals[near].reshape(-1, n), n)
-            degenerate = ~full.reshape(-1, S).all(axis=1)
-            kept.append((sse[near], labels[near], theta[near], degenerate))
+            full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
+            kept.append((sse, labels, theta, ~_row_all(full)))
         return best, kept
 
     upper = _upper_bound(data, S, None, fit)
@@ -380,7 +461,7 @@ def oracle_global(
 
     # restricted-growth strings are canonical and come in ascending order,
     # so every kept string is its own class, already sorted
-    return best, _Classes(kept)
+    return best, _Classes(kept, empty)
 
 
 def unique_optimum(classes: Sequence[SolutionClass]) -> bool:

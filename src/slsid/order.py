@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import Assignment, Dataset, NoiseSpec, _count, generate_random_scenario
+from .model import Assignment, Dataset, NoiseSpec, _count, _seed, generate_random_scenario
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -196,10 +196,11 @@ def consistency_sweep(
 
     Each (N, trial) cell draws an independent scenario from a seed derived
     from ``seed`` and runs :func:`select_order`.  Rows are dicts with keys
-    N, trials, recovery_rate.  ``trials`` and every N pass through
-    ``operator.index``, so a float count is a TypeError naming its field.
+    N, trials, recovery_rate.  ``trials``, every N and a non-None ``seed``
+    pass through ``operator.index``, so a float is a TypeError naming its
+    field, and a negative seed is a ValueError.
     """
-    trials = _count("trials", trials)
+    trials, seed = _count("trials", trials), _seed(seed)
     N_list = [_count(f"N_list[{i}]", N) for i, N in enumerate(N_list)]
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -92,7 +92,12 @@ def test_repetitions_below_one_rejected(repetitions):
         ScenarioSpec(n=2, S=2, N=40, repetitions=repetitions)
 
 
-@pytest.mark.parametrize("field", ["n", "S", "N", "repetitions", "restarts"])
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be None or >= 0, got -1"):
+        ScenarioSpec(n=2, S=2, N=40, seed=-1)
+
+
+@pytest.mark.parametrize("field", ["n", "S", "N", "repetitions", "restarts", "seed"])
 def test_non_integer_counts_rejected(field):
     kwargs = dict(n=2, S=2, N=40, repetitions=1, restarts=1)
     with pytest.raises(TypeError, match=f"{field} must be an integer, got 2.0"):

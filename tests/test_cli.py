@@ -618,6 +618,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "2", "--S", "2", "--N", "10"],
+        ["consistency-sweep", "--n", "2", "--S", "2", "--N", "20", "--trials", "1",
+         "--s-bar", "2"],
+        ["bench", "--cell", "2,2,40", "--repetitions", "1"],
+    ],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    assert run([*command, "--seed", "-1", "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be None or >= 0, got -1"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])

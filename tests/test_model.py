@@ -285,6 +285,23 @@ def test_non_integer_scenario_counts_rejected(args, message):
     assert data.regressors.shape == (10, 2)
 
 
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [(1.5, TypeError, "seed must be an integer, got 1.5"),
+     (-1, ValueError, "seed must be None or >= 0, got -1")],
+)
+def test_bad_scenario_seed_rejected(seed, error, message):
+    with pytest.raises(error, match=message):
+        generate_random_scenario(2, 2, 10, seed=seed)
+    with pytest.raises(error, match=message):
+        NoiseSpec("gaussian", 0.1, seed=seed)
+    # a numpy integer is a seed
+    np.testing.assert_array_equal(
+        generate_random_scenario(2, 2, 10, seed=np.int64(3))[1].outputs,
+        generate_random_scenario(2, 2, 10, seed=3)[1].outputs,
+    )
+
+
 def _upper_grams(rows):
     """The 2 x 2 Grams of a stack of row sets, upper triangle only, as
     ``gram_solve`` builds them."""
@@ -331,6 +348,68 @@ def test_eigh2_matches_lapack_bit_for_bit(monkeypatch):
     # as integers, so signed zeros must match too
     assert np.array_equal(w.view(np.int64), w0.view(np.int64))
     assert np.array_equal(V.view(np.int64), V0.view(np.int64))
+
+
+def _gram_solve_by_sorting(sums, n):
+    """``gram_solve`` as first written, with a max and a sort over each
+    Gram's eigenvalues: the reference."""
+    tri = n * (n + 1) // 2
+    grams = np.zeros(sums.shape[:-1] + (n, n))
+    grams[(...,) + np.triu_indices(n)] = sums[..., :tri]
+    w, V = np.linalg.eigh(grams, UPLO="U")
+    svals = np.abs(w)
+    keep = svals > n * np.finfo(float).eps * svals.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
+    theta = np.einsum("...ij,...j->...i", V, coef)
+    return theta, -np.sort(-svals, axis=-1)
+
+
+def _moment_sums(rows, outputs):
+    """Summed moment-table columns of a stack of row sets."""
+    n = rows.shape[-1]
+    grams = np.einsum("bki,bkj->bij", rows, rows)
+    return np.concatenate(
+        [grams[(...,) + np.triu_indices(n)], np.einsum("bki,bk->bi", rows, outputs)], axis=-1
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gram_solve_matches_the_sorting_formula(monkeypatch, n):
+    rng = np.random.default_rng(40 + n)
+    shape = (200, n + 2, n)
+    normal = rng.normal(size=shape)
+    # rank-deficient: fewer nonzero rows than n, or rows along one direction
+    few = rng.normal(size=shape)
+    few[:, max(n - 1, 1) :] = 0.0
+    row_sets = [
+        normal,
+        few,
+        rng.normal(size=(200, 1, n)) * rng.normal(size=(200, n + 2, 1)),
+        rng.integers(-2, 3, size=shape).astype(float),
+        np.zeros(shape),
+    ]
+    # rows scaled by 10^-8 and 10^8, then Gram entries beyond both ends of
+    # LAPACK's unscaled range
+    row_sets += [normal[:40] * 10.0**k for k in (-8, 8, -65, 75)]
+    rows = np.concatenate(row_sets)
+    sums = _moment_sums(rows, rng.normal(size=rows.shape[:2]))
+    w = np.linalg.eigh(np.einsum("bki,bkj->bij", rows, rows), UPLO="U")[0]
+    if n > 1:
+        # some smallest eigenvalues round below zero, and some such rows
+        # need the exact re-sort
+        assert (w[:, 0] < 0).any()
+    if n > 2:
+        assert (np.diff(np.abs(w)[:, ::-1], axis=-1) > 0).any()
+    want = _gram_solve_by_sorting(sums, n)
+    # at n = 2, both decompositions: the closed-form port and eigh
+    for cutoff in (0, 10**9) if n == 2 else (model._EIGH2_MIN,):
+        monkeypatch.setattr(model, "_EIGH2_MIN", cutoff)
+        got = model.gram_solve(sums, n)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            # as integers, so signed zeros must match too
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_results_do_not_depend_on_the_eigh_path(monkeypatch):

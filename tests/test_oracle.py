@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -553,6 +554,92 @@ def test_chunk_size_does_not_change_blocked_results(monkeypatch):
     for a, b in zip(default, small):
         _same_classes(a, b)
     assert len(default[1][1]) > 1 and len(default[0][1]) > 1
+
+
+def _restricted_growth(length, S):
+    """Every restricted-growth string of ``length`` 0-based labels below S,
+    in ascending order."""
+    strings = [()]
+    for _ in range(length):
+        strings = [s + (k,) for s in strings for k in range(min(S, max(s, default=-1) + 2))]
+    return strings
+
+
+def _extend_by_filter(parents, width, S):
+    """Every code of ``width`` labels below min(S, length) after each
+    parent, kept when each label is at most one above the largest before
+    it: the reference."""
+    start = parents.shape[1]
+    rows = [
+        (*parent, *code)
+        for parent in parents.tolist()
+        for code in itertools.product(range(min(S, start + width)), repeat=width)
+        if all(
+            label <= max((*parent, *code)[:i]) + 1 for i, label in enumerate(code, start)
+        )
+    ]
+    return np.array(rows, dtype=parents.dtype).reshape(-1, start + width)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_extend_matches_a_filter_of_every_code(monkeypatch, S):
+    # parents of length 1..6, below S and above it
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    dtype = np.min_scalar_type(S)
+    for length in range(1, 7):
+        parents = np.array(_restricted_growth(length, S), dtype=dtype)
+        for width in range(1, 4):
+            chunks = list(oracle._extend(parents, width, S))
+            # every chunk but the last is full of valid children
+            assert [len(c) for c in chunks[:-1]] == [5] * (len(chunks) - 1)
+            got = np.concatenate(chunks)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, _extend_by_filter(parents, width, S))
+
+
+def test_column_sums_follow_numpy():
+    # the bound's sum over clusters keeps numpy's order, so the same
+    # prefixes are dropped; == ignores the sign of a zero
+    rng = np.random.default_rng(23)
+    for S in range(1, 13):
+        x = rng.normal(size=(300, S)) * 10.0 ** rng.integers(-8, 9, size=(300, S))
+        full = rng.random((300, S)) < 0.7
+        assert np.array_equal(oracle._row_sums(x), x.sum(axis=1))
+        assert np.array_equal(oracle._row_all(full), full.all(axis=1))
+
+
+def test_more_subsystems_than_samples():
+    # the clusters past the fifth are empty in every string: the classes
+    # are those of S = 5 with zero fits added, all degenerate
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-3, 3, size=(5, 2))
+    for y in (np.zeros(5), rng.normal(size=5)):
+        data = Dataset(X, y)
+        best, classes = oracle_global(data, 5)
+        for S in (7, 200):
+            want = [
+                d | {"params": d["params"] + [[0.0, 0.0]] * (S - 5), "degenerate": True}
+                for d in classes.to_dicts()
+            ]
+            found = oracle_global(data, S)
+            assert found[0] == best
+            assert found[1].to_dicts() == want
+            assert [c.to_dict() for c in found[1]] == want
+            last = found[1][-1]
+            assert last.params.shape == (S, 2) and not last.params[5:].any()
+            np.testing.assert_array_equal(last.params[:5], classes[-1].params)
+
+
+def test_a_million_subsystems_on_five_rows():
+    # the pass runs with 5 clusters, so neither memory nor time grows with S
+    rng = np.random.default_rng(22)
+    data = Dataset(rng.uniform(-3, 3, size=(5, 2)), np.zeros(5))
+    start = time.perf_counter()
+    best, classes = oracle_global(data, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert best == 0.0 and len(classes) == _stirling_sum(5, 5)
+    assert classes[0].params.shape == (10**6, 2)
+    assert classes[0].degenerate and classes[-1].degenerate
 
 
 @pytest.mark.parametrize("zero, tol", [(True, 1e-9), (False, 0.5)])

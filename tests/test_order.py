@@ -202,6 +202,10 @@ def test_noise_free_pool_keeps_one_call_per_candidate(monkeypatch):
             lambda: consistency_sweep(SweepScenario(n=2, S=2, sigma=0.1), [40], 0, _config(2)),
             "trials must be >= 1",
         ),
+        (
+            lambda: consistency_sweep(SweepScenario(2, 2, 0.1), [40], 1, _config(2), seed=-1),
+            "seed must be None or >= 0, got -1",
+        ),
     ],
 )
 def test_counts_below_one_rejected(call, message):
@@ -222,6 +226,10 @@ def test_counts_below_one_rejected(call, message):
         (
             lambda: consistency_sweep(SweepScenario(2, 2, 0.1), [40, 20.0], 1, _config(2)),
             r"N_list\[1\] must be an integer, got 20.0",
+        ),
+        (
+            lambda: consistency_sweep(SweepScenario(2, 2, 0.1), [40], 1, _config(2), seed=1.5),
+            "seed must be an integer, got 1.5",
         ),
     ],
 )
