@@ -179,7 +179,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regressor rows, outputs, and (optionally) the true label sequence."""
+    """Regressor rows, outputs, and (optionally) the true label sequence.
+
+    NaN and infinite values are rejected, and so are regressors or outputs
+    whose sum of squares overflows."""
 
     regressors: np.ndarray
     outputs: np.ndarray
@@ -199,6 +202,10 @@ class Dataset:
         if not (finite.all() and np.isfinite(outputs).all()):
             k = int(np.argmin(finite.all(axis=1) & np.isfinite(outputs)))
             raise ValueError(f"sample {k + 1} (1-based) holds a NaN or infinite value")
+        # every solver squares the data
+        for name, values in (("regressors", regressors), ("outputs", outputs)):
+            if not np.isfinite(np.vdot(values, values)):
+                raise ValueError(f"the sum of squares of the {name} overflows; rescale them")
         if self.truth is not None and len(self.truth) != regressors.shape[0]:
             raise ValueError("truth labels length does not match sample count")
         object.__setattr__(self, "regressors", regressors)

@@ -17,15 +17,16 @@ extends it.  A pass with an upper bound U extends the surviving prefixes
 length by length, ``_STEP`` samples at a time up to the last bounded
 length N - ``_STEP``, and drops a prefix whose bound exceeds U + 1e-9 by
 more than a rounding margin; the surviving full strings are scored last.
-Only restricted-growth children are built: a prefix's children are
-looked up from its largest label in a table of the valid suffixes for
-each (width, base), built once per process by ``_children``, and come in
-ascending order, at most ``_CHUNK`` to a chunk.  Prefixes stream from one
-length to the next in chunks, never a whole level, but every optimal class
-is kept.  While U is at least the optimum, no prefix of a string within
-1e-9 of the optimum is dropped, so the optimum and the classes are bit for
-bit those of a scan of every string, which is what a pass is when U is
-infinite or when it drops nothing.
+Only restricted-growth children are built, one label at a time: a string
+whose largest label is t gets the labels 0, ..., min(t + 1, S - 1), so a
+prefix's children come in ascending order, at most ``_CHUNK`` to a chunk.
+With one cluster the pass starts from its one string, all zeros, and
+builds no child.  Prefixes stream from one length to the next in chunks,
+never a whole level, but every optimal class is kept.  While U is at
+least the optimum, no prefix of a string within 1e-9 of the optimum is
+dropped, so the optimum and the classes are bit for bit those of a scan
+of every string, which is what a pass is when U is infinite or when it
+drops nothing.
 
 U comes from up to three sources, in this order:
 
@@ -58,9 +59,7 @@ path, which gives ``eigh``'s bits faster) gives the minimum-norm fits and
 the Grams' singular values, and SSEs are summed from explicit residuals.
 A prefix's bound counts only its clusters whose Gram passes
 ``partitions.gram_full_rank``: a rank-deficient or empty cluster's
-rounded fit is not trusted, so it adds 0, the least an SSE can be.
-Sums and rank tests over a chunk's S clusters are adds and ands over its
-cluster columns, in the order of numpy's sum, not per-row reductions.  The
+rounded fit is not trusted, so it adds 0, the least an SSE can be.  The
 rounding margin is ``_PRUNE_RTOL`` times y'y, the SSE of theta = 0; over
 400 random instances (noisy, planted, near-collinear, repeated and
 widely scaled rows) no bound exceeded the SSE of a string extending its
@@ -88,7 +87,6 @@ non-unique.
 
 from __future__ import annotations
 
-import functools
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -214,53 +212,27 @@ class _Classes(Sequence):
         return dicts
 
 
-@functools.lru_cache(maxsize=64)
-def _children(width: int, base: int):
-    """The restricted-growth suffixes of ``width`` labels below ``base``,
-    after each largest label ``top`` = 0, ..., base - 1 of a prefix.
-
-    Returns read-only ``(codes, starts, counts)``: from row ``starts[top]``
-    of ``codes``, ``counts[top]`` rows hold the suffixes after ``top`` in
-    ascending order, each label at most one above the largest before it.
-    They are the codes 0..base^width - 1 (labels most significant first)
-    that pass that test, so the table is built once per (width, base).
-    """
-    every = np.arange(base**width)[:, None] // base ** np.arange(width - 1, -1, -1) % base
-    groups = []
-    for top in range(base):
-        before = np.column_stack([np.full(len(every), top), every[:, :-1]])
-        groups.append(every[(every <= np.maximum.accumulate(before, axis=1) + 1).all(axis=1)])
-    counts = np.array([len(g) for g in groups])
-    codes = np.concatenate(groups).astype(np.min_scalar_type(base))
-    table = codes, np.cumsum(counts) - counts, counts
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
 def _extend(parents, width: int, S: int):
     """Restricted-growth extensions of each parent by ``width`` labels, in chunks.
 
-    Labels are 0-based.  Each parent is followed by the suffixes
-    :func:`_children` lists after its largest label, for base B = min(S,
-    length) at the extended length: no label reaches it.  Chunks of at most
-    ``_CHUNK`` children come in parent-major order, so ascending parents
-    give ascending children.
+    Labels are 0-based.  The children grow one label at a time: a string
+    whose largest label is t gets the labels 0, ..., min(t + 1, S - 1), in
+    ascending order, so each parent is followed by its children in
+    ascending order and ascending parents give ascending children.  The
+    grown strings come in chunks of at most ``_CHUNK``.
     """
-    length = parents.shape[1] + width
-    codes, starts, counts = _children(width, min(S, length))
+    labels = parents
     tops = parents.max(axis=1)
-    sizes = counts[tops]
-    ends = np.cumsum(sizes)
-    # each child's parent and its row of codes
-    parent = np.repeat(np.arange(len(parents)), sizes)
-    row = np.arange(ends[-1]) + np.repeat(starts[tops] - (ends - sizes), sizes)
-    for start in range(0, ends[-1], _CHUNK):
-        part = slice(start, start + _CHUNK)
-        labels = np.empty((len(parent[part]), length), dtype=parents.dtype)
-        labels[:, : length - width] = parents[parent[part]]
-        labels[:, length - width :] = codes[row[part]]
-        yield labels
+    for _ in range(width):
+        # each child's row of ``labels`` and its new label, at most one above
+        # that row's largest; nonzero lists them row by row, labels ascending
+        rows, label = (np.arange(S) <= tops[:, None] + 1).nonzero()
+        grown = np.empty((len(rows), labels.shape[1] + 1), dtype=labels.dtype)
+        grown[:, :-1] = labels.take(rows, axis=0)
+        grown[:, -1] = label
+        labels, tops = grown, np.maximum(tops.take(rows), label)
+    for start in range(0, len(labels), _CHUNK):
+        yield labels[start : start + _CHUNK]
 
 
 def _regroup(chunks, size: int):
@@ -294,26 +266,6 @@ def _score(labels, S: int, n: int, table, X, y):
     own = theta.reshape(-1, n).take(np.arange(0, count * S, S)[:, None] + labels, axis=0)
     r = y[:length] - np.einsum("bkj,kj->bk", own, X[:length])
     return member, theta, svals, r
-
-
-def _row_sums(x):
-    """``x.sum(axis=1)`` up to the sign of a zero.  Below 8 columns numpy
-    adds them in turn, as the adds over columns here do without its
-    per-row reduction; from 8 on it sums pairwise, and its sum is kept."""
-    if x.shape[1] >= 8:
-        return x.sum(axis=1)
-    total = x[:, 0]
-    for column in x.T[1:]:
-        total = total + column
-    return total
-
-
-def _row_all(x):
-    """``x.all(axis=1)`` of a 2-D bool array, by ands over its columns."""
-    total = x[:, 0]
-    for column in x.T[1:]:
-        total = total & column
-    return total
 
 
 def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
@@ -388,9 +340,9 @@ def oracle_global(
     def fit(labels):
         return _score(labels, S, n, table, X, y)
 
-    # the one prefix of length 1, the first sample in cluster 1; labels and
-    # their successors fit the smallest integer type holding S
-    root = np.zeros((1, 1), dtype=np.min_scalar_type(S))
+    # the one prefix of length 1, the first sample in cluster 1, or with one
+    # cluster the one string; labels fit the smallest integer type holding S
+    root = np.zeros((1, N if S == 1 else 1), dtype=np.min_scalar_type(S))
 
     # prefix lengths, _STEP apart and ending _STEP before N; with one
     # cluster there is a single string and nothing to bound
@@ -422,7 +374,7 @@ def oracle_global(
             if reach[length - 1] > cut:
                 member, _, svals, r = fit(labels)
                 full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
-                bound = _row_sums(np.einsum("bsk,bk->bs", member, r * r) * full)
+                bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
                 keep = bound <= cut
                 dropped |= not keep.all()
                 labels = labels[keep]
@@ -449,7 +401,7 @@ def oracle_global(
             # an empty cluster has a zero Gram, so it fits theta = 0 and fails
             # the rank test, which makes its class degenerate
             full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
-            kept.append((sse, labels, theta, ~_row_all(full)))
+            kept.append((sse, labels, theta, ~full.all(axis=1)))
         return best, kept
 
     upper = _upper_bound(data, S, None, fit)

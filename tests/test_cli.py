@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -252,6 +253,34 @@ def test_non_finite_dataset_is_usage_error(tmp_path, capsys):
     path.write_text("x1,y\n1.0,2.0\n2.0,nan\n3.0,1.0\n")
     assert run(["fit", "--data", str(path), "--S", "1"]) == 1
     assert "sample 2 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["outputs", "regressors"])
+@pytest.mark.parametrize("command", ["oracle", "fit", "pe-check"])
+def test_squares_that_overflow_are_usage_error(tmp_path, capsys, where, command):
+    # outputs x 1e200 or rows x 1e160: finite values whose squares are not;
+    # the oracle used to exit 0 with an infinite optimum
+    from slsid import fixtures, save_model
+
+    model, data = fixtures.example_one()
+    X, y = data.regressors, data.outputs
+    if where == "outputs":
+        y = y * 1e200
+    else:
+        X = X * 1e160
+    lines = ["x1,x2,y,zeta"] + [
+        f"{a!r},{b!r},{c!r},{z}"
+        for (a, b), c, z in zip(X.tolist(), y.tolist(), data.truth.labels.tolist())
+    ]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    save_model(tmp_path / "model.json", model)
+    flags = ["--model", str(tmp_path / "model.json")] if command == "pe-check" else ["--S", "2"]
+    assert run([command, "--data", str(path), *flags, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert f"sum of squares of the {where} overflows" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad_row", ["3.0,4.0,2,9", "3.0,4.0", "3.0,4.0,1.5"])
@@ -706,6 +735,9 @@ def _oracle_csv(path, kind, N, seed):
         y = np.einsum("ij,ij->i", X, params[rng.integers(0, 2, size=N)])
     else:
         y = rng.normal(size=N)
+    if kind == "huge":
+        # finite outputs whose squares overflow
+        y *= 1e200
     lines = ["x1,x2,y"] + [f"{a!r},{b!r},{c!r}" for (a, b), c in zip(X.tolist(), y.tolist())]
     if kind == "nan":
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
@@ -718,26 +750,20 @@ def _oracle_csv(path, kind, N, seed):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(
-        ["planted", "zero", "noise", "scaled", "nan", "inf", "ragged", "header only"]
-    ),
-    st.integers(1, 8),
-    st.integers(0, 2**16),
-    st.sampled_from(["abc", "-1", "0", "1", "2", "3", "9", "1000000", "99999999999999999999"]),
-    st.sampled_from([None, "abc", "-1", "0", "1", "40", "99999999999999999999"]),
-)
-def test_oracle_cli_contract(kind, N, seed, S, limit):
-    # any input file and any --S / --limit: an exit code of the documented
-    # set (argparse's usage exit is 1 too), no traceback, one error line
+_KINDS = ["planted", "zero", "noise", "scaled", "huge", "nan", "inf", "ragged", "header only"]
+_COUNTS = ["abc", "-1", "0", "1", "2", "3", "9", "1000000", "99999999999999999999"]
+
+
+def _contract(kind, N, seed, argv):
+    """Run one subcommand on a CSV of ``kind``: an exit code of the
+    documented set (argparse's usage exit is 1 too), no traceback, at most
+    one error line.  Returns the code and the standard output."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         _oracle_csv(path, kind, N, seed)
-        argv = ["oracle", "--data", str(path), "--S", S]
-        argv += [] if limit is None else ["--limit", limit]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        argv = [argv[0], "--data", str(path), *argv[1:]]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -745,3 +771,40 @@ def test_oracle_cli_contract(kind, N, seed, S, limit):
                 assert code == 1, argv
     assert code in {0, 1, 2, 3, 4}, argv
     assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, argv
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_KINDS),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.sampled_from(_COUNTS),
+    st.sampled_from([None, "abc", "-1", "0", "1", "40", "99999999999999999999"]),
+)
+def test_oracle_cli_contract(kind, N, seed, S, limit):
+    # any input file and any --S / --limit; a run that exits 0 found a
+    # finite optimum
+    argv = ["oracle", "--S", S] + ([] if limit is None else ["--limit", limit])
+    code, out = _contract(kind, N, seed, argv)
+    if code == 0:
+        assert math.isfinite(json.loads(out)["optimum"]), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_KINDS),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.sampled_from(_COUNTS),
+    # a valid count of restarts runs them all (10^6 at S=2 on 8 rows takes
+    # about 36 s), so the large counts are left out
+    st.sampled_from([None, *_COUNTS[:-2]]),
+)
+def test_fit_cli_contract(kind, N, seed, S, restarts):
+    # any input file and any --S / --restarts; a run that exits 0 found a
+    # finite objective
+    argv = ["fit", "--S", S] + ([] if restarts is None else ["--restarts", restarts])
+    code, out = _contract(kind, N, seed, argv)
+    if code == 0:
+        assert math.isfinite(json.loads(out)["objective"]), argv

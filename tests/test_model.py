@@ -41,6 +41,22 @@ class TestTypes:
         with pytest.raises(ValueError, match="sample 4 "):
             Dataset(X, y)
 
+    @pytest.mark.parametrize("where", ["outputs", "regressors"])
+    def test_dataset_rejects_squares_that_overflow(self, where):
+        # every value is finite, but its square is not: outputs x 1e200 used
+        # to give the oracle an infinite optimum with every string optimal
+        rng = np.random.default_rng(3)
+        X, y = rng.uniform(-3, 3, size=(8, 2)), rng.normal(size=8)
+        if where == "outputs":
+            y *= 1e200
+        else:
+            X *= 1e160
+        with pytest.raises(ValueError, match=f"sum of squares of the {where} overflows"):
+            Dataset(X, y)
+        # the largest squares that still sum to a finite value pass
+        big = np.sqrt(np.finfo(float).max / 20)
+        Dataset(np.full((8, 2), big), np.full(8, big))
+
     def test_assignment_labels_one_based(self):
         with pytest.raises(ValueError):
             Assignment(np.array([0, 1]))
