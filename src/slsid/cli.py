@@ -162,12 +162,16 @@ def _cmd_oracle(args) -> int:
     if args.S > data.N:
         raise ValueError(f"need at least S={args.S} samples, got N={data.N}")
     optimum, classes = oracle_global(data, args.S, limit=args.limit)
-    payload = {
-        "optimum": optimum,
-        "classes": classes.to_dicts(),
-        "unique": unique_optimum(classes),
-    }
-    _emit(args, _json(payload), "oracle.json")
+    # the indented layout, but one compact line per class: on all-zero
+    # outputs every split is a class, and indenting each label and parameter
+    # took most of the run and nearly tripled the file
+    rows = ",\n".join(f"    {json.dumps(c, sort_keys=True)}" for c in classes.to_dicts())
+    text = (
+        f'{{\n  "classes": [\n{rows}\n  ],\n'
+        f'  "optimum": {json.dumps(optimum)},\n'
+        f'  "unique": {json.dumps(unique_optimum(classes))}\n}}\n'
+    )
+    _emit(args, text, "oracle.json")
     return EXIT_OK
 
 

@@ -16,13 +16,16 @@ the magnitudes reversed, except in a Gram whose smallest eigenvalue
 rounded below zero: only those rows are sorted.  No max or sort runs over
 a whole stack's short n axis, and the results are those of a max and a
 sort.  At n = 2 a stack of at least ``_EIGH2_MIN`` Grams (the
-oracle's chunks, never the descent's batches) is decomposed by
-``_eigh2``, a vectorized port of LAPACK's closed-form 2 x 2 path that
-returns bit for bit what ``np.linalg.eigh`` (``dsyevd``) returns; Grams
-that LAPACK would rescale, with a nonzero largest entry outside about
-[1.2e-122, 1e146], stay with ``eigh``.  So the path changes the speed,
-never a result.  ``fit_members`` is the one cluster fit built on the two:
-matmuls with a stack of one-hot memberships sum the table per cluster, and
+oracle's chunks, never the descent's batches) is solved in one pass by
+``_solve2``: a vectorized port of LAPACK's closed-form 2 x 2 arithmetic
+(``dsyevd`` through ``dsteqr`` and ``dlaev2``) gives the two eigenpairs,
+and the fits and singular values follow from them in the einsums' order
+of operations, with no eigenvector matrix and no sort, bit for bit those
+of the ``eigh`` path.  Grams that LAPACK would rescale, with a nonzero
+largest entry outside about [1.2e-122, 1e146], take the ``eigh`` path
+within the same call.  So the path changes the speed, never a result.
+``fit_members`` is the one cluster fit built on the two: matmuls with a
+stack of one-hot memberships sum the table per cluster, and
 ``gram_solve`` solves the sums.  The descent, its empty-cluster repair and
 the exact oracle all fit through it.  The fits agree with a per-cluster
 ``lstsq`` on the rows to rounding, not bitwise.
@@ -335,10 +338,12 @@ _SAFMIN = 2.0**-1022
 # SSFMIN)
 _SSFMIN = np.sqrt(_SAFMIN) / _EPS**2
 _RMAX = np.sqrt(2 * _EPS / _SAFMIN)
-# batches of 2 x 2 Grams from which _eigh2 is faster than eigh: the
-# crossover lay between 128 (eigh faster) and 192 (_eigh2 faster) on one
-# x86-64 core
-_EIGH2_MIN = 160
+# stacks of 2 x 2 Grams from which _solve2 is faster than the eigh path.
+# Swept over 64..160 Grams on one x86-64 core, four runs: at 96 the two
+# were even (fused 49-92 us against eigh 48-81 us, eigh ahead in three
+# runs), from 112 the fused pass won every run (112: 49-54 against 55-62 us;
+# 128: 50-53 against 60-70 us)
+_EIGH2_MIN = 112
 # fit_members sums the moment table in blocks of this many entries, T rows
 # times _SUM_BLOCK // T samples.  Swept over 2**14..2**19 on one Xeon core:
 # at (n, S, N) = (5, 4, 20000), (8, 3, 30000) and (5, 4, 100000),
@@ -348,22 +353,48 @@ _EIGH2_MIN = 160
 _SUM_BLOCK = 2**17
 
 
-def _eigh2(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(grams, UPLO="U")`` of a stack of 2 x 2 symmetric
-    matrices, bit for bit, by LAPACK's closed form.
+def _solve_eigh(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gram_solve` by ``np.linalg.eigh``, for any n."""
+    tri = n * (n + 1) // 2
+    grams = np.zeros(sums.shape[:-1] + (n, n))
+    grams[(...,) + _upper_triangle(n)] = sums[..., :tri]
+    w, V = np.linalg.eigh(grams, UPLO="U")
+    svals = np.abs(w)
+    top = np.maximum(svals[..., :1], svals[..., -1:])
+    keep = svals > n * np.finfo(float).eps * top
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
+    theta = np.einsum("...ij,...j->...i", V, coef)
+    svals = svals[..., ::-1].copy()
+    low = w[..., 0] < 0
+    if low.any():
+        svals[low] = -np.sort(-svals[low], axis=-1)
+    return theta, svals
+
+
+def _solve2(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_solve_eigh` of a stack of n = 2 sums, bit for bit, by
+    LAPACK's closed form, without building eigenvectors.
 
     At n = 2 ``dsyevd`` reduces to ``dsteqr`` on the matrix itself: a split
     test for a negligible off-diagonal (then the diagonal is the spectrum),
-    else ``dlaev2``'s eigenvalues and rotation applied to the identity, and
-    an ascending sort.  This is that path, vectorized with LAPACK's order of
-    operations.  Matrices that LAPACK would rescale go to ``eigh``.
+    else ``dlaev2``'s eigenvalues and rotation of the identity.  This is that
+    arithmetic, vectorized with LAPACK's order of operations, to two
+    unsorted eigenpairs (d1, (z11, z21)) and (d2, (z12, z11)).  Each pair's
+    term of theta is formed in the einsums' order, (v0 m0 + v1 m1), times
+    1 / d, times v, and IEEE addition commutes, so adding the two terms
+    needs no ascending swap.  The einsums sum from +0.0, which only turns a
+    zero sum's -0.0 into +0.0: adding 0.0 to theta does the same, and the
+    sign of a zero before it never reaches theta.  The singular values are
+    the larger and the smaller |d|, which is what reversing and sorting |w|
+    gives.  Grams that LAPACK would rescale go to :func:`_solve_eigh`.
     """
-    a, b, c = grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 1]
+    a, b, c, m0, m1 = (sums[..., k] for k in range(5))
     aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
     anorm = np.maximum(np.maximum(aa, ab), ac)
     scaled = (anorm > _RMAX) | (anorm < _SSFMIN) & (anorm > 0)
     # the unsplit arithmetic divides by zero on split matrices, whose
-    # results it does not keep
+    # results it does not keep, and 1 / d by zero where d is dropped
     with np.errstate(all="ignore"):
         # dsteqr's two tests; the second scales the diagonal entry of smaller
         # magnitude first, which rounds differently near underflow
@@ -390,33 +421,33 @@ def _eigh2(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = -np.where(first, tb, cs) / np.where(first, cs, tb)
         u = 1.0 / np.sqrt(1.0 + t * t)
         v = t * u
-    # dlaev2 sets (cs1, sn1) = (v, u) where first, else (u, v), and then
-    # (-sn1, cs1) where the signs of sm and df differ
-    flip = neg ^ pos
-    swapped = first ^ flip
-    sn1 = np.where(swapped, u, v)
-    cs1 = np.where(swapped, v, u)
-    cs1 = np.where(flip, -cs1, cs1)
-    # off the split cs1 and sn1 are nonzero, so the rotation of the identity
-    # is exactly [[cs1, -sn1], [sn1, cs1]]
-    d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
-    z11 = np.where(split, 1.0, cs1)
-    z12 = np.where(split, 0.0, -sn1)
-    z21 = np.where(split, 0.0, sn1)
-    swap = d2 < d1
-    w = np.stack([np.where(swap, d2, d1), np.where(swap, d1, d2)], axis=-1)
-    V = np.stack(
-        [
-            np.where(swap, z12, z11),
-            np.where(swap, z11, z12),
-            np.where(swap, z11, z21),
-            np.where(swap, z21, z11),
-        ],
-        axis=-1,
-    ).reshape(grams.shape)
+        # dlaev2 sets (cs1, sn1) = (v, u) where first, else (u, v), and then
+        # (-sn1, cs1) where the signs of sm and df differ
+        flip = neg ^ pos
+        swapped = first ^ flip
+        sn1 = np.where(swapped, u, v)
+        cs1 = np.where(swapped, v, u)
+        cs1 = np.where(flip, -cs1, cs1)
+        # off the split cs1 and sn1 are nonzero, so the rotation of the
+        # identity is exactly [[cs1, -sn1], [sn1, cs1]]
+        d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
+        z11 = np.where(split, 1.0, cs1)
+        z12 = np.where(split, 0.0, -sn1)
+        z21 = np.where(split, 0.0, sn1)
+        theta = np.empty(sums.shape[:-1] + (2,))
+        svals = np.empty_like(theta)
+        s1, s2 = np.abs(d1), np.abs(d2)
+        np.maximum(s1, s2, out=svals[..., 0])
+        np.minimum(s1, s2, out=svals[..., 1])
+        floor = 2 * np.finfo(float).eps * svals[..., 0]
+        coef1 = np.where(s1 > floor, 1.0 / d1, 0.0) * (z11 * m0 + z21 * m1)
+        coef2 = np.where(s2 > floor, 1.0 / d2, 0.0) * (z12 * m0 + z11 * m1)
+    np.add(z11 * coef1, z12 * coef2, out=theta[..., 0])
+    np.add(z21 * coef1, z11 * coef2, out=theta[..., 1])
+    theta += 0.0
     if scaled.any():
-        w[scaled], V[scaled] = np.linalg.eigh(grams[scaled], UPLO="U")
-    return w, V
+        theta[scaled], svals[scaled] = _solve_eigh(sums[scaled], 2)
+    return theta, svals
 
 
 def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -429,38 +460,23 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``partitions.gram_full_rank``.  Eigenvalues at or below n * eps times the
     largest are dropped, lstsq's default cutoff for an n x n system, so a
     rank-deficient or empty (zero) Gram gets its minimum-norm solution.
-    Both decompositions below return the eigenvalues w in ascending order,
-    so the largest |w| is the larger of the two ends, and |w| reversed is
-    in descending order unless the smallest w rounded below zero; only
-    those Grams' values are sorted, so the result is the sort's, bit for
-    bit.
+    ``eigh`` returns the eigenvalues w in ascending order, so the largest
+    |w| is the larger of the two ends, and |w| reversed is in descending
+    order unless the smallest w rounded below zero; only those Grams'
+    values are sorted, so the result is the sort's, bit for bit.
 
     The decomposition is ``np.linalg.eigh`` (LAPACK's ``dsyevd``), except
     for a stack of at least ``_EIGH2_MIN`` 2 x 2 Grams, which takes the
-    same bits from :func:`_eigh2`, a vectorized port of ``dsyevd``'s
-    closed-form 2 x 2 path.  Grams whose largest entry is nonzero and lies
+    same bits from :func:`_solve2`: one pass of LAPACK's closed-form 2 x 2
+    arithmetic straight to the fits and singular values, with no
+    eigenvector matrix.  Grams whose largest entry is nonzero and lies
     outside [``_SSFMIN``, ``_RMAX``], about [1.2e-122, 1e146], are rescaled
     by LAPACK and stay with ``eigh``.  So the results do not depend on the
     size of the stack.
     """
-    tri = n * (n + 1) // 2
-    grams = np.zeros(sums.shape[:-1] + (n, n))
-    grams[(...,) + _upper_triangle(n)] = sums[..., :tri]
-    if n == 2 and grams.size >= 4 * _EIGH2_MIN:
-        w, V = _eigh2(grams)
-    else:
-        w, V = np.linalg.eigh(grams, UPLO="U")
-    svals = np.abs(w)
-    top = np.maximum(svals[..., :1], svals[..., -1:])
-    keep = svals > n * np.finfo(float).eps * top
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-    coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
-    theta = np.einsum("...ij,...j->...i", V, coef)
-    svals = svals[..., ::-1].copy()
-    low = w[..., 0] < 0
-    if low.any():
-        svals[low] = -np.sort(-svals[low], axis=-1)
-    return theta, svals
+    if n == 2 and sums[..., 0].size >= _EIGH2_MIN:
+        return _solve2(sums)
+    return _solve_eigh(sums, n)
 
 
 def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

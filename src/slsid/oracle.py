@@ -54,8 +54,9 @@ Prefixes and strings are scored in fixed-size chunks: one
 ``model.fit_members`` call on the chunk's one-hot memberships (the
 descent's cluster fit: one matmul against the dataset's
 ``model.moment_table`` and one batched eigendecomposition; at n = 2 a
-full chunk's Grams take ``model``'s closed-form port of LAPACK's 2 x 2
-path, which gives ``eigh``'s bits faster) gives the minimum-norm fits and
+chunk of at least ``model._EIGH2_MIN`` Grams is solved in one pass of
+LAPACK's closed-form 2 x 2 arithmetic, with no eigenvector matrix, which
+gives the ``eigh`` path's bits faster) gives the minimum-norm fits and
 the Grams' singular values, and SSEs are summed from explicit residuals.
 A prefix's bound counts only its clusters whose Gram passes
 ``partitions.gram_full_rank``: a rank-deficient or empty cluster's
@@ -259,7 +260,9 @@ def _score(labels, S: int, n: int, table, X, y):
     """
     count, length = labels.shape
     member = np.empty((count, S, length))
-    np.equal(labels[:, None, :], np.arange(S)[:, None], out=member)
+    # in the labels' type: an int64 range would send the compare through
+    # numpy's casting loop
+    np.equal(labels[:, None, :], np.arange(S, dtype=labels.dtype)[:, None], out=member)
     fits = fit_members(table, member.reshape(-1, length), n)
     theta, svals = (a.reshape(count, S, n) for a in fits)
     # each sample's own fit, gathered through the flat (string, cluster) index

@@ -80,7 +80,7 @@ def test_oracle_command(tmp_path):
 @pytest.mark.parametrize("source", ["example1", "example2", "zero"])
 def test_oracle_json_matches_the_class_dicts(tmp_path, source):
     # the command writes from the oracle's arrays; the bytes must equal the
-    # JSON of each class's own to_dict()
+    # indented payload with each class's own to_dict() on one compact line
     if source == "zero":
         rng = np.random.default_rng(10)
         path = tmp_path / "zero.csv"
@@ -95,8 +95,15 @@ def test_oracle_json_matches_the_class_dicts(tmp_path, source):
         "classes": [c.to_dict() for c in classes],
         "unique": unique_optimum(classes),
     }
-    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "oracle.json").read_bytes() == want.encode()
+    rows = ",\n".join("    " + json.dumps(c, sort_keys=True) for c in payload["classes"])
+    want = (
+        '{\n  "classes": [\n' + rows + "\n  ],\n"
+        + '  "optimum": ' + json.dumps(optimum) + ",\n"
+        + '  "unique": ' + json.dumps(payload["unique"]) + "\n}\n"
+    )
+    text = (tmp_path / "oracle.json").read_text()
+    assert text.encode() == want.encode()
+    assert json.loads(text) == payload
     # all-zero outputs: every one of the 2^9 strings is its own class
     assert len(classes) == 512 or source != "zero"
 

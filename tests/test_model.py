@@ -318,54 +318,6 @@ def test_bad_scenario_seed_rejected(seed, error, message):
     )
 
 
-def _upper_grams(rows):
-    """The 2 x 2 Grams of a stack of row sets, upper triangle only, as
-    ``gram_solve`` builds them."""
-    grams = np.einsum("bki,bkj->bij", rows, rows)
-    grams[:, 1, 0] = 0.0
-    return grams
-
-
-def test_eigh2_matches_lapack_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(11)
-    normal = rng.normal(size=(256, 4, 2))
-    axis = rng.normal(size=(256, 4, 2))
-    axis[:, :2, 0] = axis[:, 2:, 1] = 0.0
-    row_sets = [
-        normal,
-        rng.normal(size=(256, 1, 2)),
-        rng.normal(size=(256, 1, 2)) * rng.normal(size=(256, 3, 1)),
-        axis,
-        rng.integers(-3, 4, size=(256, 4, 2)).astype(float),
-        np.zeros((4, 4, 2)),
-    ]
-    row_sets += [normal[:32] * 10.0**k for k in range(-8, 9)]
-    # Gram entries near and beyond both ends of LAPACK's unscaled range
-    row_sets += [normal[:64] * 10.0**k for k in (-61, -65, -75, 73, 75, 80)]
-    grams = [_upper_grams(rows) for rows in row_sets]
-    # general symmetric matrices reach dlaev2's sign branches and its ties
-    grams.append(np.triu(rng.integers(-3, 4, size=(512, 2, 2)).astype(float)))
-    grams = np.concatenate(grams)
-    anorm = np.abs(grams).max(axis=(1, 2))
-    scaled = (anorm > 2.0**485) | (anorm < 2.0**-405) & (anorm > 0)
-    assert 0 < scaled.sum() < len(grams)
-
-    eigh, sent = np.linalg.eigh, []
-
-    def recording(a, UPLO="L"):
-        sent.append(len(a))
-        return eigh(a, UPLO)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    w, V = model._eigh2(grams)
-    # only the Grams LAPACK would rescale reach eigh
-    assert sent == [scaled.sum()]
-    w0, V0 = eigh(grams, UPLO="U")
-    # as integers, so signed zeros must match too
-    assert np.array_equal(w.view(np.int64), w0.view(np.int64))
-    assert np.array_equal(V.view(np.int64), V0.view(np.int64))
-
-
 def _gram_solve_by_sorting(sums, n):
     """``gram_solve`` as first written, with a max and a sort over each
     Gram's eigenvalues: the reference."""
@@ -388,6 +340,53 @@ def _moment_sums(rows, outputs):
     return np.concatenate(
         [grams[(...,) + np.triu_indices(n)], np.einsum("bki,bk->bi", rows, outputs)], axis=-1
     )
+
+
+def test_solve2_matches_lapack_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    normal = rng.normal(size=(256, 4, 2))
+    axis = rng.normal(size=(256, 4, 2))
+    axis[:, :2, 0] = axis[:, 2:, 1] = 0.0
+    row_sets = [
+        normal,
+        rng.normal(size=(256, 1, 2)),
+        rng.normal(size=(256, 1, 2)) * rng.normal(size=(256, 3, 1)),
+        axis,
+        rng.integers(-3, 4, size=(256, 4, 2)).astype(float),
+        np.zeros((4, 4, 2)),
+    ]
+    row_sets += [normal[:32] * 10.0**k for k in range(-8, 9)]
+    # Gram entries near and beyond both ends of LAPACK's unscaled range
+    row_sets += [normal[:64] * 10.0**k for k in (-61, -65, -75, 73, 75, 80)]
+    sums = []
+    for rows in row_sets:
+        outputs = rng.normal(size=rows.shape[:2])
+        # zero outputs, as on the oracle's all-zero data, give signed zeros
+        outputs[::2] = 0.0
+        sums.append(_moment_sums(rows, outputs))
+    # general symmetric matrices, upper triangle, reach dlaev2's sign
+    # branches and its ties
+    sums.append(rng.integers(-3, 4, size=(512, 5)).astype(float))
+    sums = np.concatenate(sums)
+    anorm = np.abs(sums[:, :3]).max(axis=1)
+    scaled = (anorm > 2.0**485) | (anorm < 2.0**-405) & (anorm > 0)
+    assert 0 < scaled.sum() < len(sums)
+    want = _gram_solve_by_sorting(sums, 2)
+
+    eigh, sent = np.linalg.eigh, []
+
+    def recording(a, UPLO="L"):
+        sent.append(len(a))
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    got = model._solve2(sums)
+    # only the Grams LAPACK would rescale reach eigh
+    assert sent == [scaled.sum()]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        # as integers, so signed zeros must match too
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -436,21 +435,32 @@ def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
         (Dataset(X[:12], np.zeros(12)), 2),
         (simulate(planted, X, Assignment(np.resize([1, 2], 14))), 2),
         (Dataset(X[:9], rng.normal(size=9)), 3),
+        # Grams that LAPACK rescales, about 1e-140 and 1e160, which the
+        # fused pass hands to eigh
+        (Dataset(X[:12] * np.resize([1e-70, 1.0, 1e80], 12)[:, None], rng.normal(size=12)), 2),
     ]
     _, noisy = generate_random_scenario(2, 2, 120, noise=NoiseSpec("gaussian", 0.1), seed=3)
     order_cfg = OrderSelectConfig(S_bar=3, solver=SolverConfig(S=1))
-    port, calls = model._eigh2, []
+    port, calls = model._solve2, []
+    eigh, decomposed = np.linalg.eigh, []
 
-    def counted(grams):
-        calls.append(len(grams))
-        return port(grams)
+    def counted(sums):
+        calls.append(len(sums))
+        return port(sums)
 
-    monkeypatch.setattr(model, "_eigh2", counted)
+    def recording(a, UPLO="L"):
+        decomposed.append(len(a))
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(model, "_solve2", counted)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     found = []
-    # at 0 every n = 2 stack takes the port; above every batch none does
+    # at 0 every n = 2 stack takes the fused pass, which hands eigh the
+    # rescaled Grams of the last oracle case; above every batch none does
     for cutoff in (0, 10**9):
         monkeypatch.setattr(model, "_EIGH2_MIN", cutoff)
         calls.clear()
+        decomposed.clear()
         found.append(
             [repr((best, classes.to_dicts()))
              for best, classes in (oracle_global(data, S) for data, S in oracle_cases)]
@@ -458,4 +468,5 @@ def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
                repr(select_order(noisy, order_cfg).to_dict())]
         )
         assert bool(calls) == (cutoff == 0)
+        assert decomposed
     assert found[0] == found[1]
