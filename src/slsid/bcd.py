@@ -52,6 +52,7 @@ from .model import (
     Dataset,
     SLModel,
     _count,
+    _need_samples,
     _seed,
     fit_members,
     moment_table,
@@ -385,8 +386,7 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     when a half-step raises the objective, and ValueError when the
     dataset has fewer samples than subsystems.
     """
-    if data.N < cfg.S:
-        raise ValueError(f"need at least S={cfg.S} samples, got N={data.N}")
+    _need_samples(cfg.S, data.N)
     table = moment_table(data)
     # with one subsystem every start is all ones and every restart the same
     if cfg.S == 1:

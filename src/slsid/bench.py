@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import MAX_ALIGN_S, classification_error, nmse
-from .model import NoiseSpec, _count, _seed, generate_random_scenario
+from .model import NoiseSpec, _count, _need_samples, _seed, generate_random_scenario
 from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
@@ -47,7 +47,9 @@ class ScenarioSpec:
     cell's nrftp when its NMSE is below the fixed 1e-4.  The counts n, S,
     N, repetitions and restarts, and a non-None seed, are stored as ints
     through ``operator.index``; a float is a TypeError naming its field,
-    and a negative seed a ValueError.
+    and a negative seed a ValueError.  A cell that cannot run (n, S or N
+    below 1, or S > N) is a ValueError when the spec is built, so a grid
+    fails before its first fit.
     """
 
     n: int
@@ -62,8 +64,10 @@ class ScenarioSpec:
         for name in ("n", "S", "N", "repetitions", "restarts"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "seed", _seed(self.seed))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name in ("n", "S", "N", "repetitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        _need_samples(self.S, self.N)
         # scoring aligns labels by trying every permutation
         if self.S > MAX_ALIGN_S:
             raise ValueError(

@@ -157,10 +157,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     data = load_dataset(args.data)
-    # as in fit; above N every class has an empty cluster, and the JSON
-    # writes S*n parameters per class
-    if args.S > data.N:
-        raise ValueError(f"need at least S={args.S} samples, got N={data.N}")
     optimum, classes = oracle_global(data, args.S, limit=args.limit)
     # the indented layout, but one compact line per class: on all-zero
     # outputs every split is a class, and indenting each label and parameter

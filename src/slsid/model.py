@@ -65,6 +65,13 @@ def _count(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _need_samples(S: int, N: int) -> None:
+    """Reject S subsystems on fewer than S samples, the one rule of every
+    solver: with S > N some cluster is empty in every assignment."""
+    if N < S:
+        raise ValueError(f"need at least S={S} samples, got N={N}")
+
+
 def _seed(value) -> int | None:
     """A seed: None, or a nonnegative int through :func:`_count`; a float
     is a TypeError and a negative value a ValueError, both naming it."""

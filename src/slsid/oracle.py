@@ -5,10 +5,8 @@ of the samples into at most S clusters, with each nonempty cluster fitted
 by least squares, and all optimal solutions grouped into classes under
 subsystem relabeling.  Splits are restricted-growth label strings (the
 first sample is in cluster 1 and each later label is at most one above the
-largest before it), which visit each relabeling class once.  With S > N
-the clusters past the N-th are empty in every string, so the search runs
-with N clusters, and every class is degenerate and gets zero fits for the
-others when it is read.
+largest before it), which visit each relabeling class once.  As for the
+descent, S may not exceed N (``model._need_samples``).
 
 The search is a branch-and-bound over string prefixes, the labels of the
 first samples.  Adding a sample never lowers a cluster's least-squares
@@ -41,7 +39,7 @@ U comes from up to three sources, in this order:
 3. When the first pass kept no string (on noisy data it builds only its
    head, the prefixes whose clusters all fit within the guess), U is the
    objective of one string, the labels of a default ``bcd.bcd_solve`` run
-   with min(S, N) subsystems, scored as the pass scores strings; when the
+   with S subsystems, scored as the pass scores strings; when the
    descent raises ``SolverFailure`` or ``DescentError`` (its Gram solve is
    not exact on rows of widely different scales), U is infinite and the
    second pass is the scan.
@@ -76,8 +74,8 @@ so a caller that reads the count and the first class (as
 :func:`unique_optimum` does) builds one object, not one per optimal
 string.  A chunk whose strings are all within 1e-9 of the running best
 is kept as computed, without a copy.  Each optimal class holds
-N + 8*min(S, N)*n + 9 bytes: its labels (one byte each while S < 256), its
-fits, its objective and its flag.
+N + 8*S*n + 9 bytes: its labels (one byte each while S < 256), its fits,
+its objective and its flag.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -97,7 +95,7 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
-from .model import Dataset, _count, fit_members, moment_table
+from .model import Dataset, _count, _need_samples, fit_members, moment_table
 from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
@@ -144,18 +142,13 @@ class _Classes(Sequence):
 
     ``chunks`` holds, per chunk of the pass, the objectives, the 0-based
     labels (in the pass's integer type), the fits and the degenerate flags
-    of its optimal strings, in canonical order.  ``empty`` more clusters,
-    past the pass's, are empty in every string (S > N): every class is
-    degenerate, and each class read gets their zero fits.  The
-    :class:`SolutionClass` at an index is built when it is read; iteration
-    builds them chunk by chunk.
+    of its optimal strings, in canonical order.  The :class:`SolutionClass`
+    at an index is built when it is read; iteration builds them chunk by
+    chunk.
     """
 
-    def __init__(self, chunks, empty: int = 0):
-        if empty:
-            chunks = [(*c[:3], np.ones_like(c[3])) for c in chunks]
+    def __init__(self, chunks):
         self._chunks = chunks
-        self._empty = empty
         # one past the last index of each chunk; bisect_right passes over
         # the chunks that keep no string
         self._ends = list(accumulate(len(c[0]) for c in chunks))
@@ -176,7 +169,7 @@ class _Classes(Sequence):
         objectives, labels, fits, flags = self._chunks[k]
         return SolutionClass(
             tuple((labels[j] + 1).tolist()),
-            self._padded(fits[j]),
+            fits[j],
             float(objectives[j]),
             bool(flags[j]),
         )
@@ -187,30 +180,20 @@ class _Classes(Sequence):
             for obj, canon, params, flag in zip(
                 objectives.tolist(), (labels + 1).tolist(), fits, flags.tolist()
             ):
-                yield SolutionClass(tuple(canon), self._padded(params), obj, flag)
-
-    def _padded(self, params):
-        if not self._empty:
-            return params
-        return np.concatenate([params, np.zeros((self._empty, params.shape[1]))])
+                yield SolutionClass(tuple(canon), params, obj, flag)
 
     def __repr__(self) -> str:
         return repr(list(self))
 
     def to_dicts(self) -> list[dict]:
         """``[c.to_dict() for c in self]``, built from the arrays."""
-        dicts = [
+        return [
             {"labels": canon, "params": params, "objective": obj, "degenerate": flag}
             for objectives, labels, fits, flags in self._chunks
             for obj, canon, params, flag in zip(
                 objectives.tolist(), (labels + 1).tolist(), fits.tolist(), flags.tolist()
             )
         ]
-        if self._empty:
-            for d in dicts:
-                n = len(d["params"][0])
-                d["params"] += [[0.0] * n for _ in range(self._empty)]
-        return dicts
 
 
 def _extend(parents, width: int, S: int):
@@ -273,7 +256,7 @@ def _score(labels, S: int, n: int, table, X, y):
 
 def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
     """The upper bound U on the optimum for a pass of :func:`oracle_global`
-    with S <= N clusters.
+    with S clusters.
 
     Before the first pass (``best`` None), U is guessed at the rounding
     margin ``_PRUNE_RTOL`` * y'y.  After a pass that kept no string within
@@ -305,9 +288,7 @@ def oracle_global(
     ``partitions.gram_full_rank`` at ``GRAM_RTOL``.  The classes
     come as a read-only sequence over the pass's arrays: the
     :class:`SolutionClass` at an index is built when it is read, and
-    iterating builds each in turn.  With S > N the search runs with N
-    clusters; every class is degenerate, and its parameters get S - N
-    zero rows when it is read.
+    iterating builds each in turn.
 
     The upper bound U of the search comes from the first pass's own guess
     (U = ``_PRUNE_RTOL`` * y'y, final when a kept string is within it, as
@@ -322,11 +303,11 @@ def oracle_global(
     than S^N nodes and a call runs at most two, so any ``limit >= 2 *
     S**N`` is enough, and ``S**N`` where one pass decides (noise-free data,
     all-zero outputs); :class:`EnumerationLimitError` is raised when a
-    batch would go over, ValueError when ``limit`` is negative, and
-    TypeError when ``S`` or ``limit`` is not an integer.  Every optimal
-    class is kept, at N + 8*min(S, N)*n + 9 bytes each, so where every
-    string is optimal (all-zero outputs) memory grows with the budget, not
-    with a chunk.
+    batch would go over, ValueError when ``limit`` is negative or the
+    dataset has fewer samples than S, and TypeError when ``S`` or ``limit``
+    is not an integer.  Every optimal class is kept, at N + 8*S*n + 9 bytes
+    each, so where every string is optimal (all-zero outputs) memory grows
+    with the budget, not with a chunk.
     """
     S, limit = _count("S", S), _count("limit", limit)
     if S < 1:
@@ -334,9 +315,7 @@ def oracle_global(
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     N, n = data.N, data.n
-    # clusters past the N-th are empty in every string, so the pass runs
-    # with min(S, N) and the classes add their zero fits
-    S, empty = min(S, N), max(S - N, 0)
+    _need_samples(S, N)
     X, y = data.regressors, data.outputs
     table = moment_table(data)
 
@@ -416,7 +395,7 @@ def oracle_global(
 
     # restricted-growth strings are canonical and come in ascending order,
     # so every kept string is its own class, already sorted
-    return best, _Classes(kept, empty)
+    return best, _Classes(kept)
 
 
 def unique_optimum(classes: Sequence[SolutionClass]) -> bool:

@@ -86,6 +86,23 @@ def test_cell_beyond_alignment_limit_rejected():
     assert ScenarioSpec(n=1, S=8, N=50).S == 8
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((0, 2, 40), "n must be >= 1"),
+        ((2, 0, 40), "S must be >= 1"),
+        ((2, 2, 0), "N must be >= 1"),
+        ((2, 5, 3), "need at least S=5 samples, got N=3"),
+    ],
+)
+def test_cell_that_cannot_run_rejected(cell, message):
+    # at construction, not when run_cell reaches the cell
+    n, S, N = cell
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(n=n, S=S, N=N)
+    assert ScenarioSpec(n=2, S=3, N=3).N == 3
+
+
 @pytest.mark.parametrize("repetitions", [0, -1])
 def test_repetitions_below_one_rejected(repetitions):
     with pytest.raises(ValueError, match="repetitions must be >= 1"):

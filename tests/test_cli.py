@@ -368,6 +368,23 @@ def test_bench_cell_beyond_alignment_limit_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bench_raw.csv").exists()
 
 
+def test_bench_bad_second_cell_fails_before_any_fit(tmp_path, capsys, monkeypatch):
+    # every cell is checked when the grid is built, so a good first cell
+    # does not run for nothing
+    from slsid import bench
+
+    def no_fit(*args):
+        raise AssertionError("bcd_solve called")
+
+    monkeypatch.setattr(bench, "bcd_solve", no_fit)
+    code = run(["bench", "--cell", "5,4,100000", "--cell", "2,5,3", "--repetitions", "5",
+                "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: need at least S=5 samples, got N=3"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pe_check_without_truth_labels_is_usage_error(tmp_path, capsys):
     from slsid import Dataset, fixtures, save_dataset, save_model
 
@@ -721,12 +738,13 @@ def test_defaults_match_library_defaults():
 
 
 def test_oracle_S_above_N_is_usage_error(tmp_path, capsys):
-    # as in fit: the pass's arrays grow with S, so a huge S never reaches it
+    # S <= N is one library rule, so both solvers print its one line
     save_dataset(tmp_path / "d.csv", Dataset(np.eye(3, 2), np.ones(3)))
-    for S in ("4", "1000000"):
-        assert run(["oracle", "--data", str(tmp_path / "d.csv"), "--S", S]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: need at least S={S} samples, got N=3"]
+    for command in ("oracle", "fit"):
+        for S in ("4", "1000000"):
+            assert run([command, "--data", str(tmp_path / "d.csv"), "--S", S]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: need at least S={S} samples, got N=3"], command
 
 
 def _oracle_csv(path, kind, N, seed):
@@ -815,3 +833,22 @@ def test_fit_cli_contract(kind, N, seed, S, restarts):
     code, out = _contract(kind, N, seed, argv)
     if code == 0:
         assert math.isfinite(json.loads(out)["objective"]), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_KINDS),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.sampled_from(_COUNTS),
+    # capped at 9 restarts, as in the fit contract
+    st.sampled_from([None, "abc", "-1", "0", "1", "3", "9"]),
+)
+def test_select_order_cli_contract(kind, N, seed, s_bar, restarts):
+    # any input file and any --s-bar / --restarts; a run that exits 0 chose
+    # a count among the candidates
+    argv = ["select-order", "--s-bar", s_bar]
+    argv += [] if restarts is None else ["--restarts", restarts]
+    code, out = _contract(kind, N, seed, argv)
+    if code == 0:
+        assert 1 <= json.loads(out)["chosen_S"] <= int(s_bar), argv

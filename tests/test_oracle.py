@@ -236,17 +236,21 @@ def _random_instance(rng, S, n, N, kind):
 
 def test_random_instances_match_reference_enumeration():
     rng = np.random.default_rng(2024)
-    # N = 1, N < S and N > S for every S and n
+    # N = 1, N = S and N > S for every S and n; N = 1 < S is rejected
     cases = [
         (S, n, N)
         for S in range(1, 5)
         for n in range(1, 4)
-        for N in sorted({1, S - 1, 5} - {0})
+        for N in sorted({1, S, 5})
     ]
     kinds = ("generic", "repeated", "collinear", "zero")
     for trial, (S, n, N) in enumerate(cases):
         kind = kinds[trial % len(kinds)]
         data = _random_instance(rng, S, n, N, kind)
+        if N < S:
+            with pytest.raises(ValueError, match=f"need at least S={S} samples"):
+                oracle_global(data, S)
+            continue
         optimum, classes = oracle_global(data, S)
         ref_opt, ref_classes = _reference_scan(data, S)
         where = f"S={S} n={n} N={N} {kind}"
@@ -266,7 +270,7 @@ def test_classes_match_per_cluster_least_squares():
         (S, n, N)
         for S in range(1, 5)
         for n in range(1, 4)
-        for N in sorted({1, S - 1, 5} - {0})
+        for N in sorted({S, 5})
     ]
     for S, n, N in cases:
         for kind in ("generic", "repeated", "collinear", "zero"):
@@ -370,10 +374,11 @@ def test_no_least_squares_call_per_assignment(monkeypatch):
     st.integers(0, 100_000),
     st.integers(2, 3),
     st.integers(1, 2),
-    st.integers(1, 6),
+    st.integers(0, 4),
     st.booleans(),
 )
-def test_sample_permutation_permutes_classes(seed, S, n, N, zero):
+def test_sample_permutation_permutes_classes(seed, S, n, extra, zero):
+    N = S + extra
     rng = np.random.default_rng(seed)
     data = _random_instance(rng, S, n, N, "zero" if zero else "generic")
     perm = rng.permutation(N)
@@ -456,8 +461,9 @@ def test_pruning_changes_nothing(monkeypatch):
     # descent, or none when the descent raises), the pruned results are the
     # scan's bit for bit; with no bound from any source the pass is the scan
     rng = np.random.default_rng(41)
-    # 9 lengths per S, so each output kind falls on different N at each S
-    cases = [(S, N) for S in range(1, 4) for N in range(2, 11)]
+    # 9 lengths per S from max(S, 2), so each output kind falls on
+    # different N at each S
+    cases = [(S, N) for S in range(1, 4) for N in range(max(S, 2), max(S, 2) + 9)]
     outputs = (
         ("noisy", 0.0), ("planted", 0.0), ("zero", 0.0), ("planted", 1e-3), ("planted", 1e-6)
     )
@@ -525,7 +531,7 @@ def _nodes_unpruned(N, S):
     return sum(_stirling_sum(length, S) for length in (*lengths, N))
 
 
-@pytest.mark.parametrize("S, N", [(1, 6), (2, 1), (2, 5), (2, 12), (3, 2), (3, 8)])
+@pytest.mark.parametrize("S, N", [(1, 6), (2, 2), (2, 5), (2, 12), (3, 3), (3, 8)])
 def test_node_budget_on_zero_outputs(S, N):
     # every string fits exactly, so nothing is dropped: the pass builds every
     # prefix and string, fewer than the S^N the old guard counted
@@ -598,37 +604,18 @@ def test_extend_matches_a_filter_of_every_code(monkeypatch, S):
 
 
 def test_more_subsystems_than_samples():
-    # the clusters past the fifth are empty in every string: the classes
-    # are those of S = 5 with zero fits added, all degenerate
-    rng = np.random.default_rng(21)
-    X = rng.uniform(-3, 3, size=(5, 2))
-    for y in (np.zeros(5), rng.normal(size=5)):
-        data = Dataset(X, y)
-        best, classes = oracle_global(data, 5)
-        for S in (7, 200):
-            want = [
-                d | {"params": d["params"] + [[0.0, 0.0]] * (S - 5), "degenerate": True}
-                for d in classes.to_dicts()
-            ]
-            found = oracle_global(data, S)
-            assert found[0] == best
-            assert found[1].to_dicts() == want
-            assert [c.to_dict() for c in found[1]] == want
-            last = found[1][-1]
-            assert last.params.shape == (S, 2) and not last.params[5:].any()
-            np.testing.assert_array_equal(last.params[:5], classes[-1].params)
-
-
-def test_a_million_subsystems_on_five_rows():
-    # the pass runs with 5 clusters, so neither memory nor time grows with S
+    # S <= N is the descent's rule too: the same message, raised before the
+    # pass builds anything, so S = 10**6 on five rows costs no more than S = 6
     rng = np.random.default_rng(22)
     data = Dataset(rng.uniform(-3, 3, size=(5, 2)), np.zeros(5))
-    start = time.perf_counter()
-    best, classes = oracle_global(data, 10**6)
-    assert time.perf_counter() - start < 1.0
-    assert best == 0.0 and len(classes) == _stirling_sum(5, 5)
-    assert classes[0].params.shape == (10**6, 2)
-    assert classes[0].degenerate and classes[-1].degenerate
+    for S in (6, 10**6):
+        with pytest.raises(ValueError) as descent:
+            bcd_solve(data, SolverConfig(S=S))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exact:
+            oracle_global(data, S)
+        assert time.perf_counter() - start < 0.05
+        assert str(exact.value) == str(descent.value) == f"need at least S={S} samples, got N=5"
 
 
 def test_one_subsystem_on_many_rows():
