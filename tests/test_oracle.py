@@ -603,19 +603,29 @@ def test_extend_matches_a_filter_of_every_code(monkeypatch, S):
             np.testing.assert_array_equal(got, _extend_by_filter(parents, width, S))
 
 
+def _raises_like_the_descent(data, S):
+    with pytest.raises(ValueError) as descent:
+        bcd_solve(data, SolverConfig(S=S))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exact:
+        oracle_global(data, S)
+    assert time.perf_counter() - start < 0.05
+    N = len(data.outputs)
+    assert str(exact.value) == str(descent.value) == f"need at least S={S} samples, got N={N}"
+
+
 def test_more_subsystems_than_samples():
     # S <= N is the descent's rule too: the same message, raised before the
-    # pass builds anything, so S = 10**6 on five rows costs no more than S = 6
+    # pass builds anything
     rng = np.random.default_rng(22)
-    data = Dataset(rng.uniform(-3, 3, size=(5, 2)), np.zeros(5))
-    for S in (6, 10**6):
-        with pytest.raises(ValueError) as descent:
-            bcd_solve(data, SolverConfig(S=S))
-        start = time.perf_counter()
-        with pytest.raises(ValueError) as exact:
-            oracle_global(data, S)
-        assert time.perf_counter() - start < 0.05
-        assert str(exact.value) == str(descent.value) == f"need at least S={S} samples, got N=5"
+    _raises_like_the_descent(Dataset(rng.uniform(-3, 3, size=(5, 2)), np.zeros(5)), 6)
+
+
+def test_a_million_subsystems_on_five_rows():
+    # the check comes first, so S = 10**6 on five rows costs no more than
+    # S = 6: no cluster, Gram or class is built for it
+    rng = np.random.default_rng(22)
+    _raises_like_the_descent(Dataset(rng.uniform(-3, 3, size=(5, 2)), np.zeros(5)), 10**6)
 
 
 def test_one_subsystem_on_many_rows():
