@@ -30,10 +30,15 @@ whose labels leave a cluster empty is repaired on its own.
 call it.
 
 Each restart is deterministic from a seed derived from the config seed and
-the restart index.  It yields its own :class:`SolveReport`, or None when a
-cluster empties twice, and leaves its group when it converges, stalls,
-reaches ``max_iters``, degenerates or raises.  The winner is the restart
-with the lowest final objective, ties to the lowest index.  A half-step
+the restart index.  It leaves its group when it converges, stalls, reaches
+``max_iters``, degenerates (a cluster empties twice) or raises, and hands
+back its objective, labels, parameters, trace and history, or nothing when
+it degenerated.  ``bcd_solve`` copies the labels and parameters of the
+running best only, the lowest final objective with ties to the lowest
+index, and builds one :class:`SolveReport`, for the winner, so its memory
+does not grow with the number of restarts.  An iteration converts its
+objectives and flags to Python lists once for the whole group, and looks
+for empty clusters only when some Gram of the group is zero.  A half-step
 that raises the objective beyond rounding raises :class:`DescentError`,
 for the lowest failing restart of the group, as a one-at-a-time run would.
 With ``keep_history`` every restart of the running group keeps its
@@ -43,6 +48,7 @@ are dropped.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,15 +247,14 @@ def _record(trace: list[float], value: float, restart: int, iteration: int) -> N
     trace.append(value)
 
 
-def _label_sums(sq: np.ndarray, labels: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _label_sums(sq: np.ndarray, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per restart i, the sum over samples k of ``sq[i, labels[i, k], k]``.
 
-    ``samples`` is ``np.arange(N)``.
+    ``offsets[i, k]`` is the flat index ``i * S * N + k`` of sample k in
+    slice i of ``sq``.
     """
-    a, S, N = sq.shape
-    flat = labels * N
-    flat += np.arange(0, a * S * N, S * N)[:, None]
-    flat += samples
+    flat = labels * sq.shape[-1]
+    flat += offsets
     return np.sum(sq.take(flat), axis=1)
 
 
@@ -281,7 +286,7 @@ def _run_group(
     count: int,
     table: np.ndarray,
     work: np.ndarray,
-) -> list[SolveReport | None]:
+) -> Iterator[tuple[int, tuple | None]]:
     """Descents of restarts ``first`` to ``first + count - 1``, in lockstep.
 
     ``work`` is a G x S x N buffer with G >= count: it holds the float
@@ -292,19 +297,22 @@ def _run_group(
     step computes what a lone restart computes, slice by slice, so the
     results do not depend on the group size.
 
-    Returns one report per restart, None where it degenerated.  If any
-    restart failed, raises the :class:`DescentError` of the lowest one once
-    the group is done.
+    Yields ``(restart, end)`` as each restart leaves the stack: ``end`` is
+    None where it degenerated, else its final objective, 0-based labels,
+    parameters, trace, iteration count, convergence flag and history.  The
+    labels and parameters are views of the iteration's arrays, which no
+    later step writes.  If any restart failed, raises the
+    :class:`DescentError` of the lowest one once the group is done.
     """
     X, y = data.regressors, data.outputs
-    clusters = np.arange(cfg.S)[:, None]
-    samples = np.arange(data.N)
+    S, N = cfg.S, data.N
+    clusters = np.arange(S)[:, None]
+    offsets = np.arange(0, count * S * N, S * N)[:, None] + np.arange(N)
     labels = _start_labels(data, cfg, first, count)
     active = list(range(count))
     reseeded: list[set[int]] = [set() for _ in active]
     traces: list[list[float]] = [[] for _ in active]
     history: list[list[IterationRecord]] = [[] for _ in active]
-    reports: list[SolveReport | None] = [None] * count
     errors: list[DescentError] = []
 
     for iteration in range(1, cfg.max_iters + 1):
@@ -312,32 +320,36 @@ def _run_group(
         buf = work[:a]
         np.equal(labels[:, None, :], clusters, out=buf)
         params, svals = fit_members(table, buf, data.n)
-        degenerate = np.zeros(a, dtype=bool)
+        degenerate = []
         # an empty cluster's Gram is zero, but so is one of zero rows: only
         # the restarts with such a Gram are checked for emptiness
-        for i in np.flatnonzero(~(svals[..., 0] > 0).all(axis=1)):
-            empty = np.flatnonzero(~buf[i].any(axis=1)).tolist()
-            if empty:
-                degenerate[i] = _repair_empty(
+        full = svals[..., 0] > 0
+        if not full.all():
+            for i in np.flatnonzero(~full.all(axis=1)).tolist():
+                empty = np.flatnonzero(~buf[i].any(axis=1)).tolist()
+                if empty and _repair_empty(
                     data, labels[i], params[i], empty, reseeded[active[i]], table
-                )
+                ):
+                    degenerate.append(i)
         # squared residual_matrix, computed as it does, so both objectives
         # below equal objective_integer bit for bit
         np.matmul(params, X.T, out=buf)
         np.subtract(y, buf, out=buf)
         np.multiply(buf, buf, out=buf)
-        fit_obj = _label_sums(buf, labels, samples)
+        fit_obj = _label_sums(buf, labels, offsets[:a]).tolist()
         new, obj = _relabel(buf)
-        unchanged = (new == labels).all(axis=1)
+        obj = obj.tolist()
+        unchanged = (new == labels).all(axis=1).tolist()
 
         keep = []
         for i, g in enumerate(active):
             trace = traces[g]
             try:
-                _record(trace, float(fit_obj[i]), first + g, iteration)
-                if degenerate[i]:
+                _record(trace, fit_obj[i], first + g, iteration)
+                if i in degenerate:
+                    yield first + g, None
                     continue
-                _record(trace, float(obj[i]), first + g, iteration)
+                _record(trace, obj[i], first + g, iteration)
             except DescentError as err:
                 errors.append(err)
                 continue
@@ -345,20 +357,12 @@ def _run_group(
                 history[g].append(
                     IterationRecord(iteration, params[i].copy(), new[i] + 1, trace[-1])
                 )
-            converged = bool(unchanged[i]) or (
+            converged = unchanged[i] or (
                 len(trace) >= 4 and trace[-3] - trace[-1] < _STALL_TOL
             )
             if converged or iteration == cfg.max_iters:
-                reports[g] = SolveReport(
-                    model=SLModel(params[i]),
-                    assignment=Assignment(new[i] + 1),
-                    objective=trace[-1],
-                    trace=np.asarray(trace),
-                    iterations=iteration,
-                    converged=converged,
-                    restart_index=first + g,
-                    degenerate_restarts=0,
-                    history=tuple(history[g]) if cfg.keep_history else None,
+                yield first + g, (
+                    trace[-1], new[i], params[i], trace, iteration, converged, history[g]
                 )
             else:
                 keep.append(i)
@@ -371,7 +375,6 @@ def _run_group(
 
     if errors:
         raise min(errors, key=lambda err: err.restart)
-    return reports
 
 
 def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
@@ -381,7 +384,9 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     would start alike), in lockstep groups of at most
     ``_GROUP_CELLS // (S * N)`` restarts, and returns the report of the
     one with the lowest final objective, with the count of degenerate
-    restarts.  Raises :class:`SolverFailure` when every
+    restarts.  Only the running best restart's labels and parameters are
+    copied as restarts finish, and the one report is built at the end.
+    Raises :class:`SolverFailure` when every
     restart degenerates (a cluster emptied twice), :class:`DescentError`
     when a half-step raises the objective, and ValueError when the
     dataset has fewer samples than subsystems.
@@ -393,17 +398,30 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
         cfg = replace(cfg, restarts=1)
     G = min(cfg.restarts, max(1, _GROUP_CELLS // (cfg.S * data.N)))
     work = np.empty((G, cfg.S, data.N))
-    best: SolveReport | None = None
+    best = None
     degenerate_count = 0
     for first in range(0, cfg.restarts, G):
         count = min(G, cfg.restarts - first)
-        for report in _run_group(data, cfg, first, count, table, work):
-            if report is None:
+        for restart, end in _run_group(data, cfg, first, count, table, work):
+            if end is None:
                 degenerate_count += 1
-            elif best is None or report.objective < best.objective:
-                best = report
+            # lowest objective, ties to the lowest restart
+            elif best is None or (end[0], restart) < best[:2]:
+                objective, labels, params, *rest = end
+                best = (objective, restart, labels + 1, params.copy(), *rest)
     if best is None:
         raise SolverFailure(
             f"all {cfg.restarts} restarts degenerated (clusters kept emptying)"
         )
-    return replace(best, degenerate_restarts=degenerate_count)
+    objective, restart, labels, params, trace, iterations, converged, history = best
+    return SolveReport(
+        model=SLModel(params),
+        assignment=Assignment(labels),
+        objective=objective,
+        trace=np.asarray(trace),
+        iterations=iterations,
+        converged=converged,
+        restart_index=restart,
+        degenerate_restarts=degenerate_count,
+        history=tuple(history) if cfg.keep_history else None,
+    )

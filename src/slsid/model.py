@@ -10,7 +10,8 @@ needed.  Least squares runs on sufficient statistics: ``moment_table``
 holds each sample's x x^T (upper triangle) and x y, and ``gram_solve``
 solves a whole stack of cluster Gram matrices with one batched symmetric
 eigendecomposition, giving minimum-norm fits and the singular values for
-the rank test.  The eigenvalues come in ascending order, so the largest
+the rank test; its Grams are gathered whole, both triangles, in one
+``take``.  The eigenvalues come in ascending order, so the largest
 magnitude is at one end, and the singular values in descending order are
 the magnitudes reversed, except in a Gram whose smallest eigenvalue
 rounded below zero: only those rows are sorted.  No max or sort runs over
@@ -50,6 +51,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -65,11 +67,12 @@ def _count(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _need_samples(S: int, N: int) -> None:
+def _need_samples(S: int, N: int, name: str = "S") -> None:
     """Reject S subsystems on fewer than S samples, the one rule of every
-    solver: with S > N some cluster is empty in every assignment."""
+    solver: with S > N some cluster is empty in every assignment.  ``name``
+    is the field the message gives S under, such as ``S_bar``."""
     if N < S:
-        raise ValueError(f"need at least S={S} samples, got N={N}")
+        raise ValueError(f"need at least {name}={S} samples, got N={N}")
 
 
 def _seed(value) -> int | None:
@@ -360,12 +363,26 @@ _EIGH2_MIN = 112
 _SUM_BLOCK = 2**17
 
 
+@functools.cache
+def _gram_index(n: int) -> np.ndarray:
+    """n x n positions in a moment-table column of a Gram's entries: (i, j)
+    and (j, i) both hold the position of the upper-triangle entry.  Cached,
+    so read-only."""
+    rows, cols = _upper_triangle(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = range(len(rows))
+    index.flags.writeable = False
+    return index
+
+
 def _solve_eigh(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gram_solve` by ``np.linalg.eigh``, for any n."""
+    """:func:`gram_solve` by ``np.linalg.eigh``, for any n.
+
+    The Grams are gathered whole, both triangles, in one ``take``;
+    ``eigh(UPLO="U")`` reads only the upper one.
+    """
     tri = n * (n + 1) // 2
-    grams = np.zeros(sums.shape[:-1] + (n, n))
-    grams[(...,) + _upper_triangle(n)] = sums[..., :tri]
-    w, V = np.linalg.eigh(grams, UPLO="U")
+    w, V = np.linalg.eigh(sums.take(_gram_index(n), axis=-1), UPLO="U")
     svals = np.abs(w)
     top = np.maximum(svals[..., :1], svals[..., -1:])
     keep = svals > n * np.finfo(float).eps * top

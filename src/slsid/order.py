@@ -20,7 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import Assignment, Dataset, NoiseSpec, _count, _seed, generate_random_scenario
+from .model import (
+    Assignment,
+    Dataset,
+    NoiseSpec,
+    _count,
+    _need_samples,
+    _seed,
+    generate_random_scenario,
+)
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -121,8 +129,7 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     chosen_S``.  Ties within 1e-12 go to the smaller count.  Requires
     N >= S_bar.
     """
-    if data.N < cfg.S_bar:
-        raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={data.N}")
+    _need_samples(cfg.S_bar, data.N, "S_bar")
     # S'=1 cannot degenerate: one cluster holds every sample
     reports = [bcd_solve(data, replace(cfg.solver, S=1, init_labels=None))]
     for s_prime in range(2, cfg.S_bar + 1):
@@ -211,8 +218,7 @@ def consistency_sweep(
         )
     # select_order's own check, made before any trial runs
     for N in N_list:
-        if N < cfg.S_bar:
-            raise ValueError(f"need N >= S_bar={cfg.S_bar}, got N={N}")
+        _need_samples(cfg.S_bar, N, "S_bar")
     sigma = scenario.sigma
     noise = NoiseSpec() if sigma == 0 else NoiseSpec("gaussian", sigma)
     rows = []

@@ -287,17 +287,22 @@ def test_zero_first_regressor_is_not_an_empty_cluster():
     assert report.degenerate_restarts == 0
 
 
-def _outcome(data, cfg):
-    """Everything a call reports; its repr compares floats bit for bit."""
-    try:
-        report = bcd_solve(data, cfg)
-    except SolverFailure as err:
-        return str(err)
+def _reported(report):
+    """Everything a report holds; its repr compares floats bit for bit."""
     history = [
         (h.iteration, h.objective, h.params.tobytes(), h.labels.tobytes())
         for h in report.history or ()
     ]
     return report.to_dict(), history
+
+
+def _outcome(data, cfg):
+    """Everything a call reports, or the message it fails with."""
+    try:
+        report = bcd_solve(data, cfg)
+    except SolverFailure as err:
+        return str(err)
+    return _reported(report)
 
 
 def _check_group_sizes(monkeypatch):
@@ -338,6 +343,23 @@ def test_group_size_does_not_change_blocked_results(monkeypatch):
     # every case sums more than one block
     monkeypatch.setattr("slsid.model._SUM_BLOCK", 18)
     _check_group_sizes(monkeypatch)
+
+
+def test_report_does_not_change_when_more_solves_run():
+    # the winner's labels, parameters, trace and history belong to its
+    # report, not to arrays that later iterations or solves write
+    cfg = SolverConfig(S=3, restarts=6, seed=3, max_iters=30, keep_history=True)
+    first, second = (
+        generate_random_scenario(2, 3, 300, (-5, 5), NoiseSpec("gaussian", 2.0), seed)[1]
+        for seed in (4, 5)
+    )
+    assert bcd._GROUP_CELLS // (cfg.S * first.N) >= cfg.restarts  # one group
+    report = bcd_solve(first, cfg)
+    before = repr((report, _reported(report)))
+    assert report.history and report.restart_index > 0
+    other = bcd_solve(second, cfg)
+    assert other.to_dict() != report.to_dict()
+    assert repr((report, _reported(report))) == before
 
 
 @pytest.mark.parametrize(

@@ -191,7 +191,7 @@ def test_consistency_sweep_too_small_N_is_usage_error(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "need N >= S_bar=4, got N=3" in err[0]
+    assert "need at least S_bar=4 samples, got N=3" in err[0]
     assert calls == []
 
 

@@ -427,6 +427,57 @@ def test_gram_solve_matches_the_sorting_formula(monkeypatch, n):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _solve_eigh_by_store(sums, n):
+    """``model._solve_eigh`` with its Grams built as zeros plus a store of
+    the upper triangle: the reference for the one-gather build."""
+    tri = n * (n + 1) // 2
+    grams = np.zeros(sums.shape[:-1] + (n, n))
+    grams[(...,) + np.triu_indices(n)] = sums[..., :tri]
+    w, V = np.linalg.eigh(grams, UPLO="U")
+    svals = np.abs(w)
+    top = np.maximum(svals[..., :1], svals[..., -1:])
+    keep = svals > n * np.finfo(float).eps * top
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
+    theta = np.einsum("...ij,...j->...i", V, coef)
+    svals = svals[..., ::-1].copy()
+    low = w[..., 0] < 0
+    if low.any():
+        svals[low] = -np.sort(-svals[low], axis=-1)
+    return theta, svals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_solve_eigh_gathers_the_gram_bit_for_bit(n):
+    # eigh(UPLO="U") reads the upper triangle alone, so a Gram gathered
+    # whole gives the bits of one whose lower triangle is zero
+    rng = np.random.default_rng(70 + n)
+    normal = rng.normal(size=(60, n + 2, n))
+    few = rng.normal(size=(60, n + 2, n))
+    few[:, max(n - 1, 1) :] = 0.0
+    row_sets = [
+        normal,
+        np.zeros((8, n + 2, n)),
+        few,
+        rng.normal(size=(60, 1, n)) * rng.normal(size=(60, n + 2, 1)),
+    ]
+    # Grams of about 10^-80 and 10^80, then beyond both ends of LAPACK's
+    # unscaled range
+    row_sets += [normal[:20] * 10.0**k for k in (-40, 40, -65, 75)]
+    rows = np.concatenate(row_sets)
+    outputs = rng.normal(size=rows.shape[:2])
+    outputs[::3] = 0.0
+    sums = _moment_sums(rows, outputs)
+    assert not sums[60:68].any()
+    # a stack as the descent passes it: clusters along a second axis
+    sums = sums.reshape(-1, 2, sums.shape[-1])
+    got, want = model._solve_eigh(sums, n), _solve_eigh_by_store(sums, n)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        # as integers, so signed zeros must match too
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.uniform(-5.0, 5.0, size=(14, 2))

@@ -143,7 +143,7 @@ class TestConsistencySweep:
 
         calls = []
         monkeypatch.setattr(order, "select_order", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match=r"need N >= S_bar=4, got N=3"):
+        with pytest.raises(ValueError, match=r"need at least S_bar=4 samples, got N=3"):
             consistency_sweep(SweepScenario(n=2, S=2, sigma=0.1), [3000, 3], 5, _config(4))
         assert calls == []
 
