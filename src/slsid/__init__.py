@@ -8,13 +8,7 @@ decide when the noise-free problem has a unique solution, an exact
 branch-and-bound oracle for small instances, and penalized model-order selection.
 """
 
-from .bcd import (
-    SolveReport,
-    SolverConfig,
-    SolverFailure,
-    assign_step,
-    bcd_solve,
-)
+from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .metrics import classification_error, nmse
 from .model import (
@@ -43,7 +37,6 @@ from .pe import (
     SampleCounts,
     check_cluster_pe,
     check_distinct_params,
-    check_genericity_sufficient,
     check_no_separating_regressor,
     check_partition_condition,
     min_samples_bako,
@@ -68,11 +61,9 @@ __all__ = [
     "SolverConfig",
     "SolverFailure",
     "SweepScenario",
-    "assign_step",
     "bcd_solve",
     "check_cluster_pe",
     "check_distinct_params",
-    "check_genericity_sufficient",
     "check_no_separating_regressor",
     "check_partition_condition",
     "classification_error",

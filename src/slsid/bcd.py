@@ -26,7 +26,7 @@ objective by a row-wise minimum, so the reported objective equals
 ``objective_integer`` bit for bit.  Each step computes, slice by slice,
 what a lone restart computes, so results do not depend on G.  A restart
 whose labels leave a cluster empty is repaired on its own.
-``assign_step`` is the same relabeling as a public call; the loop does not
+``assign_step`` is the same relabeling as a function; the loop does not
 call it.
 
 Each restart is deterministic from a seed derived from the config seed and
@@ -110,9 +110,8 @@ class SolverConfig:
     retains per-iteration parameters and labels of the winning restart for
     trace output; while a group of restarts runs, each of them keeps its
     own.  The stall stop is the constant ``_STALL_TOL``, not a field.
-    ``S``, ``max_iters``, ``restarts`` and a non-None ``seed`` are stored
-    as ints through ``operator.index`` (numpy integers pass, True is 1); a
-    float or a string is a TypeError and a negative seed a ValueError.
+    ``S``, ``max_iters`` and ``restarts`` are counts of at least 1 and
+    ``seed`` a seed, as the ``model`` docstring states them.
     """
 
     S: int
@@ -124,11 +123,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("S", "max_iters", "restarts"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.S < 1:
-            raise ValueError("S must be >= 1")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _seed(self.seed))
 
 

@@ -44,12 +44,10 @@ class ScenarioSpec:
     """One Monte-Carlo cell: problem size, noise, and repetition count.
 
     A ``sigma`` of 0 means noise-free data.  A repetition counts toward the
-    cell's nrftp when its NMSE is below the fixed 1e-4.  The counts n, S,
-    N, repetitions and restarts, and a non-None seed, are stored as ints
-    through ``operator.index``; a float is a TypeError naming its field,
-    and a negative seed a ValueError.  A cell that cannot run (n, S or N
-    below 1, or S > N) is a ValueError when the spec is built, so a grid
-    fails before its first fit.
+    cell's nrftp when its NMSE is below the fixed 1e-4.  n, S, N,
+    repetitions and restarts are counts of at least 1 and seed a seed, as
+    the ``model`` docstring states them, and S <= N, all checked when the
+    spec is built, so a grid fails before its first fit.
     """
 
     n: int
@@ -62,11 +60,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("n", "S", "N", "repetitions", "restarts"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _seed(self.seed))
-        for name in ("n", "S", "N", "repetitions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         _need_samples(self.S, self.N)
         # scoring aligns labels by trying every permutation
         if self.S > MAX_ALIGN_S:

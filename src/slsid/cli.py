@@ -47,28 +47,31 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         # argparse applies type= to command-line strings and string defaults
-        # only; any other default still in place (a JSON number, bool or
-        # list from --config) goes through it here, a list element by
-        # element.  Built-in defaults are already of their type and convert
-        # to themselves.
+        # only, and checks choices on command-line values only.  Any other
+        # --config value still in place (a JSON number, bool, list or null)
+        # goes through type= here, a list element by element where the
+        # option takes a list; null, a list for a one-value option and a
+        # non-string for an option without a type are invalid.
         for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            if (
-                action.type is None
-                or value is None
-                or isinstance(value, str)
-                or value is not self.get_default(action.dest)
-            ):
+            if action.dest not in self._defaults or action.nargs == 0:
                 continue
-            try:
-                if isinstance(value, list):
-                    value = [action.type(str(v)) for v in value]
-                else:
-                    value = action.type(str(value))
-            except (ValueError, TypeError, argparse.ArgumentTypeError):
-                flag = "/".join(action.option_strings)
-                self.error(f"argument {flag}: invalid value {value!r} in --config")
-            setattr(namespace, action.dest, value)
+            value = getattr(namespace, action.dest)
+            flag = "/".join(action.option_strings)
+            invalid = f"argument {flag}: invalid value {value!r} in --config"
+            if value is self.get_default(action.dest) and not isinstance(value, str):
+                many = action.nargs == "+" or isinstance(action, _FreshAppend)
+                try:
+                    if value is None or action.type is None or isinstance(value, list) and not many:
+                        raise ValueError
+                    if isinstance(value, list):
+                        value = [action.type(str(v)) for v in value]
+                    else:
+                        value = action.type(str(value))
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    self.error(invalid)
+                setattr(namespace, action.dest, value)
+            if action.choices is not None and value not in action.choices:
+                self.error(invalid)
         return namespace, extras
 
 

@@ -52,8 +52,7 @@ def classification_error(
     truth label for estimate label ``j``), normally the permutation returned
     by :func:`nmse`.
     """
-    if len(estimate) != len(truth):
-        raise ValueError("assignments differ in length")
+    estimate.validate(len(truth))
     lookup = np.asarray(perm, dtype=int)
     if estimate.labels.max() > lookup.size:
         raise ValueError("estimate uses a label outside the permutation")

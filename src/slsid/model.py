@@ -44,6 +44,15 @@ samples fit in one block is a single matmul, so only calls that reach a
 second block sum in another order than one matmul over all samples, and
 can differ from it in the last bits.
 
+Each input rule is stated once, and every entry point calls it.
+``_count`` makes a count (n, S, N, a restart, iteration, trial or
+repetition count, a node budget) an int through ``operator.index`` and
+checks its lower bound: a float or a string is a TypeError, a value below
+the bound a ValueError, both naming the field.  ``_seed`` does the same
+for a seed, None or at least 0.  ``Assignment.validate`` checks one label
+per sample, and no label above S where S is known.  ``_need_samples``
+checks S <= N.
+
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
 construction.
@@ -58,13 +67,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _count(name: str, value) -> int:
+def _count(name: str, value, least: int | None = None) -> int:
     """``value`` as an int through ``operator.index``: numpy integers pass
-    and True is 1, but a float or a string is a TypeError naming ``name``."""
+    and True is 1, but a float or a string is a TypeError naming ``name``,
+    and a value below ``least`` a ValueError naming it."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _need_samples(S: int, N: int, name: str = "S") -> None:
@@ -134,10 +147,13 @@ class Assignment:
     def cluster_sizes(self, S: int) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(self.labels == s)) for s in range(1, S + 1))
 
-    def validate(self, N: int, S: int) -> None:
-        """Raise ValueError unless there are N labels, none above S."""
+    def validate(self, N: int, S: int | None = None) -> None:
+        """Raise ValueError unless there are N labels, and, when S is
+        given, none above S."""
         if len(self) != N:
             raise ValueError(f"assignment has {len(self)} labels for {N} samples")
+        if S is None:
+            return
         top = int(self.labels.max())
         if top > S:
             raise ValueError(f"assignment uses label {top}, above S={S}")
@@ -171,9 +187,8 @@ class SLModel:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive output noise; ``sigma`` is finite and nonnegative, and zero
-    exactly when ``kind`` is "none".  A non-None ``seed`` is stored as an
-    int through ``operator.index``: a float is a TypeError and a negative
-    seed a ValueError."""
+    exactly when ``kind`` is "none", and ``seed`` is a seed (module
+    docstring)."""
 
     kind: str = "none"
     sigma: float = 0.0
@@ -219,8 +234,8 @@ class Dataset:
         for name, values in (("regressors", regressors), ("outputs", outputs)):
             if not np.isfinite(np.vdot(values, values)):
                 raise ValueError(f"the sum of squares of the {name} overflows; rescale them")
-        if self.truth is not None and len(self.truth) != regressors.shape[0]:
-            raise ValueError("truth labels length does not match sample count")
+        if self.truth is not None:
+            self.truth.validate(regressors.shape[0])
         object.__setattr__(self, "regressors", regressors)
         object.__setattr__(self, "outputs", outputs)
 
@@ -286,13 +301,10 @@ def generate_random_scenario(
     Parameter and regressor entries are iid uniform on ``param_range`` and
     labels iid uniform on {1, ..., S}.  When the noise spec carries no seed
     of its own, one is derived from ``seed`` so the whole scenario is a
-    function of a single integer.  ``n``, ``S``, ``N`` and a non-None
-    ``seed`` pass through ``operator.index``, so a float is a TypeError
-    naming its field, and a negative seed is a ValueError.
+    function of a single integer.  ``n``, ``S`` and ``N`` are counts of
+    at least 1 (module docstring).
     """
-    n, S, N, seed = _count("n", n), _count("S", S), _count("N", N), _seed(seed)
-    if n < 1 or S < 1 or N < 1:
-        raise ValueError("n, S, N must all be >= 1")
+    n, S, N, seed = _count("n", n, 1), _count("S", S, 1), _count("N", N, 1), _seed(seed)
     lo, hi = float(param_range[0]), float(param_range[1])
     # a width that overflows makes numpy's uniform draw raise
     if not np.isfinite(hi - lo):

@@ -303,17 +303,12 @@ def oracle_global(
     than S^N nodes and a call runs at most two, so any ``limit >= 2 *
     S**N`` is enough, and ``S**N`` where one pass decides (noise-free data,
     all-zero outputs); :class:`EnumerationLimitError` is raised when a
-    batch would go over, ValueError when ``limit`` is negative or the
-    dataset has fewer samples than S, and TypeError when ``S`` or ``limit``
-    is not an integer.  Every optimal class is kept, at N + 8*S*n + 9 bytes
-    each, so where every string is optimal (all-zero outputs) memory grows
-    with the budget, not with a chunk.
+    batch would go over.  ``S`` is a count of at least 1 and ``limit`` of
+    at least 0, and S <= N (``model`` docstring).  Every optimal class is
+    kept, at N + 8*S*n + 9 bytes each, so where every string is optimal
+    (all-zero outputs) memory grows with the budget, not with a chunk.
     """
-    S, limit = _count("S", S), _count("limit", limit)
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    S, limit = _count("S", S, 1), _count("limit", limit, 0)
     N, n = data.N, data.n
     _need_samples(S, N)
     X, y = data.regressors, data.outputs

@@ -48,7 +48,7 @@ class OrderSelectConfig:
     assignment lets surplus clusters absorb an N-independent share of the
     noise variance.  The template's S and init_labels are set per
     candidate, and every S' >= 2 runs one restart more than it.  ``S_bar``
-    is stored as an int through ``operator.index``; a float is a TypeError.
+    is a count of at least 1 (``model`` docstring).
     """
 
     S_bar: int
@@ -56,9 +56,7 @@ class OrderSelectConfig:
     solver: SolverConfig = SolverConfig(S=1)
 
     def __post_init__(self):
-        object.__setattr__(self, "S_bar", _count("S_bar", self.S_bar))
-        if self.S_bar < 1:
-            raise ValueError("S_bar must be >= 1")
+        object.__setattr__(self, "S_bar", _count("S_bar", self.S_bar, 1))
         if isinstance(self.penalty, str):
             if self.penalty != "auto":
                 raise ValueError("penalty must be a positive number or 'auto'")
@@ -181,7 +179,7 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
 class SweepScenario:
     """Data-generating settings for the consistency sweep; parameters and
     regressors are drawn on ``generate_random_scenario``'s default range.
-    ``n`` and ``S`` are stored as ints through ``operator.index``."""
+    ``n`` and ``S`` are counts of at least 1 (``model`` docstring)."""
 
     n: int
     S: int
@@ -189,7 +187,7 @@ class SweepScenario:
 
     def __post_init__(self):
         for name in ("n", "S"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
 
 
 def consistency_sweep(
@@ -203,14 +201,12 @@ def consistency_sweep(
 
     Each (N, trial) cell draws an independent scenario from a seed derived
     from ``seed`` and runs :func:`select_order`.  Rows are dicts with keys
-    N, trials, recovery_rate.  ``trials``, every N and a non-None ``seed``
-    pass through ``operator.index``, so a float is a TypeError naming its
-    field, and a negative seed is a ValueError.
+    N, trials, recovery_rate.  ``trials`` is a count of at least 1, every
+    N a count of at least ``cfg.S_bar`` samples (checked before any trial
+    runs) and ``seed`` a seed (``model`` docstring).
     """
-    trials, seed = _count("trials", trials), _seed(seed)
+    trials, seed = _count("trials", trials, 1), _seed(seed)
     N_list = [_count(f"N_list[{i}]", N) for i, N in enumerate(N_list)]
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if cfg.S_bar < scenario.S:
         raise ValueError(
             f"S_bar={cfg.S_bar} is below the true count {scenario.S}; "

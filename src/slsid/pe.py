@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Assignment, Dataset, SLModel, _check_pair
+from .model import Assignment, Dataset, SLModel, _check_pair, _count
 from .partitions import (
     GRAM_RTOL,
     gram_full_rank,
@@ -61,25 +61,25 @@ class SampleCounts:
 
 def min_samples_ours(n: int, S: int) -> int:
     """((n-1)S^2 + (n+1)S)/2; the numerator is always even."""
-    _check_ns(n, S)
+    n, S = _count("n", n, 1), _count("S", S, 1)
     return ((n - 1) * S * S + (n + 1) * S) // 2
 
 
 def min_samples_bako(n: int, S: int) -> int:
     """n S^2."""
-    _check_ns(n, S)
+    n, S = _count("n", n, 1), _count("S", S, 1)
     return n * S * S
 
 
 def min_samples_vidal(n: int, S: int) -> int:
     """C(n+S, n) - 1, in exact integer arithmetic."""
-    _check_ns(n, S)
+    n, S = _count("n", n, 1), _count("S", S, 1)
     return math.comb(n + S, n) - 1
 
 
 def min_samples_table(n_max: int, S_max: int) -> dict[tuple[int, int], SampleCounts]:
     """Grid of all three counts for 1 <= n <= n_max, 1 <= S <= S_max."""
-    _check_ns(n_max, S_max)
+    n_max, S_max = _count("n_max", n_max, 1), _count("S_max", S_max, 1)
     return {
         (n, S): SampleCounts(
             min_samples_ours(n, S), min_samples_bako(n, S), min_samples_vidal(n, S)
@@ -87,11 +87,6 @@ def min_samples_table(n_max: int, S_max: int) -> dict[tuple[int, int], SampleCou
         for n in range(1, n_max + 1)
         for S in range(1, S_max + 1)
     }
-
-
-def _check_ns(n: int, S: int) -> None:
-    if n < 1 or S < 1:
-        raise ValueError("n and S must both be >= 1")
 
 
 def check_distinct_params(model: SLModel) -> bool:
@@ -128,10 +123,8 @@ def check_no_separating_regressor(
 
 def check_cluster_pe(data: Dataset, a: Assignment, s: int) -> bool:
     """Classical single-system excitation of cluster s: full-rank Gram."""
-    if len(a) != data.N:
-        raise ValueError("assignment length does not match dataset")
-    if s < 1:
-        raise ValueError("s is a 1-based subsystem label")
+    a.validate(data.N)
+    s = _count("s", s, 1)
     rows = data.regressors[a.indices_of(s)]
     return gram_nonsingular(rows, data.n)
 

@@ -17,6 +17,7 @@ from slsid import (
     SolverConfig,
     SweepScenario,
     bcd_solve,
+    check_partition_condition,
     classification_error,
     consistency_sweep,
     generate_random_scenario,
@@ -40,6 +41,7 @@ from slsid.bench import (
 )
 from slsid.model import residual_matrix
 from slsid.oracle import same_param_set, unique_optimum
+from slsid.pe import REFUTED
 
 from claims import is_stationary, one_hot, relaxed_objective
 
@@ -135,6 +137,31 @@ def test_theorem1_property_suite():
                 unique = unique_optimum(oracle_global(data, S)[1])
                 assert unique, f"trial {trial}: certified but not unique"
         assert certified >= 15, f"only {certified} certified instances; suite too weak"
+
+
+def test_theorem1_at_the_minimal_sample_count():
+    # the paper's count ((n-1)S^2 + (n+1)S)/2 is enough and tight: at the
+    # minimal profile, cluster sizes n + (n-1)(S-s) for s = 1..S, noise-free
+    # generic data are certified and the oracle finds one class, and one
+    # sample fewer in any cluster refutes the partition condition
+    with budget("theorem1-minimal-count", 5.0):
+        rng = np.random.default_rng(26)
+        for n, S in [(2, 3), (2, 4), (3, 3), (2, 5)]:
+            sizes = [n + (n - 1) * (S - s) for s in range(1, S + 1)]
+            assert sum(sizes) == min_samples_ours(n, S)
+            for draw in range(3):
+                labels = rng.permutation(np.repeat(np.arange(1, S + 1), sizes))
+                model = SLModel(rng.uniform(-5, 5, size=(S, n)))
+                X = rng.uniform(-5, 5, size=(labels.size, n))
+                data = simulate(model, X, Assignment(labels))
+                where = (n, S, draw)
+                assert pe_report(data, model).certified, where
+                assert unique_optimum(oracle_global(data, S)[1]), where
+                for s in range(1, S + 1):
+                    keep = np.arange(labels.size) != data.truth.indices_of(s)[-1]
+                    fewer = Dataset(X[keep], data.outputs[keep], Assignment(labels[keep]))
+                    check = check_partition_condition(fewer, fewer.truth, S)
+                    assert check.status == REFUTED, (*where, s)
 
 
 def test_relaxation_equivalence_suite():

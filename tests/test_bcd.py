@@ -12,7 +12,6 @@ from slsid import (
     NoiseSpec,
     SLModel,
     SolverConfig,
-    assign_step,
     bcd_solve,
     generate_random_scenario,
     min_samples_ours,
@@ -22,7 +21,7 @@ from slsid import (
     simulate,
 )
 from slsid import bcd, fixtures
-from slsid.bcd import DescentError, SolverFailure
+from slsid.bcd import DescentError, SolverFailure, assign_step
 from slsid.model import fit_members, gram_solve, moment_table
 from slsid.oracle import same_param_set
 from slsid.partitions import gram_full_rank
@@ -366,8 +365,8 @@ def test_report_does_not_change_when_more_solves_run():
     "kwargs, message",
     [
         ({"S": 0}, "S must be >= 1"),
-        ({"S": 2, "max_iters": 0}, "max_iters and restarts must be >= 1"),
-        ({"S": 2, "restarts": 0}, "max_iters and restarts must be >= 1"),
+        ({"S": 2, "max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"S": 2, "restarts": 0}, "restarts must be >= 1, got 0"),
     ],
 )
 def test_solver_config_counts_rejected(kwargs, message):

@@ -93,13 +93,14 @@ def test_cell_beyond_alignment_limit_rejected():
         ((2, 0, 40), "S must be >= 1"),
         ((2, 2, 0), "N must be >= 1"),
         ((2, 5, 3), "need at least S=5 samples, got N=3"),
+        # n, S, N, sigma, repetitions, restarts
+        ((2, 2, 40, 0.1, 20, 0), "restarts must be >= 1, got 0"),
     ],
 )
 def test_cell_that_cannot_run_rejected(cell, message):
     # at construction, not when run_cell reaches the cell
-    n, S, N = cell
     with pytest.raises(ValueError, match=message):
-        ScenarioSpec(n=n, S=S, N=N)
+        ScenarioSpec(*cell)
     assert ScenarioSpec(n=2, S=3, N=3).N == 3
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slsid import Dataset, load_dataset, oracle_global, save_dataset
+from slsid import Dataset, load_dataset, load_model, oracle_global, save_dataset
 from slsid.cli import main
 from slsid.oracle import unique_optimum
 
@@ -563,6 +564,12 @@ def test_config_list_elements_go_through_the_option_type(tmp_path):
         ({"S": 2.5}, ["oracle"], "--S"),
         ({"N": ["x"]}, ["consistency-sweep", "--n", "2", "--S", "2", "--s-bar", "2"], "--N"),
         ({"cell": [[2, 2, 40]]}, ["bench"], "--cell"),
+        # null, a list for a one-value option, a value outside the choices
+        # and a path that is not a string
+        ({"n": None}, ["min-samples", "--S", "2"], "--n"),
+        ({"n": [2]}, ["simulate", "--S", "2", "--N", "3"], "--n"),
+        ({"example": 3}, ["simulate"], "--example"),
+        ({"output": 5}, ["min-samples", "--n", "2", "--S", "2"], "--output"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, config, command, flag):
@@ -779,15 +786,22 @@ _KINDS = ["planted", "zero", "noise", "scaled", "huge", "nan", "inf", "ragged", 
 _COUNTS = ["abc", "-1", "0", "1", "2", "3", "9", "1000000", "99999999999999999999"]
 
 
-def _contract(kind, N, seed, argv):
-    """Run one subcommand on a CSV of ``kind``: an exit code of the
-    documented set (argparse's usage exit is 1 too), no traceback, at most
-    one error line.  Returns the code and the standard output."""
+def _contract(argv, data=None, config=None):
+    """Run one subcommand, on the CSV that ``_oracle_csv(path, *data)``
+    writes unless ``data`` is None, and with ``config`` as its --config
+    file unless that is None: an exit code of the documented set
+    (argparse's usage exit is 1 too), no traceback, at most one error line.
+    Returns the code and the standard output."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.csv"
-        _oracle_csv(path, kind, N, seed)
-        argv = [argv[0], "--data", str(path), *argv[1:]]
+        if data is not None:
+            path = Path(tmp) / "data.csv"
+            _oracle_csv(path, *data)
+            argv = [argv[0], "--data", str(path), *argv[1:]]
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path), *argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
@@ -811,7 +825,7 @@ def test_oracle_cli_contract(kind, N, seed, S, limit):
     # any input file and any --S / --limit; a run that exits 0 found a
     # finite optimum
     argv = ["oracle", "--S", S] + ([] if limit is None else ["--limit", limit])
-    code, out = _contract(kind, N, seed, argv)
+    code, out = _contract(argv, (kind, N, seed))
     if code == 0:
         assert math.isfinite(json.loads(out)["optimum"]), argv
 
@@ -830,7 +844,7 @@ def test_fit_cli_contract(kind, N, seed, S, restarts):
     # any input file and any --S / --restarts; a run that exits 0 found a
     # finite objective
     argv = ["fit", "--S", S] + ([] if restarts is None else ["--restarts", restarts])
-    code, out = _contract(kind, N, seed, argv)
+    code, out = _contract(argv, (kind, N, seed))
     if code == 0:
         assert math.isfinite(json.loads(out)["objective"]), argv
 
@@ -849,6 +863,118 @@ def test_select_order_cli_contract(kind, N, seed, s_bar, restarts):
     # a count among the candidates
     argv = ["select-order", "--s-bar", s_bar]
     argv += [] if restarts is None else ["--restarts", restarts]
-    code, out = _contract(kind, N, seed, argv)
+    code, out = _contract(argv, (kind, N, seed))
     if code == 0:
         assert 1 <= json.loads(out)["chosen_S"] <= int(s_bar), argv
+
+
+
+# bad flag values of every kind; a valid run writes its output, so the
+# valid values below are small
+_BAD = ["abc", "-1", "0", "2.5", "nan", "inf"]
+# config values of every JSON type
+_JSON = [None, True, 0, 2, -1, 2.5, float("nan"), "2", "abc", [2], {}]
+
+
+def _flags(valid):
+    """Flags with a value drawn from ``valid`` each, at most one of them
+    given a bad value instead."""
+    good = st.fixed_dictionaries({flag: st.sampled_from(v) for flag, v in valid.items()})
+    bad = st.tuples(st.sampled_from([None, *valid]), st.sampled_from(_BAD))
+    return st.builds(lambda g, b: g if b[0] is None else g | dict([b]), good, bad)
+
+
+def _argv(command, flags):
+    """``command`` with each of ``flags`` whose value is not None."""
+    return [command, *(arg for flag, v in flags.items() if v is not None for arg in (flag, v))]
+
+
+def _configs(*keys):
+    return st.none() | st.dictionaries(st.sampled_from(keys), st.sampled_from(_JSON), max_size=2)
+
+
+# each contract's flags leave out (None) the options its config may set, and
+# its @example is a config value that once ended in a traceback
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _flags({"--n": [None, "1", "3"], "--S": [None, "1", "5"]}),
+    st.booleans(),
+    _configs("n", "S"),
+)
+@example({"--n": None, "--S": "2"}, False, {"n": None})
+def test_min_samples_cli_contract(flags, table, config):
+    # a run that exits 0 prints the paper's count for each (n, S)
+    argv = _argv("min-samples", flags) + ["--table"] * table
+    code, out = _contract(argv, config=config)
+    if code != 0:
+        return
+    if table:
+        rows = [dict(zip(["n", "S", "ours"], map(int, line.split(",")[:3])))
+                for line in out.splitlines()[1:]]
+    else:
+        rows = [json.loads(out)]
+    for row in rows:
+        n, S = row["n"], row["S"]
+        assert 2 * row["ours"] == (n - 1) * S * S + (n + 1) * S, argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _flags({
+        "--n": [None, "1", "2"], "--S": ["1", "3"], "--N": ["1", "5"], "--seed": [None, "7"],
+        "--sigma": [None, "0.1"], "--range-lo": [None, "-1"],
+    }),
+    _configs("n", "seed", "sigma", "range_lo", "example"),
+)
+@example({"--n": "2", "--S": "1", "--N": "1", "--sigma": None}, {"sigma": None})
+def test_simulate_cli_contract(flags, config):
+    # a run that exits 0 writes a dataset and the model that made it
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv("simulate", flags | {"--output": tmp})
+        code, _ = _contract(argv, config=config)
+        if code == 0:
+            (path,) = Path(tmp).glob("*.csv")
+            data, model = load_dataset(path), load_model(path.with_name(f"{path.stem}_model.json"))
+            assert data.n == model.n and data.truth.labels.max() <= model.S, argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _flags({
+        "--n": [None, "1", "2"], "--S": ["1", "2"], "--N": ["3", "8"], "--trials": ["1", "2"],
+        "--s-bar": ["2", "3"], "--sigma": [None, "0"], "--restarts": [None, "2"],
+        "--penalty": [None, "0.5"], "--seed": [None, "3"],
+    }),
+    _configs("n", "sigma", "restarts", "penalty", "seed"),
+)
+@example(
+    {"--n": "2", "--S": "2", "--N": "8", "--trials": "1", "--s-bar": "3"}, {"restarts": None}
+)
+def test_consistency_sweep_cli_contract(flags, config):
+    # a run that exits 0 reports a rate for the N it was given
+    argv = _argv("consistency-sweep", flags)
+    code, out = _contract(argv, config=config)
+    if code == 0:
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["N"] == flags["--N"] and 0 <= float(row["recovery_rate"]) <= 1, argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _flags({
+        "--cell": ["2,2,40", "1,1,3", "0,2,40", "2,3,2", "2,9,40"],
+        "--repetitions": ["1", "2"], "--restarts": [None, "3"], "--sigma": [None, "0"],
+        "--seed": [None, "7"],
+    }),
+    _configs("cell", "restarts", "sigma", "seed"),
+)
+@example({"--cell": "2,2,40", "--repetitions": "1"}, {"sigma": [0]})
+def test_bench_cli_contract(flags, config):
+    # a run that exits 0 summarizes the one cell it was given, first
+    argv = _argv("bench", flags)
+    code, out = _contract(argv, config=config)
+    if code == 0:
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert ",".join(row[k] for k in ("n", "S", "N")) == flags["--cell"], argv

@@ -273,11 +273,11 @@ def test_relaxed_and_integer_minima_coincide_small_grid():
         (lambda: Dataset(np.ones((3, 2)), np.ones((3, 1))), "outputs must be 1-D"),
         (
             lambda: Dataset(np.ones((3, 2)), np.ones(3), Assignment(np.ones(2, int))),
-            "truth labels length does not match sample count",
+            "assignment has 2 labels for 3 samples",
         ),
-        (lambda: generate_random_scenario(0, 1, 5), "n, S, N must all be >= 1"),
-        (lambda: generate_random_scenario(1, 0, 5), "n, S, N must all be >= 1"),
-        (lambda: generate_random_scenario(1, 1, 0), "n, S, N must all be >= 1"),
+        (lambda: generate_random_scenario(0, 1, 5), "n must be >= 1, got 0"),
+        (lambda: generate_random_scenario(1, 0, 5), "S must be >= 1, got 0"),
+        (lambda: generate_random_scenario(1, 1, 0), "N must be >= 1, got 0"),
     ],
 )
 def test_bad_arguments_rejected(call, message):

@@ -198,6 +198,8 @@ def test_noise_free_pool_keeps_one_call_per_candidate(monkeypatch):
     "call, message",
     [
         (lambda: OrderSelectConfig(S_bar=0), "S_bar must be >= 1"),
+        (lambda: SweepScenario(0, 2, 0.1), "n must be >= 1, got 0"),
+        (lambda: SweepScenario(2, 0, 0.1), "S must be >= 1, got 0"),
         (
             lambda: consistency_sweep(SweepScenario(n=2, S=2, sigma=0.1), [40], 0, _config(2)),
             "trials must be >= 1",

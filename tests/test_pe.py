@@ -9,7 +9,6 @@ from slsid import (
     SLModel,
     check_cluster_pe,
     check_distinct_params,
-    check_genericity_sufficient,
     check_no_separating_regressor,
     check_partition_condition,
     min_samples_bako,
@@ -20,7 +19,7 @@ from slsid import (
 )
 from slsid import fixtures, pe
 from slsid.partitions import gram_nonsingular
-from slsid.pe import CERTIFIED, REFUTED, UNDECIDED
+from slsid.pe import CERTIFIED, REFUTED, UNDECIDED, check_genericity_sufficient
 
 
 class TestSampleCounts:
@@ -70,6 +69,11 @@ class TestSampleCounts:
             min_samples_ours(0, 2)
         with pytest.raises(ValueError):
             min_samples_table(3, 0)
+        for count, n in (
+            (min_samples_ours, 2.5), (min_samples_bako, 2.0), (min_samples_vidal, 2.0)
+        ):
+            with pytest.raises(TypeError, match=f"n must be an integer, got {n}"):
+                count(n, 2)
 
 
 class TestDistinctParams:
@@ -478,14 +482,15 @@ class TestPEReport:
 
 
 @pytest.mark.parametrize(
-    "labels, s, message",
+    "labels, s, error, message",
     [
-        (np.ones(3, int), 1, "assignment length does not match dataset"),
-        (None, 0, "s is a 1-based subsystem label"),
+        (np.ones(3, int), 1, ValueError, "assignment has 3 labels for 8 samples"),
+        (None, 0, ValueError, "s must be >= 1, got 0"),
+        (None, 1.0, TypeError, "s must be an integer, got 1.0"),
     ],
 )
-def test_cluster_pe_arguments_rejected(labels, s, message):
+def test_cluster_pe_arguments_rejected(labels, s, error, message):
     _, data = fixtures.example_two()
     a = data.truth if labels is None else Assignment(labels)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         check_cluster_pe(data, a, s)

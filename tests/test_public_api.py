@@ -21,11 +21,9 @@ PUBLIC = [
     "SolverConfig",
     "SolverFailure",
     "SweepScenario",
-    "assign_step",
     "bcd_solve",
     "check_cluster_pe",
     "check_distinct_params",
-    "check_genericity_sufficient",
     "check_no_separating_regressor",
     "check_partition_condition",
     "classification_error",
@@ -49,7 +47,7 @@ PUBLIC = [
 
 
 def test_all_is_the_listed_surface():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 36
     assert slsid.__all__ == PUBLIC
 
 
