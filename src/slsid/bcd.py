@@ -17,13 +17,14 @@ restarts in lockstep groups of G = ``_GROUP_CELLS // (S * N)`` (at least
 one, at most ``restarts``) that share one G x S x N work buffer, so a small
 fit pays numpy's per-call overhead once per group, not once per restart.
 An iteration's parameter half-step is one ``model.fit_members`` call on
-the group's stack of memberships; it sums the table in blocks of samples
-whose size depends on n alone (``model._SUM_BLOCK``), so a restart's sums
-are the same in any group.  One stack of squared residual matrices, each
-computed in one matmul as ``residual_matrix`` computes it, then gives
-every fit objective by a label gather and every relabeling with its
-objective by a row-wise minimum, so the reported objective equals
-``objective_integer`` bit for bit.  Each step computes, slice by slice,
+the group's stack of memberships, with the dataset's rows for the
+exact-fit rule (``model`` docstring); it sums the table in blocks of
+samples whose size depends on n alone (``model._SUM_BLOCK``), so a
+restart's sums are the same in any group.  One stack of squared residual
+matrices, each computed in one matmul as ``residual_matrix`` computes it,
+then gives every fit objective by a label gather and every relabeling
+with its objective by a row-wise minimum, so the reported objective
+equals ``objective_integer`` bit for bit.  Each step computes, slice by slice,
 what a lone restart computes, so results do not depend on G.  A restart
 whose labels leave a cluster empty is repaired on its own.
 ``assign_step`` is the same relabeling as a function; the loop does not
@@ -38,9 +39,10 @@ running best only, the lowest final objective with ties to the lowest
 index, and builds one :class:`SolveReport`, for the winner, so its memory
 does not grow with the number of restarts.  An iteration converts its
 objectives and flags to Python lists once for the whole group, and looks
-for empty clusters only when some Gram of the group is zero.  A half-step
-that raises the objective beyond rounding raises :class:`DescentError`,
-for the lowest failing restart of the group, as a one-at-a-time run would.
+for empty clusters only in restarts with a cluster that fails the rank
+test and fits theta = 0, as an empty one does.  A half-step that raises the objective beyond
+rounding raises :class:`DescentError`, for the lowest failing restart of
+the group, as a one-at-a-time run would.
 With ``keep_history`` every restart of the running group keeps its
 per-iteration history until the group ends, when all but the winner's
 are dropped.
@@ -213,10 +215,11 @@ def _repair_empty(
     clusters in ascending order.  Each is reseeded with the currently
     worst-fit sample (largest residual against its own cluster's fresh
     parameters), and the two clusters that changed are refitted with
-    ``fit_members``, the group's kernel; a cluster that has to be reseeded
-    twice marks the restart degenerate.  Each repair adds a new label to ``reseeded``, so a
-    restart makes at most S repairs.  ``labels`` and ``params`` are
-    modified in place; returns the degeneracy flag.
+    ``fit_members``, the group's kernel, with the rows; a cluster that has
+    to be reseeded twice marks the restart degenerate.  Each repair adds a
+    new label to ``reseeded``, so a restart makes at most S repairs.
+    ``labels`` and ``params`` are modified in place; returns the degeneracy
+    flag.
     """
     while empty:
         s = empty.pop(0)
@@ -228,7 +231,7 @@ def _repair_empty(
         donor = labels[k]
         labels[k] = s
         member = (labels == np.array([[s], [donor]])).astype(float)
-        params[[s, donor]], _ = fit_members(table, member, data.n)
+        params[[s, donor]], _ = fit_members(table, member, data.n, data)
         if not member[1].any():
             empty.append(donor)
     return False
@@ -314,13 +317,13 @@ def _run_group(
         a = len(active)
         buf = work[:a]
         np.equal(labels[:, None, :], clusters, out=buf)
-        params, svals = fit_members(table, buf, data.n)
+        params, full = fit_members(table, buf, data.n, data)
         degenerate = []
-        # an empty cluster's Gram is zero, but so is one of zero rows: only
-        # the restarts with such a Gram are checked for emptiness
-        full = svals[..., 0] > 0
+        # an empty cluster fails the rank test and fits theta = 0: only the
+        # restarts with such a cluster are checked for emptiness
         if not full.all():
-            for i in np.flatnonzero(~full.all(axis=1)).tolist():
+            suspect = ~(full | params.any(axis=-1))
+            for i in np.flatnonzero(suspect.any(axis=1)).tolist():
                 empty = np.flatnonzero(~buf[i].any(axis=1)).tolist()
                 if empty and _repair_empty(
                     data, labels[i], params[i], empty, reseeded[active[i]], table

@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import MAX_ALIGN_S, classification_error, nmse
-from .model import NoiseSpec, _count, _need_samples, _seed, generate_random_scenario
+from .model import _count, _need_samples, _noise, _seed, generate_random_scenario
 from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
@@ -46,8 +46,9 @@ class ScenarioSpec:
     A ``sigma`` of 0 means noise-free data.  A repetition counts toward the
     cell's nrftp when its NMSE is below the fixed 1e-4.  n, S, N,
     repetitions and restarts are counts of at least 1 and seed a seed, as
-    the ``model`` docstring states them, and S <= N, all checked when the
-    spec is built, so a grid fails before its first fit.
+    the ``model`` docstring states them, S <= N, and sigma is finite and
+    nonnegative, all checked when the spec is built, so a grid fails
+    before its first fit.
     """
 
     n: int
@@ -63,6 +64,7 @@ class ScenarioSpec:
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _seed(self.seed))
         _need_samples(self.S, self.N)
+        _noise(self.sigma)
         # scoring aligns labels by trying every permutation
         if self.S > MAX_ALIGN_S:
             raise ValueError(
@@ -86,7 +88,7 @@ def run_cell(spec: ScenarioSpec) -> SweepResult:
     Solver failures are recorded in the raw rows (with NaN metrics) rather
     than raised.  Timing covers the solver call only.
     """
-    noise = NoiseSpec() if spec.sigma == 0 else NoiseSpec("gaussian", spec.sigma)
+    noise = _noise(spec.sigma)
     raw = []
     for rep in range(spec.repetitions):
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.n, spec.S, spec.N, rep))

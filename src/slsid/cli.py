@@ -7,8 +7,8 @@ from wall-clock timing columns.
 
 Exit codes: 0 success, 1 usage error, 2 reproduction mismatch,
 3 enumeration limit exceeded, 4 no usable fit (every fit restart degenerated,
-or the descent broke: its objective rose, as it can on rows of widely
-different scales).
+or the descent broke: a half-step raised its objective, which only a broken
+update does).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from . import bench, fixtures
 from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
-from .model import NoiseSpec, generate_random_scenario
+from .model import _noise, generate_random_scenario
 from .oracle import DEFAULT_ENUM_LIMIT, EnumerationLimitError, oracle_global, unique_optimum
 from .order import OrderSelectConfig, SweepScenario, consistency_sweep, select_order
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
@@ -51,14 +51,20 @@ class _Parser(argparse.ArgumentParser):
         # --config value still in place (a JSON number, bool, list or null)
         # goes through type= here, a list element by element where the
         # option takes a list; null, a list for a one-value option and a
-        # non-string for an option without a type are invalid.
+        # non-string for an option without a type are invalid.  A flag,
+        # which takes no value, takes a JSON boolean only.
         for action in self._actions:
-            if action.dest not in self._defaults or action.nargs == 0:
+            if action.dest not in self._defaults:
                 continue
             value = getattr(namespace, action.dest)
             flag = "/".join(action.option_strings)
             invalid = f"argument {flag}: invalid value {value!r} in --config"
-            if value is self.get_default(action.dest) and not isinstance(value, str):
+            from_config = value is self.get_default(action.dest)
+            if action.nargs == 0:
+                if from_config and not isinstance(value, bool):
+                    self.error(invalid)
+                continue
+            if from_config and not isinstance(value, str):
                 many = action.nargs == "+" or isinstance(action, _FreshAppend)
                 try:
                     if value is None or action.type is None or isinstance(value, list) and not many:
@@ -114,9 +120,8 @@ def _cmd_simulate(args) -> int:
         if args.n is None or args.S is None or args.N is None:
             print("error: provide --example or all of --n/--S/--N", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        noise = NoiseSpec() if args.sigma == 0 else NoiseSpec("gaussian", args.sigma)
         model, data = generate_random_scenario(
-            args.n, args.S, args.N, (args.range_lo, args.range_hi), noise, args.seed
+            args.n, args.S, args.N, (args.range_lo, args.range_hi), _noise(args.sigma), args.seed
         )
         stem = f"scenario_n{args.n}_S{args.S}_N{args.N}_seed{args.seed}"
     outdir = Path(args.output) if args.output is not None else Path(".")

@@ -29,7 +29,22 @@ within the same call.  So the path changes the speed, never a result.
 stack of one-hot memberships sum the table per cluster, and
 ``gram_solve`` solves the sums.  The descent, its empty-cluster repair and
 the exact oracle all fit through it.  The fits agree with a per-cluster
-``lstsq`` on the rows to rounding, not bitwise.
+``lstsq`` on the rows to rounding, not bitwise, where the Gram has full
+rank.
+
+A Gram squares the condition number of its cluster's rows, so on rows of
+widely different scales its solve can miss the least-squares fit by far.
+The exact-fit rule decides where it is trusted, at ``GRAM_RTOL``, the
+tolerance of ``partitions.gram_full_rank``: a cluster of m >= 2 members
+whose Gram has fewer than min(m, n) singular values above ``GRAM_RTOL``
+times its largest is refitted by ``np.linalg.lstsq`` on its own rows.
+With at least n members that is a cluster failing ``gram_full_rank``;
+with fewer, it is one whose rows the Gram cannot tell apart, such as two
+rows 10^12 apart in scale.  A single row fits exactly from its Gram.  ``fit_members`` applies the rule when it is given the
+rows, as the descent's group step, its empty-cluster repair and the
+oracle's full strings give them, and returns the ``gram_full_rank`` flags.
+The oracle's prefix bounds take no rows: they count only clusters that
+pass the rank test.
 
 The sums run in blocks of ``_SUM_BLOCK // T`` samples, T the table's row
 count, one matmul per block, added in order.  The OpenBLAS that numpy
@@ -65,6 +80,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .partitions import GRAM_RTOL, gram_full_rank
 
 
 def _count(name: str, value, least: int | None = None) -> int:
@@ -203,6 +220,12 @@ class NoiseSpec:
         if (self.sigma == 0.0) != (self.kind == "none"):
             raise ValueError("sigma must be 0 exactly when kind is 'none'")
         object.__setattr__(self, "seed", _seed(self.seed))
+
+
+def _noise(sigma: float) -> NoiseSpec:
+    """The output noise of a sweep's ``sigma``: none at 0, else gaussian,
+    so ``NoiseSpec`` rejects a negative, infinite or NaN value."""
+    return NoiseSpec() if sigma == 0 else NoiseSpec("gaussian", sigma)
 
 
 @dataclass(frozen=True)
@@ -515,8 +538,11 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _solve_eigh(sums, n)
 
 
-def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gram_solve` of clusters given by float one-hot memberships.
+def fit_members(
+    table: np.ndarray, member: np.ndarray, n: int, data: Dataset | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of clusters given by float one-hot memberships,
+    and their rank flags.
 
     ``member[..., s, k]`` is 1.0 when sample k of the first
     ``member.shape[-1]`` is in cluster s, with stacks along leading axes;
@@ -525,16 +551,41 @@ def fit_members(table: np.ndarray, member: np.ndarray, n: int) -> tuple[np.ndarr
     row count), one matmul per block and 2-D slice, added in order, so a
     slice gets the same bits alone as in any stack.  A call whose samples
     fit in one block is a single matmul; a longer one can differ from a
-    single matmul over all its samples in the last bits.  An empty
-    cluster's fit and singular values are zero.
+    single matmul over all its samples in the last bits.  :func:`gram_solve`
+    solves the sums, and a cluster's flag is ``partitions.gram_full_rank``
+    of its singular values.  When ``data``, the dataset the table was built
+    from, is passed, the exact-fit rule (module docstring) refits, among
+    the clusters of at least two members whose flag is False, each whose
+    Gram rank is below its member count or n, with ``np.linalg.lstsq`` on
+    its own rows.  An empty cluster's fit is zero and its flag False.
     """
-    table = table[:, : member.shape[-1]]
+    length = member.shape[-1]
+    table = table[:, :length]
     block = max(1, _SUM_BLOCK // table.shape[0])
-    member = np.swapaxes(member, -1, -2)
-    sums = table[:, :block] @ member[..., :block, :]
-    for start in range(block, table.shape[1], block):
-        sums += table[:, start : start + block] @ member[..., start : start + block, :]
-    return gram_solve(np.swapaxes(sums, -1, -2), n)
+    swapped = np.swapaxes(member, -1, -2)
+    sums = table[:, :block] @ swapped[..., :block, :]
+    for start in range(block, length, block):
+        sums += table[:, start : start + block] @ swapped[..., start : start + block, :]
+    theta, svals = gram_solve(np.swapaxes(sums, -1, -2), n)
+    full = gram_full_rank(svals.reshape(-1, n), n)
+    if data is not None and not full.all():
+        rows = member.reshape(-1, length)
+        deficient = np.flatnonzero(~full)
+        sizes = rows[deficient] @ np.ones(length)
+        # one row fits exactly from its Gram; with m >= 2 rows, a deficient
+        # Gram's rank is below n, so below min(m, n) exactly when below m
+        many = sizes >= 2
+        if many.any():
+            deficient, sizes = deficient[many], sizes[many]
+            values = svals.reshape(-1, n)[deficient]
+            rank = (values > GRAM_RTOL * values[:, :1]).sum(axis=1)
+            flat = theta.reshape(-1, n)
+            X, y = data.regressors[:length], data.outputs[:length]
+            for i in deficient[rank < sizes].tolist():
+                own = rows[i] > 0
+                flat[i] = np.linalg.lstsq(X[own], y[own], rcond=None)[0]
+            theta = flat.reshape(theta.shape)
+    return theta, full.reshape(svals.shape[:-1])
 
 
 def objective_integer(data: Dataset, model: SLModel, a: Assignment) -> float:

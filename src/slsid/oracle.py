@@ -40,9 +40,8 @@ U comes from up to three sources, in this order:
    head, the prefixes whose clusters all fit within the guess), U is the
    objective of one string, the labels of a default ``bcd.bcd_solve`` run
    with S subsystems, scored as the pass scores strings; when the
-   descent raises ``SolverFailure`` or ``DescentError`` (its Gram solve is
-   not exact on rows of widely different scales), U is infinite and the
-   second pass is the scan.
+   descent raises ``SolverFailure`` (every restart degenerated), U is
+   infinite and the second pass is the scan.
 
 A first pass that drops nothing is the scan, and the only pass; with
 all-zero outputs no length can be bounded, so none is scored.  The node
@@ -54,28 +53,29 @@ descent's cluster fit: one matmul against the dataset's
 ``model.moment_table`` and one batched eigendecomposition; at n = 2 a
 chunk of at least ``model._EIGH2_MIN`` Grams is solved in one pass of
 LAPACK's closed-form 2 x 2 arithmetic, with no eigenvector matrix, which
-gives the ``eigh`` path's bits faster) gives the minimum-norm fits and
-the Grams' singular values, and SSEs are summed from explicit residuals.
-A prefix's bound counts only its clusters whose Gram passes
-``partitions.gram_full_rank``: a rank-deficient or empty cluster's
-rounded fit is not trusted, so it adds 0, the least an SSE can be.  The
-rounding margin is ``_PRUNE_RTOL`` times y'y, the SSE of theta = 0; over
-400 random instances (noisy, planted, near-collinear, repeated and
-widely scaled rows) no bound exceeded the SSE of a string extending its
-prefix by more than 2e-16 times y'y.
+gives the ``eigh`` path's bits faster) gives the minimum-norm fits and the
+clusters' ``partitions.gram_full_rank`` flags, and SSEs are summed from
+explicit residuals.  Full strings pass the rows too, so the exact-fit rule
+(``model`` docstring) refits their ill-conditioned clusters on the rows.
+A prefix's bound counts only its clusters whose flag is set: a
+rank-deficient or empty cluster's rounded fit is not trusted, so it adds
+0, the least an SSE can be.  The rounding margin is ``_PRUNE_RTOL`` times
+y'y, the SSE of theta = 0; over 400 random instances (noisy, planted,
+near-collinear, repeated and widely scaled rows) no bound exceeded the SSE
+of a string extending its prefix by more than 2e-16 times y'y.
 
-A string within 1e-9 of the optimum keeps what its chunk computed: the fits
-become the class parameters, the residual sum its objective, and the
-singular values its rank flags.  Because the fits are solved on the Gram,
-they agree with a per-cluster ``lstsq`` on the rows to rounding, not
-bitwise.  The classes stay in those per-chunk arrays, in a read-only
-sequence that builds a :class:`SolutionClass` only when an index is read,
-so a caller that reads the count and the first class (as
-:func:`unique_optimum` does) builds one object, not one per optimal
-string.  A chunk whose strings are all within 1e-9 of the running best
-is kept as computed, without a copy.  Each optimal class holds
-N + 8*S*n + 9 bytes: its labels (one byte each while S < 256), its fits,
-its objective and its flag.
+A string within 1e-9 of the optimum keeps what its chunk computed: the
+fits become the class parameters, the residual sum its objective, and the
+rank flags its degenerate flag.  The fits agree with a per-cluster
+``lstsq`` on the rows to rounding, not bitwise, except where the rule
+refitted a cluster with ``lstsq`` itself.  The classes stay in those
+per-chunk arrays, in a read-only sequence that builds a
+:class:`SolutionClass` only when an index is read, so a caller that reads
+the count and the first class (as :func:`unique_optimum` does) builds one
+object, not one per optimal string.  A chunk whose strings are all within
+1e-9 of the running best is kept as computed, without a copy.  Each
+optimal class holds N + 8*S*n + 9 bytes: its labels (one byte each
+while S < 256), its fits, its objective and its flag.
 
 On noise-free data the oracle also decides uniqueness: the solution is
 unique (up to relabeling) when exactly one optimal class exists and it has
@@ -94,9 +94,8 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
+from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .model import Dataset, _count, _need_samples, fit_members, moment_table
-from .partitions import gram_full_rank
 
 DEFAULT_ENUM_LIMIT = 2_000_000
 # absolute: an assignment this close to the global minimum is optimal
@@ -234,24 +233,28 @@ def _regroup(chunks, size: int):
         yield np.concatenate(held)
 
 
-def _score(labels, S: int, n: int, table, X, y):
+def _score(labels, S: int, table, data: Dataset):
     """Least-squares fits of a chunk of label prefixes, and their residuals.
 
-    ``fit_members`` gives the minimum-norm fits and the Grams' singular
-    values of every (string, cluster) pair from one 2-D membership stack.
+    ``fit_members`` gives the fits and the rank flags of every (string,
+    cluster) pair from one 2-D membership stack; full strings pass it the
+    rows, so their clusters get the exact-fit rule (``model`` docstring).
     Residuals are explicit: y'y - m'theta would cancel on exact fits.
     """
     count, length = labels.shape
+    n, X, y = data.n, data.regressors, data.outputs
     member = np.empty((count, S, length))
     # in the labels' type: an int64 range would send the compare through
     # numpy's casting loop
     np.equal(labels[:, None, :], np.arange(S, dtype=labels.dtype)[:, None], out=member)
-    fits = fit_members(table, member.reshape(-1, length), n)
-    theta, svals = (a.reshape(count, S, n) for a in fits)
+    theta, full = fit_members(
+        table, member.reshape(-1, length), n, data if length == data.N else None
+    )
+    theta, full = theta.reshape(count, S, n), full.reshape(count, S)
     # each sample's own fit, gathered through the flat (string, cluster) index
     own = theta.reshape(-1, n).take(np.arange(0, count * S, S)[:, None] + labels, axis=0)
     r = y[:length] - np.einsum("bkj,kj->bk", own, X[:length])
-    return member, theta, svals, r
+    return member, theta, full, r
 
 
 def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
@@ -263,7 +266,7 @@ def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
     it, U is ``best``, the SSE of the best full string that pass kept; when
     it kept none, U is the objective of a default ``bcd_solve`` run with S
     subsystems, scored by ``score`` as the pass scores strings, and
-    infinite when the descent raises ``SolverFailure`` or ``DescentError``.
+    infinite when the descent raises ``SolverFailure``.
     """
     if best is None:
         return _PRUNE_RTOL * float(data.outputs @ data.outputs)
@@ -271,7 +274,7 @@ def _upper_bound(data: Dataset, S: int, best: float | None, score) -> float:
         return best
     try:
         found = bcd_solve(data, SolverConfig(S=S))
-    except (SolverFailure, DescentError):
+    except SolverFailure:
         return np.inf
     r = score(found.assignment.labels[None] - 1)[3]
     return float(np.einsum("bk,bk->b", r, r)[0])
@@ -309,13 +312,13 @@ def oracle_global(
     (all-zero outputs) memory grows with the budget, not with a chunk.
     """
     S, limit = _count("S", S, 1), _count("limit", limit, 0)
-    N, n = data.N, data.n
+    N = data.N
     _need_samples(S, N)
-    X, y = data.regressors, data.outputs
+    y = data.outputs
     table = moment_table(data)
 
     def fit(labels):
-        return _score(labels, S, n, table, X, y)
+        return _score(labels, S, table, data)
 
     # the one prefix of length 1, the first sample in cluster 1, or with one
     # cluster the one string; labels fit the smallest integer type holding S
@@ -349,8 +352,7 @@ def oracle_global(
         nonlocal dropped
         for labels in extend(stream, length):
             if reach[length - 1] > cut:
-                member, _, svals, r = fit(labels)
-                full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
+                member, _, full, r = fit(labels)
                 bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
                 keep = bound <= cut
                 dropped |= not keep.all()
@@ -367,17 +369,16 @@ def oracle_global(
         best = np.inf
         kept: list[tuple[np.ndarray, ...]] = []
         for labels in extend(stream, N):
-            _, theta, svals, r = fit(labels)
+            _, theta, full, r = fit(labels)
             sse = np.einsum("bk,bk->b", r, r)
             if sse.min() < best:
                 best = float(sse.min())
                 kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
             near = sse <= best + _OPTIMUM_TOL
             if not near.all():
-                sse, labels, theta, svals = sse[near], labels[near], theta[near], svals[near]
+                sse, labels, theta, full = sse[near], labels[near], theta[near], full[near]
             # an empty cluster has a zero Gram, so it fits theta = 0 and fails
             # the rank test, which makes its class degenerate
-            full = gram_full_rank(svals.reshape(-1, n), n).reshape(-1, S)
             kept.append((sse, labels, theta, ~full.all(axis=1)))
         return best, kept
 

@@ -6,10 +6,10 @@ lambda shrinking like log(N)/N (slower than 1/N) the estimate converges to
 the true count as N grows, which the Monte-Carlo sweep checks empirically.
 
 Each candidate beyond the first is one solver call with one extra restart,
-started from the previous candidate's solution with its worst-fit sample
-split off into the new cluster.  A candidate whose call fails or ends above
-the previous fit keeps the previous report, so the fit term is exactly
-non-increasing in S'.
+started from the previous candidate's labels: the new cluster starts empty,
+and the descent's empty-cluster repair moves the worst-fit sample into it.
+A candidate whose call fails or ends above the previous fit keeps the
+previous report, so the fit term is exactly non-increasing in S'.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import (
-    Assignment,
-    Dataset,
-    NoiseSpec,
-    _count,
-    _need_samples,
-    _seed,
-    generate_random_scenario,
-)
+from .model import Dataset, _count, _need_samples, _noise, _seed, generate_random_scenario
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -98,27 +90,12 @@ class OrderSelectReport:
         }
 
 
-def _split_warm_start(data: Dataset, report: SolveReport, new_label: int) -> Assignment:
-    """Previous solution with its worst-fit sample moved to the new cluster.
-
-    The donor cluster keeps at least one sample.  ``select_order`` requires
-    N >= S_bar, so the previous candidate's N labels lie in at most
-    new_label - 1 < N clusters, one of which always has two samples to give.
-    """
-    labels = report.assignment.labels.copy()
-    preds = np.einsum("ij,ij->i", data.regressors, report.model.params[labels - 1])
-    residual = np.abs(data.outputs - preds)
-    sizes = np.bincount(labels, minlength=new_label + 1)
-    residual = np.where(sizes[labels] >= 2, residual, -np.inf)
-    labels[int(np.argmax(residual))] = new_label
-    return Assignment(labels)
-
-
 def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     """Fit every candidate count and return the penalized-criterion argmin.
 
     Each S' >= 2 is one :func:`bcd_solve` call whose last restart starts
-    from :func:`_split_warm_start` of the previous candidate; the cold
+    from the previous candidate's labels, which leave cluster S' empty for
+    the descent's repair to fill with the worst-fit sample; the cold
     restarts keep their seeds and win ties.  A candidate keeps the previous
     candidate's report when its call raises :class:`SolverFailure` or ends
     above the previous objective, so a candidate's report may have fewer
@@ -132,9 +109,8 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
     reports = [bcd_solve(data, replace(cfg.solver, S=1, init_labels=None))]
     for s_prime in range(2, cfg.S_bar + 1):
         prev = reports[-1]
-        warm = _split_warm_start(data, prev, s_prime)
         solver_cfg = replace(
-            cfg.solver, S=s_prime, restarts=cfg.solver.restarts + 1, init_labels=warm
+            cfg.solver, S=s_prime, restarts=cfg.solver.restarts + 1, init_labels=prev.assignment
         )
         try:
             report = bcd_solve(data, solver_cfg)
@@ -179,7 +155,8 @@ def select_order(data: Dataset, cfg: OrderSelectConfig) -> OrderSelectReport:
 class SweepScenario:
     """Data-generating settings for the consistency sweep; parameters and
     regressors are drawn on ``generate_random_scenario``'s default range.
-    ``n`` and ``S`` are counts of at least 1 (``model`` docstring)."""
+    ``n`` and ``S`` are counts of at least 1 (``model`` docstring) and
+    ``sigma`` is finite and nonnegative, 0 for noise-free data."""
 
     n: int
     S: int
@@ -188,6 +165,7 @@ class SweepScenario:
     def __post_init__(self):
         for name in ("n", "S"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
+        _noise(self.sigma)
 
 
 def consistency_sweep(
@@ -215,8 +193,7 @@ def consistency_sweep(
     # select_order's own check, made before any trial runs
     for N in N_list:
         _need_samples(cfg.S_bar, N, "S_bar")
-    sigma = scenario.sigma
-    noise = NoiseSpec() if sigma == 0 else NoiseSpec("gaussian", sigma)
+    noise = _noise(scenario.sigma)
     rows = []
     for i, N in enumerate(N_list):
         hits = 0

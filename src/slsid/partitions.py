@@ -59,14 +59,14 @@ def gram_full_rank(svals: np.ndarray, n: int) -> np.ndarray:
     ``svals`` holds one Gram's values in descending order, or one Gram per
     row of a 2-D array; the result is a numpy bool, or one per row.  Fewer
     than n values means rank below n.  Scale-invariant: the smallest value
-    must exceed ``GRAM_RTOL`` times the largest.
+    must exceed ``GRAM_RTOL`` times the largest, which a zero Gram's values,
+    all zero, do not.
     """
     if svals.shape[-1] != n:
         return np.zeros(svals.shape[:-1], dtype=bool)
     # .T[k] reads column k of a stack, or item k of a single Gram's values
     # as a numpy scalar, which keeps the single-Gram call cheap
-    top, low = svals.T[0], svals.T[-1]
-    return (top > 0.0) & (low > GRAM_RTOL * top)
+    return svals.T[-1] > GRAM_RTOL * svals.T[0]
 
 
 def gram_nonsingular(rows: np.ndarray, n: int) -> bool:

@@ -48,6 +48,10 @@ _DISTINCT_TOL = 1e-9
 # rows, and the genericity scan returns None beyond this many n-subsets
 MAX_BLOCK_SIZE = 14
 MAX_GENERICITY_SUBSETS = 200_000
+# digits of C(n+S, n) - 1 beyond which min_samples_vidal raises: Python's
+# default limit for converting an int to a string, past which the CLI could
+# not print the count
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,33 @@ def min_samples_bako(n: int, S: int) -> int:
 
 
 def min_samples_vidal(n: int, S: int) -> int:
-    """C(n+S, n) - 1, in exact integer arithmetic."""
+    """C(n+S, n) - 1, in exact integer arithmetic.
+
+    A count of more than ``_MAX_DIGITS`` digits raises ValueError before
+    it is computed.  Its log10, the sum of log10((n + S - k + i) / i) for
+    i = 1..k with k = min(n, S), is summed until it passes the limit; each
+    term is at least log10(2), so that takes at most about 14,300 terms,
+    for counts of any size.
+    """
     n, S = _count("n", n, 1), _count("S", S, 1)
+    k, digits = min(n, S), 0.0
+    for i in range(1, k + 1):
+        digits += math.log10(n + S - k + i) - math.log10(i)
+        if digits >= _MAX_DIGITS:
+            raise ValueError(
+                f"C(n+S, n) - 1 for n={n}, S={S} has more than {_MAX_DIGITS} digits"
+            )
     return math.comb(n + S, n) - 1
 
 
 def min_samples_table(n_max: int, S_max: int) -> dict[tuple[int, int], SampleCounts]:
-    """Grid of all three counts for 1 <= n <= n_max, 1 <= S <= S_max."""
+    """Grid of all three counts for 1 <= n <= n_max, 1 <= S <= S_max.
+
+    The largest cell's Vidal count is checked first, so a grid whose
+    counts pass ``_MAX_DIGITS`` digits raises before any cell is built.
+    """
     n_max, S_max = _count("n_max", n_max, 1), _count("S_max", S_max, 1)
+    min_samples_vidal(n_max, S_max)
     return {
         (n, S): SampleCounts(
             min_samples_ours(n, S), min_samples_bako(n, S), min_samples_vidal(n, S)

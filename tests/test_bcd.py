@@ -38,11 +38,10 @@ def assert_trace_descends(trace):
 
 def _fit_with_rank(data, labels, clusters):
     """``fit_members`` on the listed clusters' memberships: the fits, each
-    cluster's full-rank flag from the singular values it returns, and
-    whether the cluster is empty."""
+    cluster's full-rank flag it returns, and whether the cluster is empty."""
     member = (labels == np.asarray(clusters)[:, None]).astype(float)
-    theta, svals = fit_members(moment_table(data), member, data.n)
-    return theta, gram_full_rank(svals, data.n), ~member.any(axis=1)
+    theta, full_rank = fit_members(moment_table(data), member, data.n)
+    return theta, full_rank, ~member.any(axis=1)
 
 
 class TestFitClusterParams:
@@ -127,7 +126,7 @@ def test_kernel_matches_per_cluster_lstsq(n, scale):
 
 def _check_stacked_prefixes(rng, n, lengths, monkeypatch):
     # a 3-D stack of memberships over a prefix of the samples: each slice's
-    # sums, fits and singular values bitwise those of the slice passed
+    # sums and fits bitwise, and rank flags, those of the slice passed
     # alone, and each cluster's fit lstsq's on its prefix rows to rounding
     X, labels = _kernel_cases(rng, n)
     data = Dataset(X, rng.normal(0, 1, size=labels.size))
@@ -147,18 +146,18 @@ def _check_stacked_prefixes(rng, n, lengths, monkeypatch):
             + [rng.permutation(labels)[:length] == clusters for _ in range(3)]
         ).astype(float)
         sums.clear()
-        theta, svals = fit_members(table, stack, n)
+        theta, full = fit_members(table, stack, n)
         for g, member in enumerate(stack):
             alone = fit_members(table, member, n)
             assert sums[1 + g].tobytes() == sums[0][g].tobytes()
             assert theta[g].tobytes() == alone[0].tobytes()
-            assert svals[g].tobytes() == alone[1].tobytes()
-        full_rank = gram_full_rank(svals[0], n)
+            assert full[g].tolist() == alone[1].tolist()
+        full_rank = full[0]
         for i, s in enumerate(clusters[:, 0]):
             idx = labels[:length] == s
             where = f"n={n} length={length} cluster {s}"
             if not idx.any():
-                assert not theta[0, i].any() and not svals[0, i].any(), where
+                assert not theta[0, i].any() and not full_rank[i], where
                 shapes.add("empty")
                 continue
             rows, outputs = X[:length][idx], data.outputs[:length][idx]
@@ -192,7 +191,12 @@ def test_blocked_sums_stack_like_one_slice(n, monkeypatch):
     table = rng.normal(size=(rows, 10))
     member = (rng.integers(0, 3, size=10) == np.arange(3)[:, None]).astype(float)
     sums = []
-    monkeypatch.setattr("slsid.model.gram_solve", lambda total, width: sums.append(total))
+
+    def recording(total, width):
+        sums.append(total)
+        return gram_solve(total, width)
+
+    monkeypatch.setattr("slsid.model.gram_solve", recording)
     fit_members(table, member, n)
     blocks = [table[:, k : k + 4] @ member[:, k : k + 4].T for k in (0, 4, 8)]
     assert sums[0].tobytes() == ((blocks[0] + blocks[1]) + blocks[2]).T.tobytes()

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from slsid import bench
+from slsid.bcd import SolverFailure
 from slsid.bench import (
     RAW_COLUMNS,
     SUMMARY_COLUMNS,
@@ -58,9 +62,55 @@ def test_single_init_large_sample_classification_error():
 
 @pytest.mark.parametrize("sigma", [-0.1, float("nan")])
 def test_bad_sigma_rejected(sigma):
-    spec = ScenarioSpec(n=2, S=2, N=40, sigma=sigma, repetitions=1, restarts=1)
     with pytest.raises(ValueError, match="sigma"):
-        run_cell(spec)
+        ScenarioSpec(n=2, S=2, N=40, sigma=sigma, repetitions=1, restarts=1)
+
+
+def test_grid_with_a_bad_sigma_fails_before_its_first_fit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "bcd_solve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative, got nan"):
+        run_bench(
+            [
+                ScenarioSpec(2, 2, 40, repetitions=1),
+                ScenarioSpec(2, 2, 40, sigma=float("nan"), repetitions=1),
+            ]
+        )
+    assert calls == []
+
+
+def _failing(data, cfg):
+    raise SolverFailure(f"all {cfg.restarts} restarts degenerated (clusters kept emptying)")
+
+
+def test_failed_repetition_is_a_row_the_summary_skips(monkeypatch):
+    spec = ScenarioSpec(n=2, S=2, N=60, sigma=0.0, repetitions=3, restarts=2, seed=5)
+    real, calls = bench.bcd_solve, []
+
+    def second_fails(data, cfg):
+        calls.append(cfg)
+        return (_failing if len(calls) == 2 else real)(data, cfg)
+
+    monkeypatch.setattr(bench, "bcd_solve", second_fails)
+    result = run_cell(spec)
+    ok, failed = [result.raw[0], result.raw[2]], result.raw[1]
+    assert failed["error"] == "all 2 restarts degenerated (clusters kept emptying)"
+    assert all(math.isnan(failed[key]) for key in ("ce", "nmse", "objective"))
+    assert failed["time"] >= 0.0 and all(row["error"] == "" for row in ok)
+    for key in ("ce", "nmse"):
+        values = np.array([row[key] for row in ok])
+        assert result.summary[f"{key}_mean"] == float(values.mean())
+        assert result.summary[f"{key}_std"] == float(values.std())
+    # the failed row keeps its time, so the time statistics count it
+    assert result.summary["time_mean"] == float(np.mean([row["time"] for row in result.raw]))
+    # noise-free data: both fits that ran recover the parameters
+    assert result.summary["nrftp"] == 2
+
+    monkeypatch.setattr(bench, "bcd_solve", _failing)
+    summary = run_cell(spec).summary
+    for key in ("ce_mean", "ce_std", "nmse_mean", "nmse_std"):
+        assert math.isnan(summary[key]), key
+    assert summary["nrftp"] == 0 and summary["time_mean"] >= 0.0
 
 
 def test_empty_grid_rejected():

@@ -403,6 +403,23 @@ def test_pe_check_without_truth_labels_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "pe_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "counts, table", [(("20000", "20000"), False), (("1000000", "1000000"), False),
+                      (("7200", "7200"), True)]
+)
+def test_min_samples_past_4300_digits_is_usage_error(capsys, counts, table):
+    # C(n+S, n) - 1 past Python's int-to-string limit: rejected before
+    # math.comb runs, naming n and S; a grid checks its largest cell first
+    n, S = counts
+    argv = ["min-samples", "--n", n, "--S", S] + ["--table"] * table
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: C(n+S, n) - 1 for n={n}, S={S} has more than 4300 digits"
+    ]
+
+
 def test_fit_without_usable_fit_exits_4(tmp_path, capsys):
     # identical samples: every restart keeps emptying its spare clusters
     path = tmp_path / "same.csv"
@@ -427,15 +444,27 @@ def test_select_order_without_usable_fit_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [["fit", "--S", "2"], ["select-order", "--s-bar", "3"]])
-def test_broken_descent_exits_4(tmp_path, capsys, command):
-    # rows whose scales differ by up to 1e12 (the data of test_oracle's
-    # test_failed_descent_leaves_the_scan): the descent's Gram solve is not
-    # exact there, its objective rises and it raises DescentError
+def test_broken_descent_exits_4(tmp_path, capsys, monkeypatch, command):
+    # rows whose scales differ by up to 1e12 (test_oracle's _scaled_rows(16)):
+    # the exact-fit rule fits them, so the command succeeds; a descent whose
+    # objective rises raises DescentError, which exits 4
+    from slsid import cli, order
+    from slsid.bcd import DescentError
+
     rng = np.random.default_rng(16)
     X = rng.uniform(-3, 3, size=(8, 2)) * 10.0 ** rng.integers(-6, 7, size=(8, 1))
     path = tmp_path / "scaled.csv"
     save_dataset(path, Dataset(X, rng.normal(0, 1, size=8)))
-    code = run([command[0], "--data", str(path), *command[1:]])
+    argv = [command[0], "--data", str(path), *command[1:], "--output", str(tmp_path)]
+    assert run(argv) == 0
+
+    def broken(data, cfg):
+        raise DescentError(0, 2, 1.0, 2.0)
+
+    monkeypatch.setattr(cli, "bcd_solve", broken)
+    monkeypatch.setattr(order, "bcd_solve", broken)
+    capsys.readouterr()
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 4
     lines = err.splitlines()
@@ -570,6 +599,10 @@ def test_config_list_elements_go_through_the_option_type(tmp_path):
         ({"n": [2]}, ["simulate", "--S", "2", "--N", "3"], "--n"),
         ({"example": 3}, ["simulate"], "--example"),
         ({"output": 5}, ["min-samples", "--n", "2", "--S", "2"], "--output"),
+        # a flag takes a JSON boolean only
+        ({"table": "no"}, ["min-samples", "--n", "2", "--S", "2"], "--table"),
+        ({"table": 1}, ["min-samples", "--n", "2", "--S", "2"], "--table"),
+        ({"table": None}, ["min-samples", "--n", "2", "--S", "2"], "--table"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, config, command, flag):
@@ -585,6 +618,18 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, config,
     err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     value = next(iter(config.values()))
     assert err == [f"slsid {command[0]}: error: argument {flag}: invalid value {value!r} in --config"]
+
+
+@pytest.mark.parametrize("table, grid", [(False, False), (True, True)])
+def test_config_flag_is_a_json_boolean(tmp_path, capsys, table, grid):
+    # false leaves the flag off and true turns it on, as the bare flag does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"table": table}))
+    assert run(["--config", str(cfg), "min-samples", "--n", "2", "--S", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n,S,ours,bako,vidal") == grid
+    if not grid:
+        assert json.loads(out) == {"n": 2, "S": 2, "ours": 5, "bako": 8, "vidal": 5}
 
 
 @pytest.mark.parametrize("config_cell", ["1,1,20", [1, 1, 20]])
@@ -897,15 +942,26 @@ def _configs(*keys):
 # its @example is a config value that once ended in a traceback
 
 
+# single counts up to 10^6, on either side of 4300 digits of C(n+S, n)
+# (n = S = 7000 and 7200); a grid builds n*S cells, so its counts are small
+_COUNTS = {False: ["1", "5", "7000", "7200", "1000000"], True: ["1", "3"]}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    _flags({"--n": [None, "1", "3"], "--S": [None, "1", "5"]}),
-    st.booleans(),
+    st.booleans().flatmap(
+        lambda table: st.tuples(
+            _flags({"--n": [None, *_COUNTS[table]], "--S": [None, *_COUNTS[table]]}),
+            st.just(table),
+        )
+    ),
     _configs("n", "S"),
 )
-@example({"--n": None, "--S": "2"}, False, {"n": None})
-def test_min_samples_cli_contract(flags, table, config):
+@example(({"--n": None, "--S": "2"}, False), {"n": None})
+@example(({"--n": "1000000", "--S": "1000000"}, False), None)
+def test_min_samples_cli_contract(drawn, config):
     # a run that exits 0 prints the paper's count for each (n, S)
+    flags, table = drawn
     argv = _argv("min-samples", flags) + ["--table"] * table
     code, out = _contract(argv, config=config)
     if code != 0:

@@ -13,6 +13,7 @@ from slsid import (
     Dataset,
     EnumerationLimitError,
     SolverConfig,
+    SolverFailure,
     bcd_solve,
     objective_integer,
     oracle_global,
@@ -20,9 +21,8 @@ from slsid import (
     simulate,
 )
 from slsid import fixtures, oracle
-from slsid.bcd import DescentError
 from slsid.model import SLModel, fit_members, moment_table
-from slsid.partitions import gram_full_rank, gram_nonsingular
+from slsid.partitions import gram_nonsingular
 from slsid.oracle import same_param_set, unique_optimum
 
 EXAMPLE1_ALT = np.array([[-0.5, 1.0], [1.0, 5.5]])
@@ -259,6 +259,20 @@ def test_random_instances_match_reference_enumeration():
         for c in classes:
             want = _reference_degenerate(data, np.asarray(c.labels), S)
             assert c.degenerate == want, f"{where} {c.labels}"
+    # rows scaled by 10^-6..10^6, where a Gram solve can miss the fit by far:
+    # the optimum to 1e-6 relative, and the reference's best string among the
+    # classes; the classes may differ at the 1e-9 edge, where the two fits'
+    # rounding decides
+    for S, n, N in cases:
+        if N < S:
+            continue
+        data = _random_instance(rng, S, n, N, "scaled")
+        optimum, classes = oracle_global(data, S)
+        ref_opt, ref_classes = _reference_scan(data, S)
+        where = f"S={S} n={n} N={N} scaled"
+        assert optimum == pytest.approx(ref_opt, rel=1e-6, abs=1e-9), where
+        best = min(sorted(ref_classes), key=lambda lab: _objective_of(data, np.asarray(lab), S))
+        assert best in {c.labels for c in classes}, where
 
 
 def test_classes_match_per_cluster_least_squares():
@@ -280,8 +294,8 @@ def test_classes_match_per_cluster_least_squares():
                 where = f"S={S} n={n} N={N} {kind} {c.labels}"
                 labels = np.asarray(c.labels)
                 member = (labels == np.arange(1, S + 1)[:, None]).astype(float)
-                params, svals = fit_members(moment_table(data), member, n)
-                assert c.degenerate == (not gram_full_rank(svals, n).all()), where
+                params, full = fit_members(moment_table(data), member, n, data)
+                assert c.degenerate == (not full.all()), where
                 rtol = 1e-7 if c.degenerate else 1e-10
                 np.testing.assert_allclose(
                     c.params, params, rtol=rtol,
@@ -447,6 +461,10 @@ def _scaled_rows(seed, N=8):
     return Dataset(X, rng.normal(0, 1, size=N))
 
 
+def _failing_descent(data, cfg):
+    raise SolverFailure(f"all {cfg.restarts} restarts degenerated (clusters kept emptying)")
+
+
 def _bound_source(best, upper):
     """Which source gave ``_upper_bound``'s U for the last best SSE."""
     if best is None:
@@ -458,7 +476,7 @@ def _bound_source(best, upper):
 
 def test_pruning_changes_nothing(monkeypatch):
     # whichever source gives U (the guess, the guess pass's best string, the
-    # descent, or none when the descent raises), the pruned results are the
+    # descent, or none when the descent fails), the pruned results are the
     # scan's bit for bit; with no bound from any source the pass is the scan
     rng = np.random.default_rng(41)
     # 9 lengths per S from max(S, 2), so each output kind falls on
@@ -476,9 +494,15 @@ def test_pruning_changes_nothing(monkeypatch):
         data = Dataset(data.regressors, _output_kind(rng, data.regressors, S, kind, sigma))
         results.append((f"S={S} N={N} n={n} {rows} {kind} {sigma}", data, S))
     # the guess pass keeps no string on these two; the descent then sets U
-    # on pure noise and raises on the scaled rows
+    # on pure noise, and is made to fail on the scaled rows
     results.append(("pure noise S=2 N=10", _random_instance(rng, 2, 2, 10, "generic"), 2))
-    results.append(("scaled rows, seed 18", _scaled_rows(18), 2))
+    broken = _scaled_rows(18)
+    results.append(("scaled rows, seed 18", broken, 2))
+
+    def solve(data, cfg):
+        return (_failing_descent if data is broken else bcd_solve)(data, cfg)
+
+    monkeypatch.setattr(oracle, "bcd_solve", solve)
     real = oracle._upper_bound
     sources = []
 
@@ -502,14 +526,11 @@ def test_pruning_changes_nothing(monkeypatch):
 
 
 def test_failed_descent_leaves_the_scan(monkeypatch):
-    # on rows whose scales differ by up to 1e12 the descent's Gram solve is
-    # not an exact least-squares step, so its objective rises and it raises.
-    # The guess pass keeps a string here, so U would come from it; with that
-    # string hidden U comes from the descent, which leaves no bound, and the
-    # second pass scans every string
+    # the guess pass keeps a string here, so U would come from it; with that
+    # string hidden U comes from the descent, made to fail, which leaves no
+    # bound, and the second pass scans every string
     data = _scaled_rows(16)
-    with pytest.raises(DescentError):
-        bcd_solve(data, SolverConfig(S=2))
+    monkeypatch.setattr(oracle, "bcd_solve", _failing_descent)
     real = oracle._upper_bound
     bounds = []
 
@@ -523,6 +544,34 @@ def test_failed_descent_leaves_the_scan(monkeypatch):
     ref_best, ref_labels = _reference_scan(data, 2)
     assert best == pytest.approx(ref_best, rel=1e-12)
     assert {c.labels for c in classes} == ref_labels
+
+
+def test_scaled_rows_fit_exactly():
+    # rows whose scales differ by up to 1e12: the Gram of a cluster holding
+    # rows of both ends fails the rank test and its solve misses the
+    # least-squares fit by far, so the exact-fit rule refits such a cluster
+    # on its rows.  Every cluster of every split then fits as lstsq does,
+    # and the descent, which raised DescentError here while it trusted the
+    # Gram, keeps its objective exact
+    data = _scaled_rows(16)
+    X, y = data.regressors, data.outputs
+    labels = np.array(list(itertools.product((0, 1), repeat=data.N)))
+    member = (labels[:, None, :] == np.arange(2)[:, None]).astype(float)
+    table = moment_table(data)
+    theta, full = fit_members(table, member, 2, data)
+    gram = fit_members(table, member, 2)[0]
+    gram_excess = 0.0
+    for b, s in itertools.product(range(len(labels)), (0, 1)):
+        own = labels[b] == s
+        if not own.any():
+            continue
+        ref = np.linalg.lstsq(X[own], y[own], rcond=None)[0]
+        sse = [float(np.sum((y[own] - X[own] @ t) ** 2)) for t in (ref, theta[b, s], gram[b, s])]
+        assert sse[1] <= sse[0] + 1e-12, (labels[b], s)
+        gram_excess = max(gram_excess, sse[2] - sse[0])
+    assert not full.all() and gram_excess > 1.0
+    report = bcd_solve(data, SolverConfig(S=2))
+    assert report.objective == objective_integer(data, report.model, report.assignment)
 
 
 def _nodes_unpruned(N, S):

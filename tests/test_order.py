@@ -9,6 +9,7 @@ from slsid import (
     OrderSelectConfig,
     SLModel,
     SolverConfig,
+    SolverFailure,
     SweepScenario,
     bcd_solve,
     consistency_sweep,
@@ -157,9 +158,7 @@ class TestConsistencySweep:
     @pytest.mark.parametrize("sigma", [-0.1, math.nan])
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            consistency_sweep(
-                SweepScenario(n=2, S=2, sigma=sigma), [40], 1, _config(2)
-            )
+            SweepScenario(n=2, S=2, sigma=sigma)
 
     def test_rows_shape(self):
         rows = consistency_sweep(
@@ -170,16 +169,21 @@ class TestConsistencySweep:
 
 
 def test_noise_free_fallbacks_keep_every_candidate(monkeypatch):
-    # noise-free n=1 data: at S'=3 every cold restart degenerates and the
-    # warm restart (index 3) wins; at S'=4 every restart degenerates, so
-    # S'=4 keeps S'=3's report and its exact zero fit
+    # noise-free n=1 data: at S'=3 and S'=4 every restart degenerates, the
+    # warm one too (the repair fills its empty new cluster, which empties
+    # again), so both keep S'=2's report and its rounding-level fit
     _, data = generate_random_scenario(1, 2, 10, noise=NoiseSpec(), seed=0)
     report = _check_one_call_per_candidate(monkeypatch, data, _config(4, restarts=3, seed=0))
     assert report.chosen_S == 2
-    three, four = report.candidates[2:]
-    assert (three.report.restart_index, three.report.degenerate_restarts) == (3, 3)
-    assert four.report is three.report
-    assert (three.fit_term, four.fit_term) == (0.0, 0.0)
+    two, three, four = report.candidates[1:]
+    for s_prime in (3, 4):
+        warm = SolverConfig(S=s_prime, restarts=4, seed=0, init_labels=two.report.assignment)
+        with pytest.raises(SolverFailure, match="all 4 restarts degenerated"):
+            bcd_solve(data, warm)
+    assert (two.report.restart_index, two.report.degenerate_restarts) == (0, 0)
+    assert three.report is two.report and four.report is two.report
+    # 3.2e-31 here: noise-free, so zero up to the rounding of the fits
+    assert three.fit_term == four.fit_term == two.fit_term < 1e-30
 
 
 def test_noise_free_pool_keeps_one_call_per_candidate(monkeypatch):
