@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures
 from .bcd import SolverConfig, SolverFailure, bcd_solve
 from .metrics import MAX_ALIGN_S, classification_error, nmse
-from .model import _count, _need_samples, _noise, _seed, generate_random_scenario
+from .model import _count, _draw_trial, _need_samples, _noise, _seed
 from .oracle import oracle_global, same_param_set, unique_optimum
 from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
@@ -88,15 +88,12 @@ def run_cell(spec: ScenarioSpec) -> SweepResult:
     Solver failures are recorded in the raw rows (with NaN metrics) rather
     than raised.  Timing covers the solver call only.
     """
-    noise = _noise(spec.sigma)
     raw = []
     for rep in range(spec.repetitions):
-        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.n, spec.S, spec.N, rep))
-        data_seed = int(ss.generate_state(1)[0])
-        model, data = generate_random_scenario(
-            spec.n, spec.S, spec.N, noise=noise, seed=data_seed
+        model, data, solver_seed = _draw_trial(
+            spec.n, spec.S, spec.N, spec.sigma, spec.seed, (spec.n, spec.S, spec.N, rep)
         )
-        cfg = SolverConfig(S=spec.S, restarts=spec.restarts, seed=data_seed + 1)
+        cfg = SolverConfig(S=spec.S, restarts=spec.restarts, seed=solver_seed)
         row = {"n": spec.n, "S": spec.S, "N": spec.N, "rep": rep}
         start = time.perf_counter()
         try:

@@ -5,10 +5,11 @@ consistency-sweep, bench, repro.  All outputs are UTF-8 CSV or JSON with a
 stable key order, so a rerun with the same seed is byte-identical apart
 from wall-clock timing columns.
 
-Exit codes: 0 success, 1 usage error, 2 reproduction mismatch,
-3 enumeration limit exceeded, 4 no usable fit (every fit restart degenerated,
-or the descent broke: a half-step raised its objective, which only a broken
-update does).
+Exit codes: 0 success, 1 usage error (a count too large to allocate is one),
+2 reproduction mismatch, 3 enumeration limit exceeded, 4 no usable fit (every
+fit restart degenerated, or the descent broke: a half-step raised its
+objective, which only a broken update does).  Each failure but argparse's own
+usage errors is one ``error:`` line, printed by ``main``.
 """
 
 from __future__ import annotations
@@ -18,23 +19,28 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from . import bench, fixtures
+from . import bench, fixtures, pe
 from .bcd import DescentError, SolverConfig, SolverFailure, bcd_solve
 from .dataio import load_dataset, load_model, save_dataset, save_model
 from .model import _noise, generate_random_scenario
 from .oracle import DEFAULT_ENUM_LIMIT, EnumerationLimitError, oracle_global, unique_optimum
 from .order import OrderSelectConfig, SweepScenario, consistency_sweep, select_order
-from .pe import min_samples_bako, min_samples_ours, min_samples_table, min_samples_vidal, pe_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_ENUM_LIMIT = 3
 EXIT_NO_FIT = 4
-# the one option per subcommand that takes a list of values
-_LIST_OPTIONS = {"consistency-sweep": "N", "bench": "cell"}
+# the exit code of each failure main reports; numpy's allocation failure,
+# from a count too large to hold, is a MemoryError
+_FAILURES = {
+    EnumerationLimitError: EXIT_ENUM_LIMIT,
+    **dict.fromkeys((SolverFailure, DescentError), EXIT_NO_FIT),
+    **dict.fromkeys((ValueError, OSError, MemoryError), EXIT_USAGE),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         # --config value still in place (a JSON number, bool, list or null)
         # goes through type= here, a list element by element where the
         # option takes a list; null, a list for a one-value option and a
-        # non-string for an option without a type are invalid.  A flag,
+        # non-string for an option without a type are invalid.  A config
+        # value, converted or not, is the only kind that can be a non-list
+        # for an option that takes a list, and is invalid there too.  A flag,
         # which takes no value, takes a JSON boolean only.
         for action in self._actions:
             if action.dest not in self._defaults:
@@ -64,8 +72,8 @@ class _Parser(argparse.ArgumentParser):
                 if from_config and not isinstance(value, bool):
                     self.error(invalid)
                 continue
+            many = action.nargs == "+" or isinstance(action, _FreshAppend)
             if from_config and not isinstance(value, str):
-                many = action.nargs == "+" or isinstance(action, _FreshAppend)
                 try:
                     if value is None or action.type is None or isinstance(value, list) and not many:
                         raise ValueError
@@ -76,6 +84,9 @@ class _Parser(argparse.ArgumentParser):
                 except (ValueError, TypeError, argparse.ArgumentTypeError):
                     self.error(invalid)
                 setattr(namespace, action.dest, value)
+            if many and not isinstance(value, list):
+                command = self.prog.rsplit(" ", 1)[-1]
+                raise ValueError(f"config key {action.dest!r} must be a list for {command}")
             if action.choices is not None and value not in action.choices:
                 self.error(invalid)
         return namespace, extras
@@ -118,8 +129,7 @@ def _cmd_simulate(args) -> int:
         stem = f"example{args.example}"
     else:
         if args.n is None or args.S is None or args.N is None:
-            print("error: provide --example or all of --n/--S/--N", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError("provide --example or all of --n/--S/--N")
         model, data = generate_random_scenario(
             args.n, args.S, args.N, (args.range_lo, args.range_hi), _noise(args.sigma), args.seed
         )
@@ -169,7 +179,7 @@ def _cmd_oracle(args) -> int:
     # the indented layout, but one compact line per class: on all-zero
     # outputs every split is a class, and indenting each label and parameter
     # took most of the run and nearly tripled the file
-    rows = ",\n".join(f"    {json.dumps(c, sort_keys=True)}" for c in classes.to_dicts())
+    rows = ",\n".join(f"    {json.dumps(c.to_dict(), sort_keys=True)}" for c in classes)
     text = (
         f'{{\n  "classes": [\n{rows}\n  ],\n'
         f'  "optimum": {json.dumps(optimum)},\n'
@@ -182,34 +192,23 @@ def _cmd_oracle(args) -> int:
 def _cmd_pe_check(args) -> int:
     data = load_dataset(args.data)
     model = load_model(args.model)
-    report = pe_report(data, model)
+    report = pe.pe_report(data, model)
     _emit(args, _json(report.to_dict()), "pe_report.json")
     return EXIT_ENUM_LIMIT if report.undecided else EXIT_OK
 
 
 def _cmd_min_samples(args) -> int:
     if args.table:
-        table = min_samples_table(args.n, args.S)
-        rows = [
-            {
-                "n": n,
-                "S": S,
-                "ours": counts.ours,
-                "bako": counts.bako,
-                "vidal": counts.vidal,
-            }
-            for (n, S), counts in sorted(table.items())
-        ]
-        _emit(args, _csv_text(["n", "S", "ours", "bako", "vidal"], rows), "min_samples.csv")
+        cells = sorted(pe.min_samples_table(args.n, args.S).items())
     else:
-        payload = {
-            "n": args.n,
-            "S": args.S,
-            "ours": min_samples_ours(args.n, args.S),
-            "bako": min_samples_bako(args.n, args.S),
-            "vidal": min_samples_vidal(args.n, args.S),
-        }
-        _emit(args, _json(payload), "min_samples.json")
+        count = (pe.min_samples_ours, pe.min_samples_bako, pe.min_samples_vidal)
+        cells = [((args.n, args.S), pe.SampleCounts(*(f(args.n, args.S) for f in count)))]
+    # the columns after n and S are the fields of SampleCounts
+    rows = [{"n": n, "S": S, **asdict(counts)} for (n, S), counts in cells]
+    if args.table:
+        _emit(args, _csv_text(list(rows[0]), rows), "min_samples.csv")
+    else:
+        _emit(args, _json(rows[0]), "min_samples.json")
     return EXIT_OK
 
 
@@ -408,40 +407,30 @@ def _config_path(argv) -> str | None:
     return None
 
 
+def _config(argv) -> dict | None:
+    path = _config_path(argv)
+    if path is None:
+        return None
+    try:
+        defaults = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8, or not JSON
+        raise ValueError(f"cannot read config: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ValueError("config must be a flat JSON object")
+    return defaults
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # precedence: explicit flags > config file > built-in defaults; the file
-    # is located before parsing so its values can satisfy required options
-    defaults = None
-    config = _config_path(argv)
-    if config is not None:
-        try:
-            defaults = json.loads(Path(config).read_text())
-        except (OSError, ValueError) as exc:
-            # ValueError: not UTF-8, or not JSON
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not isinstance(defaults, dict):
-            print("error: config must be a flat JSON object", file=sys.stderr)
-            return EXIT_USAGE
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
-    # argparse hands a config value to a list option as it is, not as a list
-    key = _LIST_OPTIONS.get(args.command)
-    if key is not None and not isinstance(getattr(args, key), list):
-        print(f"error: config key {key!r} must be a list for {args.command}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        # precedence: explicit flags > config file > built-in defaults; the
+        # file is read before parsing so its values can satisfy required options
+        args = build_parser(_config(argv)).parse_args(argv)
         return args.func(args)
-    except EnumerationLimitError as exc:
+    except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENUM_LIMIT
-    except (SolverFailure, DescentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_FIT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

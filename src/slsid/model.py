@@ -345,6 +345,19 @@ def generate_random_scenario(
     return model, data
 
 
+def _draw_trial(
+    n: int, S: int, N: int, sigma: float, entropy: int | None, spawn_key: tuple
+) -> tuple[SLModel, Dataset, int]:
+    """One Monte-Carlo trial of a sweep: the scenario drawn on the default
+    parameter range from the data seed that ``SeedSequence(entropy,
+    spawn_key)`` derives, and the seed of the trial's solver, one past the
+    data seed."""
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
+    data_seed = int(ss.generate_state(1)[0])
+    model, data = generate_random_scenario(n, S, N, noise=_noise(sigma), seed=data_seed)
+    return model, data, data_seed + 1
+
+
 def _upper_triangle(n: int) -> tuple[list[int], list[int]]:
     """Row and column indices of an n x n upper triangle, row by row."""
     # as np.triu_indices, without its cost on every half-step

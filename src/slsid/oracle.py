@@ -130,7 +130,7 @@ class SolutionClass:
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "params": [[float(v) for v in row] for row in self.params],
+            "params": self.params.tolist(),
             "objective": self.objective,
             "degenerate": self.degenerate,
         }
@@ -183,16 +183,6 @@ class _Classes(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-    def to_dicts(self) -> list[dict]:
-        """``[c.to_dict() for c in self]``, built from the arrays."""
-        return [
-            {"labels": canon, "params": params, "objective": obj, "degenerate": flag}
-            for objectives, labels, fits, flags in self._chunks
-            for obj, canon, params, flag in zip(
-                objectives.tolist(), (labels + 1).tolist(), fits.tolist(), flags.tolist()
-            )
-        ]
 
 
 def _extend(parents, width: int, S: int):

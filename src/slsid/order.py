@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bcd import SolveReport, SolverConfig, SolverFailure, bcd_solve
-from .model import Dataset, _count, _need_samples, _noise, _seed, generate_random_scenario
+from .model import Dataset, _count, _draw_trial, _need_samples, _noise, _seed
 
 TIE_TOL = 1e-12
 AUTO_SIGMA2_FLOOR = 1e-12
@@ -193,19 +191,14 @@ def consistency_sweep(
     # select_order's own check, made before any trial runs
     for N in N_list:
         _need_samples(cfg.S_bar, N, "S_bar")
-    noise = _noise(scenario.sigma)
     rows = []
     for i, N in enumerate(N_list):
         hits = 0
         for t in range(trials):
-            trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i, t))
-            data_seed = int(trial_seed.generate_state(1)[0])
-            _, data = generate_random_scenario(
-                scenario.n, scenario.S, N, noise=noise, seed=data_seed
+            _, data, solver_seed = _draw_trial(
+                scenario.n, scenario.S, N, scenario.sigma, seed, (i, t)
             )
-            trial_cfg = replace(
-                cfg, solver=replace(cfg.solver, seed=data_seed + 1)
-            )
+            trial_cfg = replace(cfg, solver=replace(cfg.solver, seed=solver_seed))
             if select_order(data, trial_cfg).chosen_S == scenario.S:
                 hits += 1
         rows.append({"N": N, "trials": trials, "recovery_rate": hits / trials})

@@ -52,6 +52,9 @@ MAX_GENERICITY_SUBSETS = 200_000
 # default limit for converting an int to a string, past which the CLI could
 # not print the count
 _MAX_DIGITS = 4300
+# cells beyond which min_samples_table raises: a square grid of 10^4 cells
+# (100 x 100) takes about 0.1 s, 300 x 300 about 3 s; the paper's is 10 x 7
+_MAX_CELLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,17 @@ def min_samples_vidal(n: int, S: int) -> int:
 def min_samples_table(n_max: int, S_max: int) -> dict[tuple[int, int], SampleCounts]:
     """Grid of all three counts for 1 <= n <= n_max, 1 <= S <= S_max.
 
-    The largest cell's Vidal count is checked first, so a grid whose
-    counts pass ``_MAX_DIGITS`` digits raises before any cell is built.
+    The largest cell's Vidal count is checked first, then the grid's size,
+    so a grid whose counts pass ``_MAX_DIGITS`` digits or that has more
+    than ``_MAX_CELLS`` cells raises before any cell is built.
     """
     n_max, S_max = _count("n_max", n_max, 1), _count("S_max", S_max, 1)
     min_samples_vidal(n_max, S_max)
+    if n_max * S_max > _MAX_CELLS:
+        raise ValueError(
+            f"a table for n={n_max}, S={S_max} has {n_max * S_max} cells, "
+            f"more than {_MAX_CELLS}"
+        )
     return {
         (n, S): SampleCounts(
             min_samples_ours(n, S), min_samples_bako(n, S), min_samples_vidal(n, S)

@@ -420,6 +420,35 @@ def test_min_samples_past_4300_digits_is_usage_error(capsys, counts, table):
     ]
 
 
+def test_min_samples_table_past_its_cell_bound_is_usage_error(capsys):
+    assert run(["min-samples", "--n", "2000", "--S", "2000", "--table"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a table for n=2000, S=2000 has 4000000 cells, more than 10000"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "1000000000000000", "--S", "2", "--N", "3"],
+        ["bench", "--cell", "2,2,1000000000000000", "--repetitions", "1"],
+        ["consistency-sweep", "--n", "2", "--S", "2", "--N", "1000000000000000",
+         "--trials", "1", "--s-bar", "2"],
+    ],
+)
+def test_count_too_large_to_allocate_is_usage_error(tmp_path, capsys, command):
+    # 2 x 10^15 doubles: past the 2^47-byte user address space, so the
+    # allocation fails whatever the overcommit setting, in a MemoryError
+    assert run([*command, "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+    assert "Unable to allocate" in lines[0]
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_without_usable_fit_exits_4(tmp_path, capsys):
     # identical samples: every restart keeps emptying its spare clusters
     path = tmp_path / "same.csv"
@@ -665,9 +694,7 @@ def test_repro_has_no_output_flag(tmp_path):
 
 
 def test_simulate_without_example_or_sizes_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["simulate", "--n", "2", "--S", "2", "--output", str(tmp_path)])
-    assert exc.value.code == 1
+    assert run(["simulate", "--n", "2", "--S", "2", "--output", str(tmp_path)]) == 1
     assert "provide --example or all of --n/--S/--N" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -799,8 +826,9 @@ def test_oracle_S_above_N_is_usage_error(tmp_path, capsys):
             assert err == [f"error: need at least S={S} samples, got N=3"], command
 
 
-def _oracle_csv(path, kind, N, seed):
-    """A tiny n=2 dataset CSV of the given kind, well formed or not."""
+def _oracle_csv(path, kind, N, seed, zeta=False):
+    """A tiny n=2 dataset CSV of the given kind, well formed or not, with a
+    last column of labels 1 and 2 under ``zeta`` when that is set."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3, 3, size=(N, 2))
     if kind == "scaled":
@@ -824,6 +852,9 @@ def _oracle_csv(path, kind, N, seed):
         lines[-1] += ",1.0"
     elif kind == "header only":
         lines = lines[:1]
+    if zeta:
+        labels = rng.integers(1, 3, size=N).tolist()
+        lines = [lines[0] + ",zeta"] + [f"{line},{z}" for line, z in zip(lines[1:], labels)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -831,14 +862,18 @@ _KINDS = ["planted", "zero", "noise", "scaled", "huge", "nan", "inf", "ragged", 
 _COUNTS = ["abc", "-1", "0", "1", "2", "3", "9", "1000000", "99999999999999999999"]
 
 
-def _contract(argv, data=None, config=None):
+def _contract(argv, data=None, config=None, model=None):
     """Run one subcommand, on the CSV that ``_oracle_csv(path, *data)``
-    writes unless ``data`` is None, and with ``config`` as its --config
-    file unless that is None: an exit code of the documented set
-    (argparse's usage exit is 1 too), no traceback, at most one error line.
-    Returns the code and the standard output."""
+    writes unless ``data`` is None, with ``config`` as its --config file
+    and ``model`` as its --model file unless either is None: an exit code
+    of the documented set (argparse's usage exit is 1 too), no traceback,
+    at most one error line.  Returns the code and the standard output."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        if model is not None:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps(model))
+            argv = [argv[0], "--model", str(path), *argv[1:]]
         if data is not None:
             path = Path(tmp) / "data.csv"
             _oracle_csv(path, *data)
@@ -912,6 +947,41 @@ def test_select_order_cli_contract(kind, N, seed, s_bar, restarts):
     if code == 0:
         assert 1 <= json.loads(out)["chosen_S"] <= int(s_bar), argv
 
+
+# model files for pe-check on _oracle_csv's n = 2 rows: two valid banks (at
+# S = 1 every label 2 is above S), and a file that is not an object, lacks a
+# key, declares an n or S its params do not have, has the wrong n for the
+# data, or holds NaN
+_MODELS = [
+    {"n": 2, "S": 2, "params": [[1.0, -1.0], [0.5, 2.0]]},
+    {"n": 2, "S": 1, "params": [[1.0, -1.0]]},
+    [[1.0, -1.0], [0.5, 2.0]],
+    {"n": 2, "S": 2},
+    {"S": 2, "params": [[1.0, -1.0], [0.5, 2.0]]},
+    {"n": 3, "S": 2, "params": [[1.0, -1.0], [0.5, 2.0]]},
+    {"n": 2, "S": 3, "params": [[1.0, -1.0], [0.5, 2.0]]},
+    {"n": 3, "S": 2, "params": [[1.0, -1.0, 0.0], [0.5, 2.0, 1.0]]},
+    {"n": 2, "S": 2, "params": [[float("nan"), -1.0], [0.5, 2.0]]},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_KINDS),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.sampled_from(_MODELS),
+)
+@example("planted", 8, 0, True, _MODELS[0])
+def test_pe_check_cli_contract(kind, N, seed, zeta, model):
+    # any input file, with or without labels, and any model file; a
+    # certificate is exit 0, or 3 when its verdict is undecided
+    code, out = _contract(["pe-check"], (kind, N, seed, zeta), model=model)
+    assert code in {0, 1, 3}
+    if code != 1:
+        report = json.loads(out)
+        assert (code == 3) == (report["cond3_status"] == "undecided")
 
 
 # bad flag values of every kind; a valid run writes its output, so the

@@ -513,7 +513,7 @@ def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
         calls.clear()
         decomposed.clear()
         found.append(
-            [repr((best, classes.to_dicts()))
+            [repr((best, [c.to_dict() for c in classes]))
              for best, classes in (oracle_global(data, S) for data, S in oracle_cases)]
             + [repr(bcd_solve(noisy, SolverConfig(S=2)).to_dict()),
                repr(select_order(noisy, order_cfg).to_dict())]

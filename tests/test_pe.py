@@ -55,6 +55,21 @@ class TestSampleCounts:
         assert cell((1, 4)) == (4, 16, 4)
         assert cell((1, 1)) == (1, 1, 1)
 
+    def test_table_past_its_cell_bound_builds_no_cell(self, monkeypatch):
+        # 4 million cells once ran past a minute; the bound fires first
+        def no_cell(*counts):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(pe, "SampleCounts", no_cell)
+        with pytest.raises(ValueError, match="n=2000, S=2000 has 4000000 cells, more than 10000"):
+            min_samples_table(2000, 2000)
+        monkeypatch.undo()
+        monkeypatch.setattr(pe, "_MAX_CELLS", 12)
+        assert len(min_samples_table(3, 4)) == len(min_samples_table(12, 1)) == 12
+        for n, S in ((13, 1), (4, 4)):
+            with pytest.raises(ValueError, match=f"n={n}, S={S} has {n * S} cells"):
+                min_samples_table(n, S)
+
     def test_ours_never_exceeds_bako(self):
         # equality exactly when S == 1 (a single subsystem needs n samples
         # under both conditions)
