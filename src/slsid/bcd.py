@@ -24,10 +24,14 @@ restart's sums are the same in any group.  One stack of squared residual
 matrices, each computed in one matmul as ``residual_matrix`` computes it,
 then gives every fit objective by a label gather and every relabeling
 with its objective by a row-wise minimum, so the reported objective
-equals ``objective_integer`` bit for bit.  Each step computes, slice by slice,
-what a lone restart computes, so results do not depend on G.  A restart
-whose labels leave a cluster empty is repaired on its own.
-``assign_step`` is the same relabeling as a function; the loop does not
+equals ``objective_integer`` bit for bit.  Labels travel 0-based from
+``_start_labels`` to the report in ``np.min_scalar_type(S)``, the smallest
+unsigned type that holds S, as the oracle's label strings do, so a
+relabeling, membership build or label comparison moves one byte per
+sample up to S = 255; every report widens them to ``int``.  Each step
+computes, slice by slice, what a lone restart computes, so results do not
+depend on G.  A restart whose labels leave a cluster empty is repaired on
+its own.  ``assign_step`` is the same relabeling as a function; the loop does not
 call it.
 
 Each restart is deterministic from a seed derived from the config seed and
@@ -178,13 +182,16 @@ def _relabel(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``sq`` is S x N, or a stack of such matrices along leading axes.  Each
     column gets the 0-based index of its smallest row, ties to the smallest
     index: a column's label counts the rows above its minimum before the
-    first row that attains it.  The objective sums the column minima.
+    first row that attains it, into ``np.min_scalar_type(S)``, which holds
+    every count up to S - 1.  The objective sums the column minima.
     """
+    S = sq.shape[-2]
     best = sq.min(axis=-2)
-    labels = np.zeros(best.shape, dtype=np.intp)
+    labels = np.zeros(best.shape, dtype=np.min_scalar_type(S))
     above = np.ones(best.shape, dtype=bool)
-    for s in range(sq.shape[-2] - 1):
-        above &= sq[..., s, :] > best
+    greater = np.empty(best.shape, dtype=bool)
+    for s in range(S - 1):
+        above &= np.greater(sq[..., s, :], best, out=greater)
         labels += above
     return labels, np.sum(best, axis=-1)
 
@@ -228,9 +235,9 @@ def _repair_empty(
         reseeded.add(s)
         preds = np.einsum("ij,ij->i", data.regressors, params[labels])
         k = int(np.argmax(np.abs(data.outputs - preds)))
-        donor = labels[k]
+        donor = int(labels[k])
         labels[k] = s
-        member = (labels == np.array([[s], [donor]])).astype(float)
+        member = (labels == np.array([[s], [donor]], dtype=labels.dtype)).astype(float)
         params[[s, donor]], _ = fit_members(table, member, data.n, data)
         if not member[1].any():
             empty.append(donor)
@@ -249,9 +256,11 @@ def _label_sums(sq: np.ndarray, labels: np.ndarray, offsets: np.ndarray) -> np.n
     """Per restart i, the sum over samples k of ``sq[i, labels[i, k], k]``.
 
     ``offsets[i, k]`` is the flat index ``i * S * N + k`` of sample k in
-    slice i of ``sq``.
+    slice i of ``sq``.  The narrow labels are widened to ``intp`` once, in
+    the multiply: a bare ``labels * N`` would compute in their type, which
+    overflows for small N and raises for an N it cannot hold.
     """
-    flat = labels * sq.shape[-1]
+    flat = np.multiply(labels, sq.shape[-1], dtype=np.intp)
     flat += offsets
     return np.sum(sq.take(flat), axis=1)
 
@@ -261,9 +270,10 @@ def _start_labels(data: Dataset, cfg: SolverConfig, first: int, count: int) -> n
 
     Restart r draws uniform labels from a seed derived from the config seed
     and r; the last restart takes ``cfg.init_labels`` instead when it is
-    given.
+    given.  Each draw is the int64 one, so the streams do not depend on S's
+    width; the rows are ``np.min_scalar_type(S)``, which holds every label.
     """
-    init = np.empty((count, data.N), dtype=np.intp)
+    init = np.empty((count, data.N), dtype=np.min_scalar_type(cfg.S))
     for i, r in enumerate(range(first, first + count)):
         if cfg.init_labels is not None and r == cfg.restarts - 1:
             cfg.init_labels.validate(data.N, cfg.S)
@@ -304,9 +314,9 @@ def _run_group(
     """
     X, y = data.regressors, data.outputs
     S, N = cfg.S, data.N
-    clusters = np.arange(S)[:, None]
-    offsets = np.arange(0, count * S * N, S * N)[:, None] + np.arange(N)
     labels = _start_labels(data, cfg, first, count)
+    clusters = np.arange(S, dtype=labels.dtype)[:, None]
+    offsets = np.arange(0, count * S * N, S * N)[:, None] + np.arange(N)
     active = list(range(count))
     reseeded: list[set[int]] = [set() for _ in active]
     traces: list[list[float]] = [[] for _ in active]
@@ -353,7 +363,9 @@ def _run_group(
                 continue
             if cfg.keep_history:
                 history[g].append(
-                    IterationRecord(iteration, params[i].copy(), new[i] + 1, trace[-1])
+                    IterationRecord(
+                        iteration, params[i].copy(), np.add(new[i], 1, dtype=np.intp), trace[-1]
+                    )
                 )
             converged = unchanged[i] or (
                 len(trace) >= 4 and trace[-3] - trace[-1] < _STALL_TOL

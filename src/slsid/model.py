@@ -62,11 +62,12 @@ can differ from it in the last bits.
 Each input rule is stated once, and every entry point calls it.
 ``_count`` makes a count (n, S, N, a restart, iteration, trial or
 repetition count, a node budget) an int through ``operator.index`` and
-checks its lower bound: a float or a string is a TypeError, a value below
-the bound a ValueError, both naming the field.  ``_seed`` does the same
-for a seed, None or at least 0.  ``Assignment.validate`` checks one label
-per sample, and no label above S where S is known.  ``_need_samples``
-checks S <= N.
+checks its bounds: a float or a string is a TypeError, a value below its
+lower bound or above ``np.iinfo(np.intp).max`` a ValueError, both naming
+the field.  ``_seed`` does the same for a seed, None or at least 0, with
+no upper bound, as numpy's generators take seeds of any size.
+``Assignment.validate`` checks one label per sample, and no label above S
+where S is known.  ``_need_samples`` checks S <= N.
 
 Conventions: regressors are stored row-major (one sample per row), labels
 are 1-based everywhere they are exposed, and all types are immutable after
@@ -84,16 +85,27 @@ import numpy as np
 from .partitions import GRAM_RTOL, gram_full_rank
 
 
-def _count(name: str, value, least: int | None = None) -> int:
+def _index(name: str, value) -> int:
     """``value`` as an int through ``operator.index``: numpy integers pass
-    and True is 1, but a float or a string is a TypeError naming ``name``,
-    and a value below ``least`` a ValueError naming it."""
+    and True is 1, but a float or a string is a TypeError naming ``name``."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+# the largest count: numpy cannot size or index an array past it
+_COUNT_MAX = int(np.iinfo(np.intp).max)
+
+
+def _count(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int through :func:`_index`; a value below ``least``
+    or above ``_COUNT_MAX`` is a ValueError naming ``name``."""
+    value = _index(name, value)
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value > _COUNT_MAX:
+        raise ValueError(f"{name} must be <= {_COUNT_MAX}, got {value}")
     return value
 
 
@@ -106,11 +118,12 @@ def _need_samples(S: int, N: int, name: str = "S") -> None:
 
 
 def _seed(value) -> int | None:
-    """A seed: None, or a nonnegative int through :func:`_count`; a float
-    is a TypeError and a negative value a ValueError, both naming it."""
+    """A seed: None, or a nonnegative int through :func:`_index`, of any
+    size; a float is a TypeError and a negative value a ValueError, both
+    naming it."""
     if value is None:
         return None
-    value = _count("seed", value)
+    value = _index("seed", value)
     if value < 0:
         raise ValueError(f"seed must be None or >= 0, got {value}")
     return value

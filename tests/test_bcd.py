@@ -371,6 +371,7 @@ def test_report_does_not_change_when_more_solves_run():
         ({"S": 0}, "S must be >= 1"),
         ({"S": 2, "max_iters": 0}, "max_iters must be >= 1, got 0"),
         ({"S": 2, "restarts": 0}, "restarts must be >= 1, got 0"),
+        ({"S": 2**63}, f"S must be <= {2**63 - 1}, got {2**63}"),
     ],
 )
 def test_solver_config_counts_rejected(kwargs, message):
@@ -399,6 +400,7 @@ def test_solver_config_counts_are_ints():
     assert (cfg.S, cfg.max_iters, cfg.restarts, cfg.seed) == (2, 5, 1, 3)
     assert all(type(v) is int for v in (cfg.S, cfg.max_iters, cfg.restarts, cfg.seed))
     assert SolverConfig(S=2, seed=None).seed is None
+    assert SolverConfig(S=2, seed=2**70).seed == 2**70
 
 
 def test_init_labels_start_the_last_restart():
@@ -498,6 +500,67 @@ def test_certified_exact_fit_is_the_truth(seed):
     report = bcd_solve(data, SolverConfig(S=S, restarts=20, seed=seed))
     assume(report.objective <= 1e-20 * float(data.outputs @ data.outputs))
     assert _canonical(report.assignment.labels) == _canonical(labels.labels)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 255, 256, 257, 300])
+def test_relabel_at_every_label_width(S):
+    # labels travel in the smallest unsigned type holding S; each is the
+    # first minimum (ties to the smallest index), and the objective the
+    # sum of the column minima, bit for bit, below and past 255 alike
+    rng = np.random.default_rng(S)
+    N = 40
+    # four values only, so most columns tie between several rows
+    sq = rng.uniform(1.0, 2.0, size=4)[rng.integers(0, 4, size=(3, S, N))]
+    sq[:, -1, 0] = 0.0  # the minimum in the last row alone
+    sq[:, -2:, 1] = 0.0  # tied in the last two rows
+    sq[:, :, 2] = 0.0  # tied in every row
+    sq[1, S // 2 :, 3] = 0.0  # tied from the middle row on
+    for stack in (sq, sq[1]):
+        labels, objective = bcd._relabel(stack)
+        assert labels.dtype == np.min_scalar_type(S)
+        np.testing.assert_array_equal(labels, np.argmin(stack, axis=-2))
+        want = np.sum(stack.min(axis=-2), axis=-1)
+        assert objective.tobytes() == want.tobytes()
+    assert labels[0] == S - 1 and labels[1] == max(S - 2, 0) and labels[2] == 0
+
+
+@pytest.mark.parametrize("S", [2, 300])
+@pytest.mark.parametrize("init", [False, True])
+def test_start_labels_are_the_seeded_draws(S, init):
+    # narrowed after the draw, so each restart's stream is the int64 one
+    N = 700
+    data = Dataset(np.ones((N, 1)), np.zeros(N))
+    start = Assignment(np.arange(N) % S + 1) if init else None
+    cfg = SolverConfig(S=S, restarts=5, seed=11, init_labels=start)
+    got = bcd._start_labels(data, cfg, 1, 4)
+    assert got.dtype == np.min_scalar_type(S)
+    for i, r in enumerate(range(1, 5)):
+        if init and r == cfg.restarts - 1:
+            want = start.labels - 1
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(r,)))
+            want = rng.integers(1, S + 1, N) - 1
+        np.testing.assert_array_equal(got[i], want)
+    assert got.max() == S - 1
+
+
+@pytest.mark.parametrize("S", [2, 300])
+def test_public_labels_keep_their_integer_type(S):
+    # the descent's narrow labels are widened in every report
+    _, data = generate_random_scenario(1, S, 2 * S, (-5, 5), NoiseSpec("gaussian", 0.1), S)
+    report = bcd_solve(data, SolverConfig(S=S, restarts=1, max_iters=3, keep_history=True))
+    assert report.assignment.labels.dtype == np.dtype(int)
+    assert report.history and all(h.labels.dtype == np.intp for h in report.history)
+    assert assign_step(data, report.model).labels.dtype == np.dtype(int)
+
+
+def test_labels_past_one_byte_keep_the_objective_exact():
+    # S = 257: two-byte labels in the descent, and labels above 256 in the
+    # report, whose objective is that of its own params and labels
+    _, data = generate_random_scenario(1, 257, 1028, (-5, 5), NoiseSpec("gaussian", 0.01), 2)
+    report = bcd_solve(data, SolverConfig(S=257, restarts=1, max_iters=20, seed=2))
+    assert report.assignment.labels.max() == 257
+    assert report.objective == objective_integer(data, report.model, report.assignment)
 
 
 class TestAssignStep:

@@ -449,6 +449,34 @@ def test_count_too_large_to_allocate_is_usage_error(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "99999999999999999999", "--S", "2", "--N", "3"],
+        ["bench", "--cell", "99999999999999999999,2,40"],
+        ["consistency-sweep", "--n", "99999999999999999999", "--S", "2", "--N", "40",
+         "--trials", "1", "--s-bar", "3"],
+    ],
+)
+def test_count_past_intp_is_usage_error_naming_it(tmp_path, capsys, command):
+    # a count numpy cannot index is rejected by the count rule, which
+    # names the field, before any array is built
+    assert run([*command, "--output", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: n must be <= {np.iinfo(np.intp).max}, got 99999999999999999999"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_past_intp_is_accepted(tmp_path):
+    # seeds have no upper bound: numpy's generators take any size
+    argv = ["simulate", "--n", "1", "--S", "2", "--N", "3", "--seed", "99999999999999999999"]
+    assert run([*argv, "--output", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 1
+
+
 def test_fit_without_usable_fit_exits_4(tmp_path, capsys):
     # identical samples: every restart keeps emptying its spare clusters
     path = tmp_path / "same.csv"
