@@ -7,8 +7,9 @@ singular value exceeds ``GRAM_RTOL`` times its largest.  The floor test
 only prunes: a set of rows whose smallest Gram singular value exceeds
 ``GRAM_RTOL`` (plus rounding slack) times the squared norm of all the rows
 at hand is full rank, and so is every superset of it among those rows.
-``subset_gram_svals`` yields the Gram singular values of every n-row subset
-of a set of rows, one batched SVD per fixed-size chunk.
+One enumeration yields every n-row subset of a set of rows with its Gram
+matrix, chunk by chunk; ``subset_gram_svals`` is its SVD view, one batched
+SVD per chunk, and decides the genericity certificate exactly.
 ``min_rank_deficient_partition`` is the adversarial search used by the
 excitation checker: the smallest number of nonempty blocks into which a set
 of regressor rows can be split with every block's Gram matrix
@@ -26,8 +27,10 @@ counts k with k*h below the row count are skipped without a walk.  Generic
 rows have h = n-1, which is the capacity argument behind the sample count
 ((n-1)S^2 + (n+1)S)/2; any other cluster gets the trivial h = m, and its
 scan stops at the first chunk holding a deficient subset.  The scan uses
-the floor test too: a subset that passes it cannot lie in a deficient
-block.  Skipped counts are exactly those whose walk finds no split, so the
+the floor test too, on each Gram's smallest eigenvalue from one batched
+``eigvalsh`` per chunk: a subset that passes it cannot lie in a deficient
+block.  The walk's block tests and every exact verdict stay on the SVD.
+Skipped counts are exactly those whose walk finds no split, so the
 result is the smallest all-deficient split in restricted-growth order, as
 a brute force over all partitions finds it.
 """
@@ -39,10 +42,12 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 GRAM_RTOL = 1e-10
-# n-subsets per batched SVD: the chunk's Grams hold n*n floats per subset
+# n-subsets per chunk of the subset scan, decomposed by one batched call:
+# the chunk's Grams hold n*n floats per subset
 SCAN_CHUNK = 4096
-# relative room above the rounding of a Gram and its singular values, so a
-# subset that clears the floor keeps every superset's Gram full rank
+# relative room above the rounding of a Gram and of its singular values or
+# eigenvalues, so a subset that clears the floor keeps every superset's Gram
+# full rank; both solvers err by O(n*eps*||G||_2), about 1000x less
 _ROUNDING_SLACK = 1e-12
 # block states of the partition search
 _DEFICIENT, _FULL, _SURELY_FULL = 0, 1, 2
@@ -79,15 +84,13 @@ def gram_nonsingular(rows: np.ndarray, n: int) -> bool:
     return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n))
 
 
-def subset_gram_svals(rows: np.ndarray):
-    """Gram singular values of every n-row subset of ``rows``, chunk by chunk.
+def _subset_grams(rows: np.ndarray):
+    """Every n-row subset of ``rows`` and its Gram matrix, chunk by chunk.
 
-    Yields ``(subsets, svals)``: at most ``SCAN_CHUNK`` subsets as an
+    Yields ``(subsets, grams)``: at most ``SCAN_CHUNK`` subsets as an
     index array of shape (c, n), in :func:`itertools.combinations` order,
-    and their Grams' singular values in descending order, shape (c, n),
-    from one batched SVD.  ``gram_full_rank(svals, n)`` then gives the
-    same decisions as :func:`gram_nonsingular` on each subset.  Yields
-    nothing when there are fewer than n rows.
+    and their Grams, shape (c, n, n).  Yields nothing when there are fewer
+    than n rows.
     """
     m, n = rows.shape
     pending = combinations(range(m), n)
@@ -97,7 +100,21 @@ def subset_gram_svals(rows: np.ndarray):
         if subsets.shape[0] == 0:
             return
         sub = rows[subsets]
-        grams = np.swapaxes(sub, 1, 2) @ sub
+        yield subsets, np.swapaxes(sub, 1, 2) @ sub
+
+
+def subset_gram_svals(rows: np.ndarray):
+    """Gram singular values of every n-row subset of ``rows``, chunk by chunk.
+
+    Yields ``(subsets, svals)``: the subsets of each chunk of the n-subset
+    enumeration, as an index array of shape (c, n) with c at most
+    ``SCAN_CHUNK``, in :func:`itertools.combinations` order, and their
+    Grams' singular values in descending order, shape (c, n), from one
+    batched SVD.  ``gram_full_rank(svals, n)`` then gives the same
+    decisions as :func:`gram_nonsingular` on each subset.  Yields nothing
+    when there are fewer than n rows.
+    """
+    for subsets, grams in _subset_grams(rows):
         yield subsets, np.linalg.svd(grams, compute_uv=False)
 
 
@@ -105,20 +122,26 @@ def deficient_block_capacity(rows: np.ndarray) -> int:
     """Upper bound on the row count of any rank-deficient block of ``rows``.
 
     An n-subset is possibly deficient when it fails the floor test: its
-    smallest Gram singular value is at most ``GRAM_RTOL`` (plus rounding
-    slack) times the squared norm of all rows, which bounds the largest
-    singular value of any block's Gram.  A
-    block of b >= n rows whose Gram fails :func:`gram_nonsingular` has every
-    n-subset possibly deficient.  So the bound is n-1 when no n-subset is
-    possibly deficient, and m otherwise, found at the first chunk of
-    :func:`subset_gram_svals` that holds one.  It is m when m < n.
+    Gram's smallest eigenvalue, from one batched ``np.linalg.eigvalsh``
+    per chunk of the n-subset enumeration, is at most ``GRAM_RTOL`` (plus
+    rounding slack) times the squared norm of all rows, which bounds the
+    largest singular value of any block's Gram.  A tiny negative
+    eigenvalue of a singular Gram counts as possibly deficient, the safe
+    side.  Like the SVD, ``eigvalsh`` is backward stable: on a Gram G both
+    err by O(n*eps*||G||_2), and the slack, 1e-12 times the squared norm
+    of all rows, is about 1000 times that, so a subset that passes holds
+    a full-rank Gram in every block it joins.  A block of b >= n rows
+    whose Gram fails :func:`gram_nonsingular` has every n-subset possibly
+    deficient.  So the bound is n-1 when no n-subset is possibly
+    deficient, and m otherwise, found at the first chunk that holds one.
+    It is m when m < n.
     """
     m, n = rows.shape
     if m < n:
         return m
     floor = _floor(rows)
-    for _, svals in subset_gram_svals(rows):
-        if (svals[:, -1] <= floor).any():
+    for _, grams in _subset_grams(rows):
+        if (np.linalg.eigvalsh(grams)[:, 0] <= floor).any():
             return m
     return n - 1
 

@@ -304,16 +304,50 @@ class TestCapacity:
         # 60 collinear rows in R^4 have C(60, 4) = 487635 n-subsets, all
         # deficient; the bound is decided by the first chunk alone
         chunks = []
+        scan = partitions._subset_grams
 
         def counted(rows):
-            for chunk in subset_gram_svals(rows):
+            for chunk in scan(rows):
                 chunks.append(len(chunk[0]))
                 yield chunk
 
-        monkeypatch.setattr(partitions, "subset_gram_svals", counted)
+        monkeypatch.setattr(partitions, "_subset_grams", counted)
         rows = np.outer(np.arange(1.0, 61.0), [1.0, 2.0, 0.0, -1.0])
         assert min_rank_deficient_partition(rows, 1) == (1, [list(range(60))])
         assert chunks == [partitions.SCAN_CHUNK]
+
+    def test_floor_by_eigenvalues_matches_svd_floor(self):
+        # the scan's floor test on Gram eigenvalues decides as the floor
+        # test on Gram singular values, one batched SVD over every n-subset
+        def svd_floor_capacity(rows):
+            m, n = rows.shape
+            if m < n:
+                return m
+            floor = (partitions.GRAM_RTOL + partitions._ROUNDING_SLACK) * float(np.sum(rows * rows))
+            sub = rows[np.array(list(combinations(range(m), n)))]
+            svals = np.linalg.svd(np.swapaxes(sub, 1, 2) @ sub, compute_uv=False)
+            return m if (svals[:, -1] <= floor).any() else n - 1
+
+        rng = np.random.default_rng(12)
+        seen = set()
+        for trial in range(300):
+            kind = ROW_KINDS[trial % len(ROW_KINDS)]
+            m, n = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            rows = _structured_rows(rng, kind, m, n)
+            expected = svd_floor_capacity(rows)
+            assert deficient_block_capacity(rows) == expected, (trial, kind)
+            seen.add(expected == m)
+        assert seen == {False, True}
+        # rows diag(1, b) with b^2 at 1 - 1e-6 and 1 + 1e-6 times the floor
+        # of the two rows, which itself counts b^2: just below the floor the
+        # pair is possibly deficient, just above it is not
+        c = partitions.GRAM_RTOL + partitions._ROUNDING_SLACK
+        for factor, expected in ((1 - 1e-6, 2), (1 + 1e-6, 1)):
+            b2 = c * factor / (1 - c * factor)
+            rows = np.diag([1.0, np.sqrt(b2)])
+            smallest = np.linalg.eigvalsh(rows.T @ rows)[0]
+            assert abs(smallest / partitions._floor(rows) - factor) < 1e-9
+            assert deficient_block_capacity(rows) == svd_floor_capacity(rows) == expected
 
     def test_bounds_every_reference_witness_block(self):
         rng = np.random.default_rng(8)
