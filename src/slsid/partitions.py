@@ -3,10 +3,12 @@
 Two rank rules serve the package, both at the fixed relative tolerance
 ``GRAM_RTOL``.  The exact test, ``gram_full_rank``, decides every verdict:
 the Gram matrix of a set of regressor rows has full rank when its smallest
-singular value exceeds ``GRAM_RTOL`` times its largest.  The floor test
-only prunes: a set of rows whose smallest Gram singular value exceeds
-``GRAM_RTOL`` (plus rounding slack) times the squared norm of all the rows
-at hand is full rank, and so is every superset of it among those rows.
+singular value exceeds ``GRAM_RTOL`` times its largest.  Fewer than n rows
+have rank below n, so a block of them is deficient by its row count, with
+no decomposition.  The floor test only prunes: a set of rows whose
+smallest Gram singular value exceeds ``GRAM_RTOL`` (plus rounding slack)
+times the squared norm of all the rows at hand is full rank, and so is
+every superset of it among those rows.
 One enumeration yields every n-row subset of a set of rows with its Gram
 matrix, chunk by chunk; ``subset_gram_svals`` is its SVD view, one batched
 SVD per chunk, and decides the genericity certificate exactly.
@@ -22,21 +24,31 @@ raises the largest singular value, so a full-rank block can turn deficient.
 Before the walk, one subset scan bounds the size h of any rank-deficient
 block: every n-subset of a deficient block of b >= n rows is deficient, so
 when no n-subset is deficient, no deficient block holds more than n-1 rows.
-A split into k blocks of at most h rows holds at most k*h rows, so block
-counts k with k*h below the row count are skipped without a walk.  Generic
-rows have h = n-1, which is the capacity argument behind the sample count
-((n-1)S^2 + (n+1)S)/2; any other cluster gets the trivial h = m, and its
-scan stops at the first chunk holding a deficient subset.  The scan uses
-the floor test too, on each Gram's smallest eigenvalue from one batched
-``eigvalsh`` per chunk: a subset that passes it cannot lie in a deficient
-block.  The walk's block tests and every exact verdict stay on the SVD.
-Skipped counts are exactly those whose walk finds no split, so the
-result is the smallest all-deficient split in restricted-growth order, as
-a brute force over all partitions finds it.
+The scan uses the floor test too, on each Gram's smallest eigenvalue from
+one batched ``eigvalsh`` per chunk: a subset that passes it cannot lie in
+a deficient block.  Generic rows, m >= n of them with every n-subset
+clear, have h = n-1, which is the capacity argument behind the sample
+count ((n-1)S^2 + (n+1)S)/2: every block of at most n-1 rows is deficient
+by its row count and every larger block is full rank, so no split into
+fewer than ceil(m/(n-1)) blocks is all-deficient, and the split into that
+many blocks of consecutive rows, the walk's first witness in
+restricted-growth order, is returned in closed form with no walk and no
+block decomposition.  Any other set of rows gets the trivial h = m, found
+at the first chunk holding a possibly deficient subset, and is walked;
+the walk's block tests and every exact verdict stay on the SVD.  Either
+way the result is the smallest all-deficient split in restricted-growth
+order, as a brute force over all partitions finds it.
+
+Every entry point that squares rows first scales them by the power of two
+that brings their largest |entry| into [0.5, 1).  The scaling is exact, so
+it changes no decision on rows of ordinary scale, and it keeps the Grams
+of rows near the ends of the float range from underflowing or
+overflowing: every decision is the same for rows and 2^a times them.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -51,6 +63,15 @@ SCAN_CHUNK = 4096
 _ROUNDING_SLACK = 1e-12
 # block states of the partition search
 _DEFICIENT, _FULL, _SURELY_FULL = 0, 1, 2
+
+
+def _unit_scaled(rows: np.ndarray) -> np.ndarray:
+    """``rows`` times the power of two that brings the largest |entry| into [0.5, 1).
+
+    Returns ``rows`` itself when they are already there or all zero.
+    """
+    exponent = math.frexp(np.abs(rows).max(initial=0.0))[1]
+    return np.ldexp(rows, -exponent) if exponent else rows
 
 
 def _floor(rows: np.ndarray) -> float:
@@ -77,9 +98,13 @@ def gram_full_rank(svals: np.ndarray, n: int) -> np.ndarray:
 def gram_nonsingular(rows: np.ndarray, n: int) -> bool:
     """Whether sum_k x_k x_k^T over the given rows has full rank n.
 
-    The decision is :func:`gram_full_rank` on the Gram's singular values;
-    no rows give a zero Gram, which is not full rank.
+    Fewer than n rows, none included, are rank-deficient by their count,
+    with no decomposition.  Otherwise the decision is :func:`gram_full_rank`
+    on the singular values of the Gram of the unit-scaled rows.
     """
+    if rows.shape[0] < n:
+        return False
+    rows = _unit_scaled(rows)
     gram = rows.T @ rows
     return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n))
 
@@ -110,11 +135,11 @@ def subset_gram_svals(rows: np.ndarray):
     enumeration, as an index array of shape (c, n) with c at most
     ``SCAN_CHUNK``, in :func:`itertools.combinations` order, and their
     Grams' singular values in descending order, shape (c, n), from one
-    batched SVD.  ``gram_full_rank(svals, n)`` then gives the same
-    decisions as :func:`gram_nonsingular` on each subset.  Yields nothing
-    when there are fewer than n rows.
+    batched SVD of the unit-scaled rows' Grams.  ``gram_full_rank(svals,
+    n)`` then gives the same decisions as :func:`gram_nonsingular` on each
+    subset.  Yields nothing when there are fewer than n rows.
     """
-    for subsets, grams in _subset_grams(rows):
+    for subsets, grams in _subset_grams(_unit_scaled(rows)):
         yield subsets, np.linalg.svd(grams, compute_uv=False)
 
 
@@ -134,16 +159,48 @@ def deficient_block_capacity(rows: np.ndarray) -> int:
     whose Gram fails :func:`gram_nonsingular` has every n-subset possibly
     deficient.  So the bound is n-1 when no n-subset is possibly
     deficient, and m otherwise, found at the first chunk that holds one.
-    It is m when m < n.
+    It is m when m < n.  The rows are unit-scaled first.
     """
     m, n = rows.shape
     if m < n:
         return m
+    rows = _unit_scaled(rows)
     floor = _floor(rows)
     for _, grams in _subset_grams(rows):
         if (np.linalg.eigvalsh(grams)[:, 0] <= floor).any():
             return m
     return n - 1
+
+
+def _block_state(block: np.ndarray, floor: float) -> int:
+    """The walk's state of one block: deficient, full rank, or surely full.
+
+    Fewer than n rows are deficient by their count, with no decomposition.
+    Otherwise a Gram smallest singular value above ``floor`` makes the
+    block surely full, and with it every block that holds it; below the
+    floor the exact test decides.
+    """
+    b, n = block.shape
+    if b < n:
+        return _DEFICIENT
+    svals = np.linalg.svd(block.T @ block, compute_uv=False)
+    return _SURELY_FULL if svals[-1] > floor else int(gram_full_rank(svals, n))
+
+
+def _consecutive_split(m: int, size: int, max_blocks: int) -> tuple[int, list[list[int]]] | None:
+    """Rows 0..m-1 in runs of ``size``, or None past ``max_blocks`` blocks or at size 0.
+
+    For m >= n generic rows and size n-1 this is the smallest
+    all-deficient split: blocks of at most n-1 rows are deficient by their
+    count, any larger block is full rank, so ceil(m/(n-1)) blocks are
+    needed, and the first witness in restricted-growth order fills each
+    block with the next n-1 rows.  Generic rows in one dimension (size 0)
+    hold no deficient block.
+    """
+    if size == 0 or -(-m // size) > max_blocks:
+        return None
+    blocks = [list(range(i, min(i + size, m))) for i in range(0, m, size)]
+    return len(blocks), blocks
 
 
 def min_rank_deficient_partition(
@@ -154,15 +211,20 @@ def min_rank_deficient_partition(
     Returns ``(block_count, blocks)`` where blocks hold 0-based row indices,
     or None when every partition with at most ``max_blocks`` nonempty blocks
     contains a block of full rank.  Deterministic: for each block count the
-    first witness in restricted-growth order is returned.  Block counts k
-    with k * :func:`deficient_block_capacity` below the row count are
-    skipped unwalked, so generic rows with m > max_blocks*(n-1) return None
-    without a single block check.  The scan costs C(m, n) Grams for generic
-    rows; for other rows it stops at the first chunk holding a deficient
-    n-subset.
+    first witness in restricted-growth order is returned.  The rows are
+    unit-scaled, then scanned by :func:`deficient_block_capacity`.  Generic
+    rows, those whose capacity n-1 is below m, get their split in closed
+    form, ceil(m/(n-1)) runs of n-1 consecutive rows, or None when that
+    count exceeds ``max_blocks``, without a walk or a block decomposition.
+    Other rows are walked, one block count at a time from the smallest.
+    The scan costs C(m, n) Grams for generic rows; for other rows it stops
+    at the first chunk holding a possibly deficient n-subset.
     """
     m, n = rows.shape
+    rows = _unit_scaled(rows)
     capacity = deficient_block_capacity(rows)
+    if capacity < m:
+        return _consecutive_split(m, capacity, max_blocks)
     floor = _floor(rows)
     # keyed by the member tuple: the walk appends rows in ascending order
     state_cache: dict[tuple[int, ...], int] = {}
@@ -170,10 +232,7 @@ def min_rank_deficient_partition(
     def block_state(members: tuple[int, ...]) -> int:
         hit = state_cache.get(members)
         if hit is None:
-            block = rows[list(members)]
-            svals = np.linalg.svd(block.T @ block, compute_uv=False)
-            hit = _SURELY_FULL if svals[-1] > floor else int(gram_full_rank(svals, n))
-            state_cache[members] = hit
+            hit = state_cache[members] = _block_state(rows[list(members)], floor)
         return hit
 
     def search(target: int) -> list[list[int]] | None:
@@ -195,10 +254,8 @@ def min_rank_deficient_partition(
 
         return [list(b) for b in blocks] if rec(0) else None
 
-    # count 0 passes the capacity test only for zero rows, split as (0, [])
+    # count 0 finds a split only for zero rows, (0, [])
     for count in range(max_blocks + 1):
-        if count * capacity < m:
-            continue
         found = search(count)
         if found is not None:
             return len(found), found

@@ -17,7 +17,16 @@ sufficient certificate based on n-genericity plus cluster-size thresholds.
 All verdicts are exact; when an enumeration guard (``MAX_BLOCK_SIZE``,
 ``MAX_GENERICITY_SUBSETS``) is hit the result is an explicit "undecided",
 never a guess.  Every rank and angle decision uses the fixed relative
-tolerance ``partitions.GRAM_RTOL``.  The model's n must match the
+tolerance ``partitions.GRAM_RTOL``, on rows scaled exactly by a power of
+two, so the verdicts on rows and on 2^a times them are the same.
+
+Condition 3 scans each cluster once for n-subsets that may be deficient.
+A generic cluster, one with none, is decided by that scan alone: its
+smallest all-deficient split is ceil(m/(n-1)) blocks in closed form, and
+its Gram is full rank, since it holds a subset that clears the scan's
+floor.  Only the other clusters are walked and decomposed.
+``PartitionCheck.decided_by`` records the path per cluster, and the
+report's ``cond3_decided_by`` prints it.  The model's n must match the
 dataset's, and the labels must be one per sample with none above S;
 anything else raises ValueError before a check runs.
 """
@@ -33,6 +42,8 @@ import numpy as np
 from .model import Assignment, Dataset, SLModel, _check_pair, _count
 from .partitions import (
     GRAM_RTOL,
+    _consecutive_split,
+    deficient_block_capacity,
     gram_full_rank,
     gram_nonsingular,
     min_rank_deficient_partition,
@@ -142,11 +153,17 @@ def check_no_separating_regressor(
     """
     _check_pair(data, model)
     violations: list[tuple[int, int, int]] = []
-    xnorm = np.linalg.norm(data.regressors, axis=1)
+    # each row scaled by its own power of two, which the test is free of:
+    # no row's norm underflows, however far it lies below the largest row
+    # (the row maxima of a column-major copy take one pass per column)
+    X = data.regressors
+    peak = np.asfortranarray(np.abs(X)).max(axis=1, initial=0.0)
+    X = np.ldexp(X, -np.frexp(peak)[1][:, None])
+    xnorm = np.linalg.norm(X, axis=1)
     for i, j in combinations(range(model.S), 2):
         diff = model.params[i] - model.params[j]
         dnorm = np.linalg.norm(diff)
-        inner = np.abs(data.regressors @ diff)
+        inner = np.abs(X @ diff)
         bad = np.flatnonzero(inner <= GRAM_RTOL * xnorm * dnorm)
         violations.extend((int(k) + 1, i + 1, j + 1) for k in bad)
     violations.sort()
@@ -185,6 +202,10 @@ class PartitionCheck:
     # per cluster: smallest all-rank-deficient block count, or None when no
     # such split exists with at most S blocks
     min_deficient_blocks: dict[int, int | None] = field(default_factory=dict)
+    # per cluster: what decided it; "scan" when the capacity scan cleared
+    # every n-subset, "walk" for the partition walk, "guard" for a cluster
+    # above MAX_BLOCK_SIZE rows (the clusters the guard left unread have none)
+    decided_by: dict[int, str] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -204,18 +225,37 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
     ordering passes, and otherwise reports the lexicographically smallest
     certificate.  A cluster of more than ``MAX_BLOCK_SIZE`` rows makes the
     result UNDECIDED.
+
+    Each cluster's f comes from one capacity scan
+    (:func:`partitions.deficient_block_capacity`).  A cluster whose
+    capacity is below its row count, m >= n rows with every n-subset clear
+    of the scan's floor, is generic: its f is ceil(m/(n-1)), or None above
+    S, in closed form, with no walk and no block decomposition.  Only the
+    other clusters are walked, by
+    :func:`partitions.min_rank_deficient_partition`, which scans them
+    again; it returns the same closed form for a generic cluster.
+    ``decided_by`` records which path settled each cluster.
     """
     a.validate(data.N, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
-    if any(idx.size > MAX_BLOCK_SIZE for idx in members.values()):
-        return PartitionCheck(status=UNDECIDED)
+    guarded = {s: "guard" for s, idx in members.items() if idx.size > MAX_BLOCK_SIZE}
+    if guarded:
+        return PartitionCheck(status=UNDECIDED, decided_by=guarded)
 
     # f[s]: smallest all-rank-deficient block count (0 for an empty cluster,
     # which defeats every stage); None when no split with <= S blocks exists.
     f: dict[int, int | None] = {}
     splits: dict[int, list[list[int]]] = {}
+    decided_by: dict[int, str] = {}
     for s, idx in members.items():
-        found = min_rank_deficient_partition(data.regressors[idx], S)
+        rows = data.regressors[idx]
+        capacity = deficient_block_capacity(rows)
+        if capacity < idx.size:
+            decided_by[s] = "scan"
+            found = _consecutive_split(idx.size, capacity, S)
+        else:
+            decided_by[s] = "walk"
+            found = min_rank_deficient_partition(rows, S)
         if found is None:
             f[s] = None
         else:
@@ -236,9 +276,13 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
             witness = PartitionWitness(
                 cluster=s, budget=budget, blocks=tuple(tuple(b) for b in splits[s])
             )
-            return PartitionCheck(status=REFUTED, witness=witness, min_deficient_blocks=f)
+            return PartitionCheck(
+                status=REFUTED, witness=witness, min_deficient_blocks=f, decided_by=decided_by
+            )
         perm.append(safe[0])
-    return PartitionCheck(status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f)
+    return PartitionCheck(
+        status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f, decided_by=decided_by
+    )
 
 
 def check_genericity_sufficient(data: Dataset, a: Assignment, S: int) -> bool | None:
@@ -298,6 +342,7 @@ class PEReport:
             "cond3_status": part.status,
             "cond3_permutation": list(part.permutation) if part.permutation else None,
             "cond3_witness": witness,
+            "cond3_decided_by": [part.decided_by.get(s) for s in range(1, len(self.sizes) + 1)],
             "sizes": list(self.sizes),
             "certified": self.certified,
             "undecided": self.undecided,
@@ -311,6 +356,12 @@ def pe_report(data: Dataset, model: SLModel) -> PEReport:
     them raises ValueError.  The n-genericity certificate is not part of the
     report, since the verdict does not read it;
     :func:`check_genericity_sufficient` gives it.
+
+    A cluster that the partition check settled by its capacity scan has
+    every n-subset clear of the floor, so its whole Gram, a superset of
+    each, is full rank: its excitation is read from ``decided_by`` with no
+    further decomposition, and :func:`check_cluster_pe` runs only on the
+    other clusters.
     """
     a = data.truth
     if a is None:
@@ -320,8 +371,10 @@ def pe_report(data: Dataset, model: SLModel) -> PEReport:
     a.validate(data.N, S)
     cond1 = check_distinct_params(model)
     cond2, violations = check_no_separating_regressor(data, model)
-    cluster_pe = tuple(check_cluster_pe(data, a, s) for s in range(1, S + 1))
     part = check_partition_condition(data, a, S)
+    cluster_pe = tuple(
+        part.decided_by.get(s) == "scan" or check_cluster_pe(data, a, s) for s in range(1, S + 1)
+    )
     return PEReport(
         cond1_distinct_params=cond1,
         cond2_no_separating_regressor=cond2,

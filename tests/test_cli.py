@@ -136,6 +136,8 @@ def test_pe_check_command(tmp_path):
     assert payload["certified"] is False
     assert payload["cond3_status"] == "refuted"
     assert payload["cond1_distinct_params"] is True
+    # both clusters of example 1 are generic: the capacity scan decides them
+    assert payload["cond3_decided_by"] == ["scan", "scan"]
 
 
 def test_min_samples_single_and_table(tmp_path, capsys):

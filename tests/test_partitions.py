@@ -1,10 +1,11 @@
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slsid import partitions
+from slsid import Assignment, Dataset, SLModel, min_samples_ours, partitions, pe, pe_report
 from slsid.partitions import (
     deficient_block_capacity,
     gram_full_rank,
@@ -88,6 +89,33 @@ class TestGram:
     def test_scale_invariance(self):
         rows = np.array([[1.0, 0.0], [1.0, 1e-3]])
         assert gram_nonsingular(rows, 2) == gram_nonsingular(rows * 1e6, 2)
+
+    def test_full_rank_at_the_ends_of_the_float_range(self):
+        # the Grams of rows near 1e-181 underflow and those of rows near
+        # 1e160 overflow unless the rows are scaled first
+        rows = np.array([[1.0, 0.0], [1.0, 1e-3]])
+        for a in (-600, -525, 0, 450, 530):
+            assert gram_nonsingular(np.ldexp(rows, a), 2), a
+            assert not gram_nonsingular(np.ldexp(rows[[0, 0]], a), 2), a
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-150, 1.0, 1e150])
+def test_fewer_rows_than_n_are_deficient_by_count(scale, monkeypatch):
+    # b < n rows have rank below n whatever their Gram's rounding says, so
+    # neither the exact test nor the walk's block state decomposes them;
+    # one row at 1e-158 used to be called full rank in 2-D
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block of fewer than n rows was decomposed")
+
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for n in range(1, 5):
+        for b in range(n):
+            rows = rng.normal(size=(b, n)) * scale
+            assert not gram_nonsingular(rows, n), (n, b)
+            state = partitions._block_state(rows, partitions._floor(rows))
+            assert state == partitions._DEFICIENT, (n, b)
+    assert not gram_nonsingular(np.array([[1.0, 0.7]]) * scale, 2)
 
 
 class TestMinRankDeficientPartition:
@@ -367,22 +395,62 @@ def _generic_cluster(rng, m, n):
     return rows / norms * rng.uniform(1, 5, (m, 1))
 
 
-def test_generic_14_row_clusters_need_no_block_check(monkeypatch):
-    # m = 14 > S(n-1) for (n, S) = (4, 4) and (3, 6): no split exists, and
-    # the capacity bound says so before the walk checks a single block
-    calls = []
+def _refuse(*args, **kwargs):
+    raise AssertionError("a generic cluster was walked or decomposed")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return gram_nonsingular(*args, **kwargs)
 
-    monkeypatch.setattr(partitions, "gram_nonsingular", counted)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_generic_split_is_the_walks_first_witness(n, m, max_blocks, seed):
+    # generic rows are split in closed form, ceil(m/(n-1)) runs of n-1
+    # consecutive rows, and that is the count and witness of the walk
+    assume(m >= n)
+    rows = _generic_cluster(np.random.default_rng(seed), m, n)
+    assume(deficient_block_capacity(rows) == n - 1)
+    expected = _reference_dfs(rows, max_blocks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "_block_state", _refuse)
+        patch.setattr(np.linalg, "svd", _refuse)
+        assert min_rank_deficient_partition(rows, max_blocks) == expected
+
+
+def _generic_instance(rng, n, sizes):
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    X = _generic_cluster(rng, labels.size, n)
+    model = SLModel(rng.uniform(-5, 5, (len(sizes), n)))
+    return model, Dataset(X, X @ np.ones(n), Assignment(labels))
+
+
+def test_generic_clusters_need_no_svd_and_no_walk(monkeypatch):
+    # m = 14 > S(n-1) for (n, S) = (4, 4) and (3, 6): no split exists; and
+    # every report on generic clusters of at least n rows, certified or
+    # refuted, is decided by the capacity scan alone
     rng = np.random.default_rng(2)
-    for n, S in ((4, 4), (3, 6)):
-        rows = _generic_cluster(rng, 14, n)
-        assert deficient_block_capacity(rows) == n - 1
+    clusters = [_generic_cluster(rng, 14, n) for n in (4, 3)]
+    cases = []
+    for n, S in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        minimal = [n + (n - 1) * (S - s) for s in range(1, S + 1)]
+        assert sum(minimal) == min_samples_ours(n, S)
+        for sizes, certified in ((minimal, True), ([minimal[0] - 1] + minimal[1:], False)):
+            cases.append((_generic_instance(rng, n, sizes), certified))
+        for _ in range(4):
+            sizes = rng.integers(n, 3 * n, size=S).tolist()
+            cases.append((_generic_instance(rng, n, sizes), None))
+    monkeypatch.setattr(partitions, "_block_state", _refuse)
+    monkeypatch.setattr(pe, "min_rank_deficient_partition", _refuse)
+    monkeypatch.setattr(pe, "check_cluster_pe", _refuse)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    for rows, S in zip(clusters, (4, 6)):
         assert min_rank_deficient_partition(rows, S) is None
-    assert calls == []
+    verdicts = set()
+    for (model, data), certified in cases:
+        report = pe_report(data, model)
+        assert report.cond3_partition.decided_by == {s: "scan" for s in range(1, model.S + 1)}
+        assert all(report.cluster_pe)
+        if certified is not None:
+            assert report.certified is certified, report.sizes
+        verdicts.add(report.certified)
+    assert verdicts == {True, False}
 
 
 class TestSubsetScan:

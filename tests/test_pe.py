@@ -119,6 +119,16 @@ class TestSeparatingRegressor:
         assert not ok
         assert violations == [(5, 1, 2)]
 
+    def test_near_orthogonal_row_beside_far_larger_rows_flagged(self):
+        # the first row is 1e-12 off orthogonal to (1, -1); beside rows near
+        # 1e150 its norm underflowed when all rows shared one scale
+        model = SLModel(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        row = np.array([1.0, 1.0 + 1e-12])
+        for others in ([], [[1e150, 3e149], [2e149, 1e150]]):
+            X = np.vstack([row * 1e-160] + others)
+            data = Dataset(X, np.zeros(len(X)))
+            assert check_no_separating_regressor(data, model) == (False, [(1, 1, 2)])
+
     def test_single_subsystem_vacuous(self):
         data = Dataset(np.ones((2, 2)), np.ones(2))
         ok, violations = check_no_separating_regressor(data, SLModel(np.ones((1, 2))))
@@ -426,6 +436,13 @@ class TestInputValidation:
             pe_report(data, model)
 
 
+def _guarded_instance(rng):
+    """A model and a dataset whose first cluster is above MAX_BLOCK_SIZE rows."""
+    labels = np.array([1] * 15 + [2] * 3)
+    data = Dataset(rng.normal(size=(18, 2)), np.zeros(18), Assignment(labels))
+    return SLModel(np.array([[1.0, 0.0], [0.0, 1.0]])), data
+
+
 class TestPEReport:
     def test_example_one_not_certified(self):
         model, data = fixtures.example_one()
@@ -465,6 +482,67 @@ class TestPEReport:
             frozenset({1, 2, 4}),
             frozenset({3, 5}),
         }
+
+    def test_report_records_which_path_decided_each_cluster(self, monkeypatch):
+        # example 2's first cluster holds the dependent triple {1, 2, 4}, so
+        # the walk decides it; its second cluster is generic; a cluster
+        # above MAX_BLOCK_SIZE rows is the guard's, and the guard reads no
+        # other cluster
+        read = []
+
+        def counted(data, a, s):
+            read.append(s)
+            return check_cluster_pe(data, a, s)
+
+        monkeypatch.setattr(pe, "check_cluster_pe", counted)
+        model, data = fixtures.example_two()
+        report = pe_report(data, model)
+        assert report.cond3_partition.decided_by == {1: "walk", 2: "scan"}
+        assert report.to_dict()["cond3_decided_by"] == ["walk", "scan"]
+        assert read == [1]
+        assert report.cluster_pe == (True, True)
+
+        read.clear()
+        model, data = _guarded_instance(np.random.default_rng(0))
+        report = pe_report(data, model)
+        assert report.undecided
+        assert report.cond3_partition.decided_by == {1: "guard"}
+        assert report.to_dict()["cond3_decided_by"] == ["guard", None]
+        assert read == [1, 2]
+
+    def test_scaled_rows_give_the_same_report(self):
+        # rows near 1e-181 square to zero: unscaled, their Grams and norms
+        # underflowed and most of these reports changed at 2^-600
+        rng = np.random.default_rng(21)
+        cases = [fixtures.example_one(), fixtures.example_one_augmented(), fixtures.example_two()]
+        cases.append(_guarded_instance(rng))
+        for trial in range(24):
+            n = 2 + trial % 2
+            N = int(rng.integers(3 * n, 11))
+            X = rng.normal(size=(N, n))
+            if trial % 3 == 1:
+                X[1] = -2.0 * X[0]
+            labels = rng.integers(1, 3, size=N)
+            labels[:2] = 1
+            model = SLModel(rng.uniform(-5, 5, (2, n)))
+            if trial % 3 == 2:
+                # a regressor 1e-12 off orthogonal to the parameter difference
+                d = model.params[0] - model.params[1]
+                x = rng.normal(size=n)
+                x -= (x @ d) / (d @ d) * d
+                X[2] = x + 1e-12 * np.linalg.norm(x) / np.linalg.norm(d) * d
+            cases.append((model, Dataset(X, X @ model.params[0], Assignment(labels))))
+        seen = set()
+        for model, data in cases:
+            expected = pe_report(data, model)
+            cond2 = expected.cond2_no_separating_regressor
+            seen.add((expected.certified, expected.undecided, cond2))
+            for a in (-600, -525, -100, 100, 450):
+                X, y = np.ldexp(data.regressors, a), np.ldexp(data.outputs, a)
+                assert pe_report(Dataset(X, y, data.truth), model) == expected, a
+        # certified, refuted, undecided, and failing condition 2
+        assert {(True, False, True), (False, False, True), (False, True, True),
+                (False, False, False)} <= seen
 
     def test_report_serializes(self):
         import json
