@@ -19,12 +19,18 @@ Only restricted-growth children are built, one label at a time: a string
 whose largest label is t gets the labels 0, ..., min(t + 1, S - 1), so a
 prefix's children come in ascending order, at most ``_CHUNK`` to a chunk.
 With one cluster the pass starts from its one string, all zeros, and
-builds no child.  Prefixes stream from one length to the next in chunks,
-never a whole level, but every optimal class is kept.  While U is at
-least the optimum, no prefix of a string within 1e-9 of the optimum is
-dropped, so the optimum and the classes are bit for bit those of a scan
-of every string, which is what a pass is when U is infinite or when it
-drops nothing.
+builds no child.  The pass is one loop over per-length queues of kept
+prefixes not yet extended.  Each step extends a group of
+max(1, ``_CHUNK`` // S**``_STEP``) parents, about a chunk of children,
+taken from the deepest queue that holds a full group, or else the rest of
+the shortest non-empty queue, which nothing shorter is left to feed.  A
+group is the next run of its queue, so the full strings still come in
+restricted-growth order; memory stays at about one group plus one chunk
+per length, never a whole level, and Python's frame depth does not grow
+with N.  Every optimal class is kept.  While U is at least the optimum,
+no prefix of a string within 1e-9 of the optimum is dropped, so the
+optimum and the classes are bit for bit those of a scan of every string,
+which is what a pass is when U is infinite or when it drops nothing.
 
 U comes from up to three sources, in this order:
 
@@ -62,7 +68,9 @@ rank-deficient or empty cluster's rounded fit is not trusted, so it adds
 0, the least an SSE can be.  The rounding margin is ``_PRUNE_RTOL`` times
 y'y, the SSE of theta = 0; over 400 random instances (noisy, planted,
 near-collinear, repeated and widely scaled rows) no bound exceeded the SSE
-of a string extending its prefix by more than 2e-16 times y'y.
+of a string extending its prefix by more than 2e-16 times y'y.  Every
+chunk of a call writes its memberships into one buffer, grown to the
+largest chunk.
 
 A string within 1e-9 of the optimum keeps what its chunk computed: the
 fits become the class parameters, the residual sum its objective, and the
@@ -208,32 +216,18 @@ def _extend(parents, width: int, S: int):
         yield labels[start : start + _CHUNK]
 
 
-def _regroup(chunks, size: int):
-    """The rows of a stream of arrays, regrouped into arrays of ``size``
-    rows, in order; the last may hold fewer."""
-    held, count = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        count += len(chunk)
-        while count >= size:
-            rows = np.concatenate(held)
-            yield rows[:size]
-            held, count = [rows[size:]], count - size
-    if count:
-        yield np.concatenate(held)
-
-
-def _score(labels, S: int, table, data: Dataset):
+def _score(labels, S: int, table, data: Dataset, out):
     """Least-squares fits of a chunk of label prefixes, and their residuals.
 
     ``fit_members`` gives the fits and the rank flags of every (string,
-    cluster) pair from one 2-D membership stack; full strings pass it the
+    cluster) pair from one 2-D membership stack, written into ``out``, a
+    float buffer of ``labels.size * S`` entries; full strings pass it the
     rows, so their clusters get the exact-fit rule (``model`` docstring).
     Residuals are explicit: y'y - m'theta would cancel on exact fits.
     """
     count, length = labels.shape
     n, X, y = data.n, data.regressors, data.outputs
-    member = np.empty((count, S, length))
+    member = out.reshape(count, S, length)
     # in the labels' type: an int64 range would send the compare through
     # numpy's casting loop
     np.equal(labels[:, None, :], np.arange(S, dtype=labels.dtype)[:, None], out=member)
@@ -290,6 +284,11 @@ def oracle_global(
     the last two set U for a second pass.  Each is at least the optimum
     whenever it is used, so the result is the scan's (module docstring).
 
+    The pass extends the kept prefixes through one queue per length,
+    deepest full group first, so it holds about one group plus one chunk
+    per length, and its frame depth does not grow with N (module
+    docstring).
+
     ``limit`` is a node budget: the count of label prefixes and full
     strings built by every pass, checked before each batch.  The descent
     that may set the upper bound is not counted.  A pass cannot build more
@@ -307,28 +306,56 @@ def oracle_global(
     y = data.outputs
     table = moment_table(data)
 
+    # one membership buffer for every chunk, grown to the largest: a fresh
+    # one per chunk lets the C allocator hand the heap back to the system
+    # between chunks and fault it in again
+    buffer = np.empty(0)
+
     def fit(labels):
-        return _score(labels, S, table, data)
+        nonlocal buffer
+        if buffer.size < labels.size * S:
+            buffer = np.empty(labels.size * S)
+        return _score(labels, S, table, data, buffer[: labels.size * S])
 
     # the one prefix of length 1, the first sample in cluster 1, or with one
     # cluster the one string; labels fit the smallest integer type holding S
     root = np.zeros((1, N if S == 1 else 1), dtype=np.min_scalar_type(S))
 
-    # prefix lengths, _STEP apart and ending _STEP before N; with one
-    # cluster there is a single string and nothing to bound
-    lengths = list(range(N - _STEP, 1, -_STEP))[::-1] if S > 1 else []
+    # the length each queue's prefixes are extended to: _STEP apart up to
+    # N - _STEP, then N; with one cluster there is a single string and
+    # nothing to bound
+    ends = [*range(N - _STEP, 1, -_STEP)][::-1] + [N] if S > 1 else [N]
+    # about a chunk of children per group of parents
+    group = max(1, _CHUNK // S**_STEP)
     # theta = 0 bounds a prefix's SSE by its outputs' y'y, so at a length
     # whose y'y is within the cut no prefix can be dropped, and none is scored
     reach = np.cumsum(y * y)
     margin = _OPTIMUM_TOL + _PRUNE_RTOL * float(y @ y)
     nodes, dropped = 0, False
 
-    def extend(stream, length: int):
-        # every extension of the streamed prefixes to ``length``, in chunks
-        # counted against the budget before they are scored
-        nonlocal nodes
-        # about a chunk of children per group of parents
-        for parents in _regroup(stream, max(1, _CHUNK // S**_STEP)):
+    def search(upper: float):
+        # one pass with upper bound U = ``upper``: the best SSE of the full
+        # strings it keeps and, per chunk, the objectives, labels, fits and
+        # degenerate flags of those within _OPTIMUM_TOL of the running best
+        nonlocal nodes, dropped
+        cut = margin + upper
+        # per length, the kept prefixes not yet extended (an empty queue is
+        # replaced, not joined, so its width does not matter); the indices of
+        # the queues holding a full group, deepest last, and of the shortest
+        # queue that may hold any
+        queues = [root] + [root[:0]] * (len(ends) - 1)
+        ready, low = [], 0
+        best = np.inf
+        kept: list[tuple[np.ndarray, ...]] = []
+        while True:
+            while low < len(queues) and not len(queues[low]):
+                low += 1
+            if low == len(queues):
+                return best, kept
+            # the deepest queue holding a full group, else the rest of the
+            # shortest one, which nothing shorter is left to feed
+            i = ready.pop() if ready else low
+            parents, queues[i], length = queues[i][:group], queues[i][group:], ends[i]
             for labels in _extend(parents, length - parents.shape[1], S):
                 nodes += len(labels)
                 if nodes > limit:
@@ -336,41 +363,29 @@ def oracle_global(
                         f"the exact search would build more than {limit} "
                         "label prefixes and strings"
                     )
-                yield labels
-
-    def bounded(stream, length: int, cut: float):
-        nonlocal dropped
-        for labels in extend(stream, length):
-            if reach[length - 1] > cut:
-                member, _, full, r = fit(labels)
-                bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
-                keep = bound <= cut
-                dropped |= not keep.all()
-                labels = labels[keep]
-            yield labels
-
-    def search(upper: float):
-        # one pass with upper bound U = ``upper``: the best SSE of the full
-        # strings it keeps and, per chunk, the objectives, labels, fits and
-        # degenerate flags of those within _OPTIMUM_TOL of the running best
-        stream = iter([root])
-        for length in lengths:
-            stream = bounded(stream, length, margin + upper)
-        best = np.inf
-        kept: list[tuple[np.ndarray, ...]] = []
-        for labels in extend(stream, N):
-            _, theta, full, r = fit(labels)
-            sse = np.einsum("bk,bk->b", r, r)
-            if sse.min() < best:
-                best = float(sse.min())
-                kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
-            near = sse <= best + _OPTIMUM_TOL
-            if not near.all():
-                sse, labels, theta, full = sse[near], labels[near], theta[near], full[near]
-            # an empty cluster has a zero Gram, so it fits theta = 0 and fails
-            # the rank test, which makes its class degenerate
-            kept.append((sse, labels, theta, ~full.all(axis=1)))
-        return best, kept
+                if length < N:
+                    if reach[length - 1] > cut:
+                        member, _, full, r = fit(labels)
+                        bound = (np.einsum("bsk,bk->bs", member, r * r) * full).sum(axis=1)
+                        keep = bound <= cut
+                        dropped |= not keep.all()
+                        labels = labels[keep]
+                    queue = queues[i + 1]
+                    queues[i + 1] = np.concatenate([queue, labels]) if len(queue) else labels
+                    continue
+                _, theta, full, r = fit(labels)
+                sse = np.einsum("bk,bk->b", r, r)
+                if sse.min() < best:
+                    best = float(sse.min())
+                    kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
+                near = sse <= best + _OPTIMUM_TOL
+                if not near.all():
+                    sse, labels, theta, full = sse[near], labels[near], theta[near], full[near]
+                # an empty cluster has a zero Gram, so it fits theta = 0 and fails
+                # the rank test, which makes its class degenerate
+                kept.append((sse, labels, theta, ~full.all(axis=1)))
+            # only queues i and i + 1 changed, and none past i held a full group
+            ready += [k for k in (i, i + 1) if k < len(queues) and len(queues[k]) >= group]
 
     upper = _upper_bound(data, S, None, fit)
     best, kept = search(upper)

@@ -121,6 +121,19 @@ def test_oracle_enumeration_limit_exit_code(tmp_path):
     assert code == 3
 
 
+def test_oracle_budget_on_long_noise_exit_code(tmp_path, capsys):
+    # 2000 pure-noise rows, 1000 prefix lengths: the node budget stops the
+    # pass, not the depth of Python's stack
+    rng = np.random.default_rng(0)
+    path = tmp_path / "noise.csv"
+    save_dataset(path, Dataset(rng.uniform(-3, 3, size=(2000, 2)), rng.normal(size=2000)))
+    code = run(["oracle", "--data", str(path), "--S", "2", "--limit", "1000"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: the exact search would build more than 1000 ")
+
+
 def test_pe_check_command(tmp_path):
     run(["simulate", "--example", "1", "--output", str(tmp_path)])
     code = run(
@@ -926,14 +939,22 @@ def _contract(argv, data=None, config=None, model=None):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(_KINDS),
-    st.integers(1, 8),
+    st.one_of(
+        st.tuples(
+            st.integers(1, 8),
+            st.sampled_from([None, "abc", "-1", "0", "1", "40", "99999999999999999999"]),
+        ),
+        # a prefix length per two samples, 1000 of them; a budget of at most
+        # 40 nodes keeps each run short
+        st.tuples(st.just(2000), st.sampled_from(["-1", "0", "1", "40"])),
+    ),
     st.integers(0, 2**16),
     st.sampled_from(_COUNTS),
-    st.sampled_from([None, "abc", "-1", "0", "1", "40", "99999999999999999999"]),
 )
-def test_oracle_cli_contract(kind, N, seed, S, limit):
+def test_oracle_cli_contract(kind, size, seed, S):
     # any input file and any --S / --limit; a run that exits 0 found a
     # finite optimum
+    N, limit = size
     argv = ["oracle", "--S", S] + ([] if limit is None else ["--limit", limit])
     code, out = _contract(argv, (kind, N, seed))
     if code == 0:

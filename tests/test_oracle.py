@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 import time
 import tracemalloc
 from collections.abc import Sequence
@@ -122,6 +124,33 @@ def test_enumeration_limit_refused():
     data = Dataset(rng.normal(size=(25, 2)), rng.normal(size=25))
     with pytest.raises(EnumerationLimitError):
         oracle_global(data, 2, limit=1000)
+
+
+def _pure_noise(N):
+    """Rows uniform on (-3, 3) and standard-normal outputs, seed 0."""
+    rng = np.random.default_rng(0)
+    return Dataset(rng.uniform(-3, 3, size=(N, 2)), rng.normal(size=N))
+
+
+@pytest.mark.parametrize("N", [800, 6000])
+def test_enumeration_limit_on_long_noise(N):
+    # one prefix length per two samples: the budget, not Python's frame
+    # limit, stops the pass
+    with pytest.raises(EnumerationLimitError):
+        oracle_global(_pure_noise(N), 2, limit=1000)
+
+
+def test_frame_depth_does_not_grow_with_samples():
+    # 1000 prefix lengths at N = 2000, and 100 frames to spare above the
+    # caller's: a pass whose depth grows with the lengths fails here
+    data = _pure_noise(2000)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(EnumerationLimitError):
+            oracle_global(data, 2, limit=1000)
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_negative_limit_rejected():
