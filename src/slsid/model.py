@@ -22,9 +22,15 @@ oracle's chunks, never the descent's batches) is solved in one pass by
 (``dsyevd`` through ``dsteqr`` and ``dlaev2``) gives the two eigenpairs,
 and the fits and singular values follow from them in the einsums' order
 of operations, with no eigenvector matrix and no sort, bit for bit those
-of the ``eigh`` path.  Grams that LAPACK would rescale, with a nonzero
-largest entry outside about [1.2e-122, 1e146], take the ``eigh`` path
-within the same call.  So the path changes the speed, never a result.
+of the ``eigh`` path.  It runs only on Grams well inside the region
+where LAPACK reaches ``dlaev2``'s positive-trace branch: positive
+diagonal entries, an off-diagonal entry far above ``dsteqr``'s split
+tests, a largest entry that LAPACK does not rescale (about [1.2e-122,
+1e146]), and a smaller eigenvalue no larger in magnitude than the
+larger.  An empty cluster's zero Gram gets a zero fit and zero singular
+values, as ``eigh`` gives it, and every other Gram takes the ``eigh``
+path within the same call.  So the path changes the speed, never a
+result.
 ``fit_members`` is the one cluster fit built on the two: matmuls with a
 stack of one-hot memberships sum the table per cluster, and
 ``gram_solve`` solves the sums.  The descent, its empty-cluster repair and
@@ -78,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,12 +416,30 @@ _SAFMIN = 2.0**-1022
 # SSFMIN)
 _SSFMIN = np.sqrt(_SAFMIN) / _EPS**2
 _RMAX = np.sqrt(2 * _EPS / _SAFMIN)
+# numpy's machine epsilon, twice LAPACK's eps: lstsq's cutoff for an n x n
+# system is n * _MACHEPS times the largest singular value
+_MACHEPS = 2 * _EPS
+# _solve2 runs dlaev2 only where |b| > _OFFDIAG_RTOL * (a + c) with a, c > 0,
+# 18 times dsteqr's split tests, |b| <= eps sqrt(a) sqrt(c) and
+# b^2 <= eps^2 a c + safmin, since eps sqrt(a c) <= 2^-54 (a + c) and safmin
+# is negligible against an unscaled Gram
+_OFFDIAG_RTOL = 1e-15
+# _solve2's nine stack-sized buffers: one workspace per thread, kept between
+# calls and grown to the largest stack solved, 72 bytes per Gram (an oracle
+# chunk holds at most 1024 S Grams).  No call reads what an earlier call
+# left in it.  Fresh buffers on every call let the C allocator trim the heap
+# between the oracle's chunks and fault the pages in again: 14-64 minor
+# faults per oracle_global call over the oracle benchmark's pools (seeds 1
+# and 4242, warm), against 0.0-0.5 with the kept workspace
+_WORKSPACE = threading.local()
 # stacks of 2 x 2 Grams from which _solve2 is faster than the eigh path.
-# Swept over 64..160 Grams on one x86-64 core, four runs: at 96 the two
-# were even (fused 49-92 us against eigh 48-81 us, eigh ahead in three
-# runs), from 112 the fused pass won every run (112: 49-54 against 55-62 us;
-# 128: 50-53 against 60-70 us)
-_EIGH2_MIN = 112
+# Swept over 16..128 Grams on one x86-64 core of a shared machine, four runs
+# per size, on oracle-like stacks.  The fastest _solve2 run took 42-44 us at
+# every size; eigh's took 27 us at 16 Grams, 43 us at 48, 47 us at 56 and
+# 52 us at 64.  eigh won every run up to 48, _solve2 three of four at 52-64
+# and every run from 80.  The descent's n = 2 stacks (at most 44 Grams) stay
+# with eigh
+_EIGH2_MIN = 56
 # fit_members sums the moment table in blocks of this many entries, T rows
 # times _SUM_BLOCK // T samples.  Swept over 2**14..2**19 on one Xeon core:
 # at (n, S, N) = (5, 4, 20000), (8, 3, 30000) and (5, 4, 100000),
@@ -444,15 +469,15 @@ def _solve_eigh(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     tri = n * (n + 1) // 2
     w, V = np.linalg.eigh(sums.take(_gram_index(n), axis=-1), UPLO="U")
-    svals = np.abs(w)
+    # |w| in descending order where no eigenvalue rounded below zero
+    svals = np.abs(w[..., ::-1])
     top = np.maximum(svals[..., :1], svals[..., -1:])
-    keep = svals > n * np.finfo(float).eps * top
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    keep = svals[..., ::-1] > n * _MACHEPS * top
+    inv = np.divide(1.0, w, out=np.zeros(w.shape), where=keep)
     coef = inv * np.einsum("...ji,...j->...i", V, sums[..., tri:])
     theta = np.einsum("...ij,...j->...i", V, coef)
-    svals = svals[..., ::-1].copy()
-    low = w[..., 0] < 0
-    if low.any():
+    if w[..., 0].min() < 0:
+        low = w[..., 0] < 0
         svals[low] = -np.sort(-svals[low], axis=-1)
     return theta, svals
 
@@ -461,77 +486,125 @@ def _solve2(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_solve_eigh` of a stack of n = 2 sums, bit for bit, by
     LAPACK's closed form, without building eigenvectors.
 
-    At n = 2 ``dsyevd`` reduces to ``dsteqr`` on the matrix itself: a split
-    test for a negligible off-diagonal (then the diagonal is the spectrum),
-    else ``dlaev2``'s eigenvalues and rotation of the identity.  This is that
-    arithmetic, vectorized with LAPACK's order of operations, to two
-    unsorted eigenpairs (d1, (z11, z21)) and (d2, (z12, z11)).  Each pair's
-    term of theta is formed in the einsums' order, (v0 m0 + v1 m1), times
-    1 / d, times v, and IEEE addition commutes, so adding the two terms
-    needs no ascending swap.  The einsums sum from +0.0, which only turns a
-    zero sum's -0.0 into +0.0: adding 0.0 to theta does the same, and the
-    sign of a zero before it never reaches theta.  The singular values are
-    the larger and the smaller |d|, which is what reversing and sorting |w|
-    gives.  Grams that LAPACK would rescale go to :func:`_solve_eigh`.
+    At n = 2 ``dsyevd`` reduces to ``dsteqr`` on the matrix [[a, b], [b, c]]
+    itself: a split test for a negligible b, else ``dlaev2``'s eigenvalues
+    rt1, rt2 and its rotation (cs1, sn1) of the identity.  This pass runs
+    ``dlaev2``'s arithmetic, vectorized in LAPACK's order of operations,
+    only on the Grams of its domain: a > 0 and c > 0, so a + c > 0 and
+    ``dlaev2`` takes its one positive-trace branch; |b| > ``_OFFDIAG_RTOL``
+    (a + c), far above both split tests; a largest entry in [``_SSFMIN``,
+    ``_RMAX``], which LAPACK does not rescale; and |rt2| <= rt1.  There the
+    two eigenpairs are (rt1, (cs1, sn1)) and (rt2, (-sn1, cs1)), the
+    singular values are rt1 and |rt2| in that order, rt1 passes lstsq's
+    cutoff, and each pair's term of theta is formed in the einsums' order,
+    (v0 m0 + v1 m1), times 1 / w, times v.  IEEE addition commutes, so
+    adding the two terms needs no ascending swap.  The einsums sum from
+    +0.0, which only turns a zero sum's -0.0 into +0.0: adding 0.0 to
+    theta does the same, and the sign of a zero before it never reaches
+    theta.  An empty cluster's zero Gram gets the zero fit and zero
+    singular values that ``eigh`` gives it, and every other Gram (split,
+    non-positive diagonal or rescaled) goes to :func:`_solve_eigh` within
+    the same call.  The temporaries live in the nine stack-sized
+    buffers of the thread's ``_WORKSPACE``, written through ``out=``.
     """
     a, b, c, m0, m1 = (sums[..., k] for k in range(5))
-    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
-    anorm = np.maximum(np.maximum(aa, ab), ac)
-    scaled = (anorm > _RMAX) | (anorm < _SSFMIN) & (anorm > 0)
-    # the unsplit arithmetic divides by zero on split matrices, whose
-    # results it does not keep, and 1 / d by zero where d is dropped
+    shape = sums.shape[:-1]
+    theta = np.empty(shape + (2,))
+    svals = np.empty_like(theta)
+    size = 9 * a.size
+    work = getattr(_WORKSPACE, "buffer", None)
+    if work is None or work.size < size:
+        work = _WORKSPACE.buffer = np.empty(size)
+    acmn, acmx, sm, df, tb, atb, rt1, rt2, x = work[:size].reshape((9,) + shape)
+    # rows outside the domain may divide by zero or overflow; eigh replaces them
     with np.errstate(all="ignore"):
-        # dsteqr's two tests; the second scales the diagonal entry of smaller
-        # magnitude first, which rounds differently near underflow
-        split = (ab <= np.sqrt(aa) * np.sqrt(ac) * _EPS) | (
-            ab * ab <= _EPS**2 * np.minimum(aa, ac) * np.maximum(aa, ac) + _SAFMIN
-        )
-        # dlaev2: rt1 is the eigenvalue of larger magnitude, (cs1, sn1)
-        # below its unit eigenvector
-        sm, df, tb = a + c, a - c, b + b
-        adf, atb = np.abs(df), np.abs(tb)
-        hi, lo = np.maximum(adf, atb), np.minimum(adf, atb)
-        rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)
-        neg = sm < 0
-        rt1 = 0.5 * (sm + np.where(neg, -rt, rt))
-        big = aa > ac
-        rt2 = np.where(
-            sm == 0,
-            -0.5 * rt,
-            (np.where(big, a, c) / rt1) * np.where(big, c, a) - (b / rt1) * b,
-        )
+        np.minimum(a, c, out=acmn)
+        np.maximum(a, c, out=acmx)
+        np.abs(b, out=x)
+        np.maximum(acmx, x, out=x)
+        inside = (acmn > 0) & (x >= _SSFMIN) & (x <= _RMAX)
+        np.add(a, c, out=sm)
+        np.subtract(a, c, out=df)
+        np.add(b, b, out=tb)
+        np.abs(tb, out=atb)
+        # |b| > rtol (a + c), on 2 |b| = |tb| and 2 (a + c), both exact
+        inside &= atb > np.multiply(sm, 2 * _OFFDIAG_RTOL, out=x)
+        # rt = hi sqrt(1 + (lo / hi)^2), hi and lo the larger and the
+        # smaller of |df| and |tb|; rt1 = (sm + rt) / 2
+        np.abs(df, out=x)
+        np.maximum(x, atb, out=rt2)
+        np.minimum(x, atb, out=x)
+        np.divide(x, rt2, out=x)
+        np.multiply(x, x, out=x)
+        np.add(x, 1.0, out=x)
+        np.sqrt(x, out=x)
+        np.multiply(rt2, x, out=x)
+        np.add(sm, x, out=rt1)
+        np.multiply(rt1, 0.5, out=rt1)
+        # rt2 = (acmx / rt1) acmn - (b / rt1) b, acmx and acmn the diagonal
+        # entries of larger and smaller magnitude
+        np.divide(acmx, rt1, out=acmx)
+        np.multiply(acmx, acmn, out=rt2)
+        np.divide(b, rt1, out=acmx)
+        np.multiply(acmx, b, out=acmx)
+        np.subtract(rt2, acmx, out=rt2)
+        # cs = df + rt where df >= 0, else df - rt (df = a - c is never -0.0
+        # where a, c > 0)
         pos = df >= 0
-        cs = df + np.where(pos, rt, -rt)
-        first = np.abs(cs) > atb
-        t = -np.where(first, tb, cs) / np.where(first, cs, tb)
-        u = 1.0 / np.sqrt(1.0 + t * t)
-        v = t * u
-        # dlaev2 sets (cs1, sn1) = (v, u) where first, else (u, v), and then
-        # (-sn1, cs1) where the signs of sm and df differ
-        flip = neg ^ pos
-        swapped = first ^ flip
-        sn1 = np.where(swapped, u, v)
-        cs1 = np.where(swapped, v, u)
-        cs1 = np.where(flip, -cs1, cs1)
-        # off the split cs1 and sn1 are nonzero, so the rotation of the
-        # identity is exactly [[cs1, -sn1], [sn1, cs1]]
-        d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
-        z11 = np.where(split, 1.0, cs1)
-        z12 = np.where(split, 0.0, -sn1)
-        z21 = np.where(split, 0.0, sn1)
-        theta = np.empty(sums.shape[:-1] + (2,))
-        svals = np.empty_like(theta)
-        s1, s2 = np.abs(d1), np.abs(d2)
-        np.maximum(s1, s2, out=svals[..., 0])
-        np.minimum(s1, s2, out=svals[..., 1])
-        floor = 2 * np.finfo(float).eps * svals[..., 0]
-        coef1 = np.where(s1 > floor, 1.0 / d1, 0.0) * (z11 * m0 + z21 * m1)
-        coef2 = np.where(s2 > floor, 1.0 / d2, 0.0) * (z12 * m0 + z11 * m1)
-    np.add(z11 * coef1, z12 * coef2, out=theta[..., 0])
-    np.add(z21 * coef1, z11 * coef2, out=theta[..., 1])
+        np.copysign(x, df, out=x)
+        np.add(df, x, out=df)
+        first = np.abs(df, out=x) > atb
+        # t = -tb / cs where |cs| > |tb|, else -cs / tb; u = 1 / sqrt(1 + t^2)
+        # and v = t u, and (cs1, sn1) = (v, u) where |cs| > |tb|, else (u, v)
+        np.divide(np.where(first, tb, df), np.where(first, df, tb), out=x)
+        np.negative(x, out=x)
+        np.multiply(x, x, out=acmn)
+        np.add(acmn, 1.0, out=acmn)
+        np.sqrt(acmn, out=acmn)
+        np.divide(1.0, acmn, out=acmn)
+        np.multiply(x, acmn, out=x)
+        # then (-sn1, cs1) where df >= 0, the sign of the trace (dlaev2's
+        # sgn1 = sgn2)
+        first ^= pos
+        cs1 = np.where(first, x, acmn)
+        sn1 = np.where(first, acmn, x)
+        cs1 = np.where(pos, np.negative(cs1, out=x), cs1)
+        # coef1 = (1 / rt1) (cs1 m0 + sn1 m1); coef2 = (cs1 m1 - sn1 m0) times
+        # 1 / rt2, or 0 where |rt2| is at or below lstsq's cutoff, 2 eps rt1
+        np.multiply(cs1, m0, out=sm)
+        np.multiply(sn1, m1, out=df)
+        np.add(sm, df, out=sm)
+        np.divide(1.0, rt1, out=df)
+        np.multiply(df, sm, out=sm)
+        np.multiply(cs1, m1, out=df)
+        np.multiply(sn1, m0, out=tb)
+        np.subtract(df, tb, out=df)
+        # acmx = |rt2|, the smaller singular value
+        np.abs(rt2, out=acmx)
+        inside &= acmx <= rt1
+        keep = acmx > np.multiply(rt1, 2 * _MACHEPS, out=atb)
+        np.divide(1.0, rt2, out=tb)
+        np.multiply(np.where(keep, tb, 0.0), df, out=df)
+        # theta = cs1 coef1 - sn1 coef2, sn1 coef1 + cs1 coef2
+        np.multiply(cs1, sm, out=tb)
+        np.multiply(sn1, df, out=atb)
+        np.subtract(tb, atb, out=theta[..., 0])
+        np.multiply(sn1, sm, out=tb)
+        np.multiply(cs1, df, out=atb)
+        np.add(tb, atb, out=theta[..., 1])
     theta += 0.0
-    if scaled.any():
-        theta[scaled], svals[scaled] = _solve_eigh(sums[scaled], 2)
+    svals[..., 0] = rt1
+    svals[..., 1] = acmx
+    if not inside.all():
+        rest = np.flatnonzero(~inside)
+        part = sums.reshape(-1, 5)[rest]
+        # an empty cluster's Gram is zero, and eigh gives it a zero fit and
+        # zero singular values
+        zero = ~part[:, :3].any(axis=1)
+        theta.reshape(-1, 2)[rest[zero]] = svals.reshape(-1, 2)[rest[zero]] = 0.0
+        if not zero.all():
+            rest, part = rest[~zero], part[~zero]
+            theta.reshape(-1, 2)[rest], svals.reshape(-1, 2)[rest] = _solve_eigh(part, 2)
     return theta, svals
 
 
@@ -554,10 +627,11 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for a stack of at least ``_EIGH2_MIN`` 2 x 2 Grams, which takes the
     same bits from :func:`_solve2`: one pass of LAPACK's closed-form 2 x 2
     arithmetic straight to the fits and singular values, with no
-    eigenvector matrix.  Grams whose largest entry is nonzero and lies
-    outside [``_SSFMIN``, ``_RMAX``], about [1.2e-122, 1e146], are rescaled
-    by LAPACK and stay with ``eigh``.  So the results do not depend on the
-    size of the stack.
+    eigenvector matrix, on the Grams of its domain (positive diagonal, an
+    off-diagonal entry above ``_OFFDIAG_RTOL`` times the trace, a largest
+    entry in [``_SSFMIN``, ``_RMAX``], about [1.2e-122, 1e146], that LAPACK
+    does not rescale).  Zero Grams get zeros and the other Grams stay with
+    ``eigh``.  So the results do not depend on the size of the stack.
     """
     if n == 2 and sums[..., 0].size >= _EIGH2_MIN:
         return _solve2(sums)

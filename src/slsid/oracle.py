@@ -58,11 +58,13 @@ Prefixes and strings are scored in fixed-size chunks: one
 descent's cluster fit: one matmul against the dataset's
 ``model.moment_table`` and one batched eigendecomposition; at n = 2 a
 chunk of at least ``model._EIGH2_MIN`` Grams is solved in one pass of
-LAPACK's closed-form 2 x 2 arithmetic, with no eigenvector matrix, which
-gives the ``eigh`` path's bits faster) gives the minimum-norm fits and the
-clusters' ``partitions.gram_full_rank`` flags, and SSEs are summed from
-explicit residuals.  Full strings pass the rows too, so the exact-fit rule
-(``model`` docstring) refits their ill-conditioned clusters on the rows.
+LAPACK's closed-form 2 x 2 arithmetic, with no eigenvector matrix, on
+the Grams whose off-diagonal entry is far from negligible and which LAPACK
+does not rescale, which gives the ``eigh`` path's bits faster) gives the
+minimum-norm fits and the clusters' ``partitions.gram_full_rank`` flags,
+and SSEs are summed from explicit residuals.  Full strings pass the rows
+too, so the exact-fit rule (``model`` docstring) refits their
+ill-conditioned clusters on the rows.
 A prefix's bound counts only its clusters whose flag is set: a
 rank-deficient or empty cluster's rounded fit is not trusted, so it adds
 0, the least an SSE can be.  The rounding margin is ``_PRUNE_RTOL`` times

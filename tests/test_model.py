@@ -1,4 +1,6 @@
 import itertools
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,9 +370,21 @@ def test_solve2_matches_lapack_bit_for_bit(monkeypatch):
     # branches and its ties
     sums.append(rng.integers(-3, 4, size=(512, 5)).astype(float))
     sums = np.concatenate(sums)
+    # the closed form's domain: a, c > 0, |b| > 1e-15 (a + c), the largest
+    # entry unscaled by LAPACK, and |rt2| <= rt1 for dlaev2's eigenvalues
+    a, b, c = sums[:, 0], sums[:, 1], sums[:, 2]
     anorm = np.abs(sums[:, :3]).max(axis=1)
     scaled = (anorm > 2.0**485) | (anorm < 2.0**-405) & (anorm > 0)
-    assert 0 < scaled.sum() < len(sums)
+    with np.errstate(all="ignore"):
+        hi = np.maximum(np.abs(a - c), np.abs(b + b))
+        rt = hi * np.sqrt(1.0 + (np.minimum(np.abs(a - c), np.abs(b + b)) / hi) ** 2)
+        rt1 = 0.5 * (a + c + rt)
+        rt2 = (np.maximum(a, c) / rt1) * np.minimum(a, c) - (b / rt1) * b
+        inside = (a > 0) & (c > 0) & (np.abs(b) > 1e-15 * (a + c)) & ~scaled
+        inside &= np.abs(rt2) <= rt1
+    zero = ~sums[:, :3].any(axis=1)
+    assert 0 < scaled.sum() < len(sums) and zero.any()
+    assert (~inside & ~zero & ~scaled).any()
     want = _gram_solve_by_sorting(sums, 2)
 
     eigh, sent = np.linalg.eigh, []
@@ -381,12 +395,87 @@ def test_solve2_matches_lapack_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     got = model._solve2(sums)
-    # only the Grams LAPACK would rescale reach eigh
-    assert sent == [scaled.sum()]
+    # only the Grams outside the domain, zero Grams aside, reach eigh
+    assert sent == [(~inside & ~zero).sum()]
     for a, b in zip(got, want):
         assert a.shape == b.shape
         # as integers, so signed zeros must match too
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# the kinds of n = 2 Gram a drawn stack mixes: of 1-4 normal rows, of one
+# row, of collinear rows, of near-orthogonal rows (b from 2^-70 to 2^-40
+# times the diagonal, across dsteqr's split tests and the closed form's
+# 1e-15 cut), zero, and integer symmetric matrices (upper triangle and
+# moments in -3..3), which reach dlaev2's sign branches and ties
+_GRAM_KINDS = ("rows", "single", "collinear", "orthogonal", "zero", "integer")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3072),
+    st.lists(st.sampled_from(_GRAM_KINDS), min_size=1, max_size=5),
+    st.integers(-600, 450),
+    st.integers(-600, 450),
+    st.booleans(),
+)
+def test_solve2_is_solve_eigh_bit_for_bit(seed, size, kinds, e1, e2, zero_outputs):
+    rng = np.random.default_rng(seed)
+    pick = np.asarray(kinds)[rng.integers(len(kinds), size=size)]
+    # each row scaled by 2^e, e between the two drawn exponents: from Grams
+    # that underflow to zero to Grams near 2^900, widely scaled within one
+    rows = rng.normal(size=(size, 4, 2))
+    rows *= np.ldexp(1.0, rng.integers(min(e1, e2), max(e1, e2) + 1, size=(size, 4, 1)))
+    rows[rng.random(size) < 0.5, 2:] = 0.0
+    rows[pick == "single", 1:] = 0.0
+    collinear = pick == "collinear"
+    rows[collinear] = rows[collinear, :1] * rng.normal(size=(collinear.sum(), 4, 1))
+    orthogonal = pick == "orthogonal"
+    count = orthogonal.sum()
+    tilt = np.ldexp(rng.normal(size=(count, 2)), rng.integers(-70, -39, size=(count, 1)))
+    rows[orthogonal] = 0.0
+    rows[orthogonal, 0, 0] = rows[orthogonal, 1, 1] = 1.0
+    rows[orthogonal, 0, 1], rows[orthogonal, 1, 0] = tilt.T
+    rows[pick == "zero"] = 0.0
+    outputs = np.zeros((size, 4)) if zero_outputs else rng.normal(size=(size, 4))
+    sums = _moment_sums(rows, outputs)
+    integer = pick == "integer"
+    sums[integer] = rng.integers(-3, 4, size=(integer.sum(), 5))
+    # Grams near underflow have subnormal eigenvalues, whose inverses
+    # overflow on the eigh path
+    with np.errstate(all="ignore"):
+        want = model._solve_eigh(sums, 2)
+        got = model._solve2(sums)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        # as integers, so signed zeros must match too
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_solve2_keeps_few_stack_sized_temporaries():
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(2048, 3, 2))
+    # laid out as the oracle passes its sums: each column contiguous
+    sums = np.ascontiguousarray(_moment_sums(rows, np.zeros((2048, 3))).T).T
+    # numpy's and LAPACK's one-time set-up, outside the traced call
+    model._solve2(sums)
+    peaks = []
+
+    def traced():
+        tracemalloc.start()
+        try:
+            model._solve2(sums)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    # in a new thread, so the traced call allocates its own workspace too
+    worker = threading.Thread(target=traced)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert peaks[0] < 24 * sums[:, 0].nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
