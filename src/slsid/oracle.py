@@ -15,6 +15,8 @@ extends it.  A pass with an upper bound U extends the surviving prefixes
 length by length, ``_STEP`` samples at a time up to the last bounded
 length N - ``_STEP``, and drops a prefix whose bound exceeds U + 1e-9 by
 more than a rounding margin; the surviving full strings are scored last.
+Whenever a pass scores a full string whose SSE is below U, U falls to
+that SSE (the incumbent), which is at least the optimum.
 Only restricted-growth children are built, one label at a time: a string
 whose largest label is t gets the labels 0, ..., min(t + 1, S - 1), so a
 prefix's children come in ascending order, at most ``_CHUNK`` to a chunk.
@@ -283,7 +285,8 @@ def oracle_global(
     (U = ``_PRUNE_RTOL`` * y'y, final when a kept string is within it, as
     on noise-free data), else from the best string that pass kept, else
     from a default ``bcd_solve`` run (infinite when the descent raises);
-    the last two set U for a second pass.  Each is at least the optimum
+    the last two set U for a second pass.  Within a pass, U falls to the
+    best full string scored so far.  Each is at least the optimum
     whenever it is used, so the result is the scan's (module docstring).
 
     The pass extends the kept prefixes through one queue per length,
@@ -379,6 +382,9 @@ def oracle_global(
                 sse = np.einsum("bk,bk->b", r, r)
                 if sse.min() < best:
                     best = float(sse.min())
+                    # the incumbent: every string within _OPTIMUM_TOL of the
+                    # final best still has its prefix bounds under the cut
+                    cut = min(cut, margin + best)
                     kept = [tuple(a[c[0] <= best + _OPTIMUM_TOL] for a in c) for c in kept]
                 near = sse <= best + _OPTIMUM_TOL
                 if not near.all():

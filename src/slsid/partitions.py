@@ -12,32 +12,20 @@ every superset of it among those rows.
 One enumeration yields every n-row subset of a set of rows with its Gram
 matrix, chunk by chunk; ``subset_gram_svals`` is its SVD view, one batched
 SVD per chunk, and decides the genericity certificate exactly.
-``min_rank_deficient_partition`` is the adversarial search used by the
-excitation checker: the smallest number of nonempty blocks into which a set
-of regressor rows can be split with every block's Gram matrix
-rank-deficient.  The search walks restricted-growth strings depth-first,
-prunes a branch as soon as one block passes the floor test, and accepts a
-complete string only when every block fails the exact test.  The exact
-test cannot prune: on rows of widely different scales a large added row
-raises the largest singular value, so a full-rank block can turn deficient.
+``min_rank_deficient_partition`` is the walk, the adversarial search used
+by the excitation checker: the smallest number of nonempty blocks into
+which a set of regressor rows can be split with every block's Gram matrix
+rank-deficient.  It walks restricted-growth strings depth-first, prunes a
+branch as soon as one block passes the floor test, and accepts a complete
+string only when every block fails the exact test.  The exact test cannot
+prune: on rows of widely different scales a large added row raises the
+largest singular value, so a full-rank block can turn deficient.
 
-Before the walk, one subset scan bounds the size h of any rank-deficient
-block: every n-subset of a deficient block of b >= n rows is deficient, so
-when no n-subset is deficient, no deficient block holds more than n-1 rows.
-The scan uses the floor test too, on each Gram's smallest eigenvalue from
-one batched ``eigvalsh`` per chunk: a subset that passes it cannot lie in
-a deficient block.  Generic rows, m >= n of them with every n-subset
-clear, have h = n-1, which is the capacity argument behind the sample
-count ((n-1)S^2 + (n+1)S)/2: every block of at most n-1 rows is deficient
-by its row count and every larger block is full rank, so no split into
-fewer than ceil(m/(n-1)) blocks is all-deficient, and the split into that
-many blocks of consecutive rows, the walk's first witness in
-restricted-growth order, is returned in closed form with no walk and no
-block decomposition.  Any other set of rows gets the trivial h = m, found
-at the first chunk holding a possibly deficient subset, and is walked;
-the walk's block tests and every exact verdict stay on the SVD.  Either
-way the result is the smallest all-deficient split in restricted-growth
-order, as a brute force over all partitions finds it.
+``deficient_block_capacity`` is the subset scan: it bounds the size of any
+rank-deficient block by n-1 or by the row count, deciding the floor test
+on each n-subset's Gram from one batched ``eigvalsh`` per chunk.  The
+capacity argument that turns the bound n-1 into a split with no walk is
+applied in one place, ``pe.check_partition_condition``.
 
 Every entry point that squares rows first scales them by the power of two
 that brings their largest |entry| into [0.5, 1).  The scaling is exact, so
@@ -187,22 +175,6 @@ def _block_state(block: np.ndarray, floor: float) -> int:
     return _SURELY_FULL if svals[-1] > floor else int(gram_full_rank(svals, n))
 
 
-def _consecutive_split(m: int, size: int, max_blocks: int) -> tuple[int, list[list[int]]] | None:
-    """Rows 0..m-1 in runs of ``size``, or None past ``max_blocks`` blocks or at size 0.
-
-    For m >= n generic rows and size n-1 this is the smallest
-    all-deficient split: blocks of at most n-1 rows are deficient by their
-    count, any larger block is full rank, so ceil(m/(n-1)) blocks are
-    needed, and the first witness in restricted-growth order fills each
-    block with the next n-1 rows.  Generic rows in one dimension (size 0)
-    hold no deficient block.
-    """
-    if size == 0 or -(-m // size) > max_blocks:
-        return None
-    blocks = [list(range(i, min(i + size, m))) for i in range(0, m, size)]
-    return len(blocks), blocks
-
-
 def min_rank_deficient_partition(
     rows: np.ndarray, max_blocks: int
 ) -> tuple[int, list[list[int]]] | None:
@@ -212,19 +184,11 @@ def min_rank_deficient_partition(
     or None when every partition with at most ``max_blocks`` nonempty blocks
     contains a block of full rank.  Deterministic: for each block count the
     first witness in restricted-growth order is returned.  The rows are
-    unit-scaled, then scanned by :func:`deficient_block_capacity`.  Generic
-    rows, those whose capacity n-1 is below m, get their split in closed
-    form, ceil(m/(n-1)) runs of n-1 consecutive rows, or None when that
-    count exceeds ``max_blocks``, without a walk or a block decomposition.
-    Other rows are walked, one block count at a time from the smallest.
-    The scan costs C(m, n) Grams for generic rows; for other rows it stops
-    at the first chunk holding a possibly deficient n-subset.
+    unit-scaled, then walked, one block count at a time from the smallest,
+    with one block decomposition per distinct block the walk reaches.
     """
-    m, n = rows.shape
+    m = rows.shape[0]
     rows = _unit_scaled(rows)
-    capacity = deficient_block_capacity(rows)
-    if capacity < m:
-        return _consecutive_split(m, capacity, max_blocks)
     floor = _floor(rows)
     # keyed by the member tuple: the walk appends rows in ascending order
     state_cache: dict[tuple[int, ...], int] = {}

@@ -20,14 +20,27 @@ never a guess.  Every rank and angle decision uses the fixed relative
 tolerance ``partitions.GRAM_RTOL``, on rows scaled exactly by a power of
 two, so the verdicts on rows and on 2^a times them are the same.
 
-Condition 3 scans each cluster once for n-subsets that may be deficient.
-A generic cluster, one with none, is decided by that scan alone: its
-smallest all-deficient split is ceil(m/(n-1)) blocks in closed form, and
-its Gram is full rank, since it holds a subset that clears the scan's
-floor.  Only the other clusters are walked and decomposed.
-``PartitionCheck.decided_by`` records the path per cluster, and the
-report's ``cond3_decided_by`` prints it.  The model's n must match the
-dataset's, and the labels must be one per sample with none above S;
+Condition 3 is decided per cluster in one place,
+:func:`check_partition_condition`, from one capacity scan
+(``partitions.deficient_block_capacity``) of the cluster's n-subsets.
+This is the capacity argument behind the sample count
+((n-1)S^2 + (n+1)S)/2: when m >= n rows have every n-subset clear of the
+scan's floor, every block of at most n-1 of them is deficient by its row
+count, and every larger block holds an n-subset that clears the floor,
+so it is full rank.  No split into fewer than ceil(m/(n-1)) blocks is
+then all-deficient, and the split into that many runs of n-1 consecutive
+rows, the walk's first witness in restricted-growth order, is the
+smallest: it comes in closed form, with no walk and no block
+decomposition.  Every other cluster is walked
+(``partitions.min_rank_deficient_partition``).  Either way the result is
+the smallest all-deficient split in restricted-growth order, as a brute
+force over all partitions finds it.  ``PartitionCheck.decided_by``
+records the path per cluster, and the report's ``cond3_decided_by``
+prints it.  At the last stage condition 3 is plain nonsingularity of the
+whole cluster Gram, so the report reads each cluster's excitation from
+the one-block budget: a cluster whose smallest split takes two blocks or
+more, or none within S, has a full-rank Gram.  The model's n must match
+the dataset's, and the labels must be one per sample with none above S;
 anything else raises ValueError before a check runs.
 """
 
@@ -42,7 +55,6 @@ import numpy as np
 from .model import Assignment, Dataset, SLModel, _check_pair, _count
 from .partitions import (
     GRAM_RTOL,
-    _consecutive_split,
     deficient_block_capacity,
     gram_full_rank,
     gram_nonsingular,
@@ -212,6 +224,19 @@ class PartitionCheck:
         return self.status == CERTIFIED
 
 
+def _consecutive_split(m: int, size: int, max_blocks: int) -> tuple[int, list[list[int]]] | None:
+    """Rows 0..m-1 in runs of ``size``, or None past ``max_blocks`` blocks or at size 0.
+
+    The capacity argument's split of m >= n generic rows, with ``size``
+    n-1 (module docstring).  Generic rows in one dimension (size 0) hold
+    no deficient block.
+    """
+    if size == 0 or -(-m // size) > max_blocks:
+        return None
+    blocks = [list(range(i, min(i + size, m))) for i in range(0, m, size)]
+    return len(blocks), blocks
+
+
 def check_partition_condition(data: Dataset, a: Assignment, S: int) -> PartitionCheck:
     """Search for an ordering of clusters certifying the partition condition.
 
@@ -227,15 +252,17 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
     result UNDECIDED.
 
     Each cluster's f comes from one capacity scan
-    (:func:`partitions.deficient_block_capacity`).  A cluster whose
-    capacity is below its row count, m >= n rows with every n-subset clear
-    of the scan's floor, is generic: its f is ceil(m/(n-1)), or None above
-    S, in closed form, with no walk and no block decomposition.  Only the
+    (:func:`partitions.deficient_block_capacity`), the only scan of it.  A
+    cluster whose capacity is below its row count, m >= n rows with every
+    n-subset clear of the scan's floor, is generic: its f is
+    ceil(m/(n-1)), or None above S, in closed form by the capacity argument
+    (module docstring), with no walk and no block decomposition.  Only the
     other clusters are walked, by
-    :func:`partitions.min_rank_deficient_partition`, which scans them
-    again; it returns the same closed form for a generic cluster.
-    ``decided_by`` records which path settled each cluster.
+    :func:`partitions.min_rank_deficient_partition`.  ``decided_by``
+    records which path settled each cluster.  ``S`` is a count of at least
+    1, and no label may exceed it.
     """
+    S = _count("S", S, 1)
     a.validate(data.N, S)
     members = {s: a.indices_of(s) for s in range(1, S + 1)}
     guarded = {s: "guard" for s, idx in members.items() if idx.size > MAX_BLOCK_SIZE}
@@ -294,8 +321,10 @@ def check_genericity_sufficient(data: Dataset, a: Assignment, S: int) -> bool | 
     before any subset is scanned.  The subsets are
     decided by :func:`partitions.subset_gram_svals`, one batched SVD per
     fixed-size chunk, so memory stays bounded at any guard; the scan stops
-    at the first chunk holding a deficient subset.
+    at the first chunk holding a deficient subset.  ``S`` is a count of at
+    least 1, and no label may exceed it.
     """
+    S = _count("S", S, 1)
     a.validate(data.N, S)
     n = data.n
     sizes = sorted(a.cluster_sizes(S), reverse=True)
@@ -357,11 +386,13 @@ def pe_report(data: Dataset, model: SLModel) -> PEReport:
     report, since the verdict does not read it;
     :func:`check_genericity_sufficient` gives it.
 
-    A cluster that the partition check settled by its capacity scan has
-    every n-subset clear of the floor, so its whole Gram, a superset of
-    each, is full rank: its excitation is read from ``decided_by`` with no
-    further decomposition, and :func:`check_cluster_pe` runs only on the
-    other clusters.
+    Each cluster's excitation is condition 3 at the last stage, a budget
+    of one block: the cluster's Gram is full rank exactly when its
+    smallest all-deficient split takes two blocks or more, or none within
+    S (0 is an empty cluster, 1 a deficient whole cluster).  It is read
+    from the partition check's f, with no further decomposition;
+    :func:`check_cluster_pe` runs only on the clusters the
+    ``MAX_BLOCK_SIZE`` guard left without one.
     """
     a = data.truth
     if a is None:
@@ -372,8 +403,10 @@ def pe_report(data: Dataset, model: SLModel) -> PEReport:
     cond1 = check_distinct_params(model)
     cond2, violations = check_no_separating_regressor(data, model)
     part = check_partition_condition(data, a, S)
+    f = part.min_deficient_blocks
     cluster_pe = tuple(
-        part.decided_by.get(s) == "scan" or check_cluster_pe(data, a, s) for s in range(1, S + 1)
+        (f[s] is None or f[s] >= 2) if s in f else check_cluster_pe(data, a, s)
+        for s in range(1, S + 1)
     )
     return PEReport(
         cond1_distinct_params=cond1,

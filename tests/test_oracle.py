@@ -854,6 +854,25 @@ def test_node_budget_counts_every_pass(monkeypatch):
         oracle_global(data, 2, limit=nodes - 1)
 
 
+def test_incumbent_prunes_pure_noise(monkeypatch):
+    # pure noise at S = 3, N = 16 (seed 7): the second pass lowers its U to
+    # each better full string it scores; with U held at the descent's
+    # objective it built 366,872 nodes
+    rng = np.random.default_rng(7)
+    data = Dataset(rng.uniform(-3, 3, size=(16, 2)), rng.normal(size=16))
+    real = oracle._extend
+    sizes = []
+
+    def counting(parents, width, S):
+        for labels in real(parents, width, S):
+            sizes.append(len(labels))
+            yield labels
+
+    monkeypatch.setattr(oracle, "_extend", counting)
+    oracle_global(data, 3)
+    assert sum(sizes) < 200_000
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_certified_implies_oracle_unique_at_three_subsystems(seed):

@@ -341,7 +341,7 @@ class TestCapacity:
 
         monkeypatch.setattr(partitions, "_subset_grams", counted)
         rows = np.outer(np.arange(1.0, 61.0), [1.0, 2.0, 0.0, -1.0])
-        assert min_rank_deficient_partition(rows, 1) == (1, [list(range(60))])
+        assert deficient_block_capacity(rows) == 60
         assert chunks == [partitions.SCAN_CHUNK]
 
     def test_floor_by_eigenvalues_matches_svd_floor(self):
@@ -408,10 +408,8 @@ def test_generic_split_is_the_walks_first_witness(n, m, max_blocks, seed):
     rows = _generic_cluster(np.random.default_rng(seed), m, n)
     assume(deficient_block_capacity(rows) == n - 1)
     expected = _reference_dfs(rows, max_blocks)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(partitions, "_block_state", _refuse)
-        patch.setattr(np.linalg, "svd", _refuse)
-        assert min_rank_deficient_partition(rows, max_blocks) == expected
+    assert pe._consecutive_split(m, n - 1, max_blocks) == expected
+    assert min_rank_deficient_partition(rows, max_blocks) == expected
 
 
 def _generic_instance(rng, n, sizes):
@@ -422,11 +420,11 @@ def _generic_instance(rng, n, sizes):
 
 
 def test_generic_clusters_need_no_svd_and_no_walk(monkeypatch):
-    # m = 14 > S(n-1) for (n, S) = (4, 4) and (3, 6): no split exists; and
-    # every report on generic clusters of at least n rows, certified or
-    # refuted, is decided by the capacity scan alone
+    # 14 rows per cluster > S(n-1) for (n, S) = (4, 4) and (3, 6): no split
+    # exists; and every report on generic clusters of at least n rows,
+    # certified or refuted, is decided by the capacity scan alone
     rng = np.random.default_rng(2)
-    clusters = [_generic_cluster(rng, 14, n) for n in (4, 3)]
+    wide = [_generic_instance(rng, n, [14] * S) for n, S in ((4, 4), (3, 6))]
     cases = []
     for n, S in ((2, 2), (2, 3), (3, 2), (3, 3)):
         minimal = [n + (n - 1) * (S - s) for s in range(1, S + 1)]
@@ -440,8 +438,11 @@ def test_generic_clusters_need_no_svd_and_no_walk(monkeypatch):
     monkeypatch.setattr(pe, "min_rank_deficient_partition", _refuse)
     monkeypatch.setattr(pe, "check_cluster_pe", _refuse)
     monkeypatch.setattr(np.linalg, "svd", _refuse)
-    for rows, S in zip(clusters, (4, 6)):
-        assert min_rank_deficient_partition(rows, S) is None
+    for model, data in wide:
+        report = pe_report(data, model)
+        f = report.cond3_partition.min_deficient_blocks
+        assert f == {s: None for s in range(1, model.S + 1)}
+        assert report.certified
     verdicts = set()
     for (model, data), certified in cases:
         report = pe_report(data, model)

@@ -2,6 +2,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
     Assignment,
@@ -17,7 +19,7 @@ from slsid import (
     min_samples_vidal,
     pe_report,
 )
-from slsid import fixtures, pe
+from slsid import fixtures, partitions, pe
 from slsid.partitions import gram_nonsingular
 from slsid.pe import CERTIFIED, REFUTED, UNDECIDED, check_genericity_sufficient
 
@@ -485,9 +487,10 @@ class TestPEReport:
 
     def test_report_records_which_path_decided_each_cluster(self, monkeypatch):
         # example 2's first cluster holds the dependent triple {1, 2, 4}, so
-        # the walk decides it; its second cluster is generic; a cluster
-        # above MAX_BLOCK_SIZE rows is the guard's, and the guard reads no
-        # other cluster
+        # the walk decides it; its second cluster is generic; both get their
+        # excitation from condition 3.  A cluster above MAX_BLOCK_SIZE rows
+        # is the guard's, and the guard reads no other cluster, so each
+        # cluster's excitation is its own Gram test
         read = []
 
         def counted(data, a, s):
@@ -499,7 +502,7 @@ class TestPEReport:
         report = pe_report(data, model)
         assert report.cond3_partition.decided_by == {1: "walk", 2: "scan"}
         assert report.to_dict()["cond3_decided_by"] == ["walk", "scan"]
-        assert read == [1]
+        assert read == []
         assert report.cluster_pe == (True, True)
 
         read.clear()
@@ -587,3 +590,80 @@ def test_cluster_pe_arguments_rejected(labels, s, error, message):
     a = data.truth if labels is None else Assignment(labels)
     with pytest.raises(error, match=message):
         check_cluster_pe(data, a, s)
+
+
+@pytest.mark.parametrize("check", [check_partition_condition, check_genericity_sufficient])
+@pytest.mark.parametrize(
+    "S, error, message",
+    [
+        (2.5, TypeError, "S must be an integer, got 2.5"),
+        ("2", TypeError, "S must be an integer, got '2'"),
+        (0, ValueError, "S must be >= 1, got 0"),
+    ],
+)
+def test_partition_checks_reject_bad_counts(check, S, error, message):
+    _, data = fixtures.example_two()
+    with pytest.raises(error, match=message):
+        check(data, data.truth, S)
+
+
+def _cluster_rows(rng, kind, n):
+    """Rows of one cluster in R^n, of one of six kinds, at most 8 of them."""
+    if kind == "empty":
+        return np.zeros((0, n))
+    if kind == "few":
+        return rng.normal(size=(int(rng.integers(0, n)), n))
+    rows = rng.normal(size=(int(rng.integers(max(n, 2), 9)), n))
+    i, j = rng.choice(len(rows), 2, replace=False)
+    if kind == "parallel":
+        rows[j] = rng.choice([-2.0, 0.5, 3.0]) * rows[i]
+    elif kind == "zero":
+        rows[i] = 0.0
+    elif kind == "hyperplane":
+        rows[:, -1] = rows[:, 0] if n > 1 else 0.0
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["generic", "parallel", "zero", "hyperplane", "few", "empty"]),
+            st.integers(-600, 450),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_report_excitation_is_the_gram_test(n, clusters, seed):
+    # each cluster's excitation, read from condition 3's smallest split at a
+    # one-block budget, is the cluster's own Gram test
+    rng = np.random.default_rng(seed)
+    blocks = [np.ldexp(_cluster_rows(rng, kind, n), a) for kind, a in clusters]
+    labels = np.repeat(np.arange(1, len(blocks) + 1), [len(b) for b in blocks])
+    if labels.size == 0:
+        return
+    data = Dataset(np.vstack(blocks), np.zeros(labels.size), Assignment(labels))
+    model = SLModel(rng.uniform(-5, 5, (len(blocks), n)))
+    report = pe_report(data, model)
+    for s in report.cond3_partition.min_deficient_blocks:
+        assert report.cluster_pe[s - 1] == check_cluster_pe(data, data.truth, s), s
+
+
+def test_report_scans_each_cluster_once(monkeypatch):
+    # one capacity scan per cluster of at least n rows, walked or not
+    scan = partitions._subset_grams
+    scanned = []
+
+    def counted(rows):
+        scanned.append(len(rows))
+        return scan(rows)
+
+    monkeypatch.setattr(partitions, "_subset_grams", counted)
+    for model, data in (fixtures.example_two(), fixtures.example_one_augmented()):
+        scanned.clear()
+        report = pe_report(data, model)
+        sizes = [size for size in report.sizes if size >= data.n]
+        assert scanned == sizes, report.cond3_partition.decided_by
