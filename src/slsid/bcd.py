@@ -79,6 +79,10 @@ from .model import (
 # value was measured on the benchmark's select workload: 2**16 left a
 # longer tail latency, 2**18 added more peak memory for little speed.
 _GROUP_CELLS = 2**17
+# the most restarts that start from random labels.  The descent runs every
+# restart, so its time grows with the count: on 8 rows at S = 2 a restart
+# takes 30-40 us, so 10^4 take about 0.3 s, and 10^6 took 36 s
+MAX_RESTARTS = 10_000
 # a restart stalls, and stops as converged, once an iteration (both
 # half-steps) lowers its objective by less than this
 _STALL_TOL = 1e-12
@@ -117,7 +121,11 @@ class SolverConfig:
     trace output; while a group of restarts runs, each of them keeps its
     own.  The stall stop is the constant ``_STALL_TOL``, not a field.
     ``S``, ``max_iters`` and ``restarts`` are counts of at least 1 and
-    ``seed`` a seed, as the ``model`` docstring states them.
+    ``seed`` a seed, as the ``model`` docstring states them.  At most
+    ``MAX_RESTARTS`` restarts start from random labels, so ``restarts`` is
+    at most ``MAX_RESTARTS``, or one more with ``init_labels``, whose
+    restart is the extra one (``select_order`` adds it to a candidate's
+    count).
     """
 
     S: int
@@ -128,8 +136,10 @@ class SolverConfig:
     keep_history: bool = False
 
     def __post_init__(self):
-        for name in ("S", "max_iters", "restarts"):
+        for name in ("S", "max_iters"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
+        most = MAX_RESTARTS + (self.init_labels is not None)
+        object.__setattr__(self, "restarts", _count("restarts", self.restarts, 1, most))
         object.__setattr__(self, "seed", _seed(self.seed))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .bcd import SolverConfig, SolverFailure, bcd_solve
+from .bcd import MAX_RESTARTS, SolverConfig, SolverFailure, bcd_solve
 from .metrics import MAX_ALIGN_S, classification_error, nmse
 from .model import _count, _draw_trial, _need_samples, _noise, _seed
 from .oracle import oracle_global, same_param_set, unique_optimum
@@ -46,7 +46,8 @@ class ScenarioSpec:
     A ``sigma`` of 0 means noise-free data.  A repetition counts toward the
     cell's nrftp when its NMSE is below the fixed 1e-4.  n, S, N,
     repetitions and restarts are counts of at least 1 and seed a seed, as
-    the ``model`` docstring states them, S <= N, and sigma is finite and
+    the ``model`` docstring states them, restarts is at most
+    ``bcd.MAX_RESTARTS``, S <= N, and sigma is finite and
     nonnegative, all checked when the spec is built, so a grid fails
     before its first fit.
     """
@@ -60,8 +61,9 @@ class ScenarioSpec:
     seed: int | None = 0
 
     def __post_init__(self):
-        for name in ("n", "S", "N", "repetitions", "restarts"):
+        for name in ("n", "S", "N", "repetitions"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
+        object.__setattr__(self, "restarts", _count("restarts", self.restarts, 1, MAX_RESTARTS))
         object.__setattr__(self, "seed", _seed(self.seed))
         _need_samples(self.S, self.N)
         _noise(self.sigma)

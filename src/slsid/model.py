@@ -69,9 +69,11 @@ Each input rule is stated once, and every entry point calls it.
 ``_count`` makes a count (n, S, N, a restart, iteration, trial or
 repetition count, a node budget) an int through ``operator.index`` and
 checks its bounds: a float or a string is a TypeError, a value below its
-lower bound or above ``np.iinfo(np.intp).max`` a ValueError, both naming
-the field.  ``_seed`` does the same for a seed, None or at least 0, with
-no upper bound, as numpy's generators take seeds of any size.
+lower bound or above its upper bound a ValueError, both naming the field.
+The upper bound is ``np.iinfo(np.intp).max`` unless the field has a
+smaller one (``bcd.MAX_RESTARTS``).  ``_seed`` does the same for a seed,
+None or at least 0, with no upper bound, as numpy's generators take seeds
+of any size.
 ``Assignment.validate`` checks one label per sample, and no label above S
 where S is known.  ``_need_samples`` checks S <= N.
 
@@ -105,14 +107,14 @@ def _index(name: str, value) -> int:
 _COUNT_MAX = int(np.iinfo(np.intp).max)
 
 
-def _count(name: str, value, least: int | None = None) -> int:
+def _count(name: str, value, least: int | None = None, most: int = _COUNT_MAX) -> int:
     """``value`` as an int through :func:`_index`; a value below ``least``
-    or above ``_COUNT_MAX`` is a ValueError naming ``name``."""
+    or above ``most`` is a ValueError naming ``name``."""
     value = _index(name, value)
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    if value > _COUNT_MAX:
-        raise ValueError(f"{name} must be <= {_COUNT_MAX}, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
 
 

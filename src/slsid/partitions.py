@@ -21,11 +21,13 @@ string only when every block fails the exact test.  The exact test cannot
 prune: on rows of widely different scales a large added row raises the
 largest singular value, so a full-rank block can turn deficient.
 
-``deficient_block_capacity`` is the subset scan: it bounds the size of any
-rank-deficient block by n-1 or by the row count, deciding the floor test
-on each n-subset's Gram from one batched ``eigvalsh`` per chunk.  The
-capacity argument that turns the bound n-1 into a split with no walk is
-applied in one place, ``pe.check_partition_condition``.
+``deficient_block_capacity`` is the subset scan: it bounds how many rows of
+a head, the first rows of a set, any rank-deficient block of the set
+holds, by n-1 or by the head's row count, deciding the floor test on each
+n-subset of the head from one batched ``eigvalsh`` per chunk, against the
+floor of all the rows.  The capacity argument that turns the bound n-1
+into a split, or into no split, with no walk is applied in one place,
+``pe.check_partition_condition``.
 
 Every entry point that squares rows first scales them by the power of two
 that brings their largest |entry| into [0.5, 1).  The scaling is exact, so
@@ -131,32 +133,37 @@ def subset_gram_svals(rows: np.ndarray):
         yield subsets, np.linalg.svd(grams, compute_uv=False)
 
 
-def deficient_block_capacity(rows: np.ndarray) -> int:
-    """Upper bound on the row count of any rank-deficient block of ``rows``.
+def deficient_block_capacity(rows: np.ndarray, head: int | None = None) -> int:
+    """Upper bound on how many of the first ``head`` rows of ``rows`` any
+    rank-deficient block of ``rows`` holds; ``head`` defaults to all rows.
 
-    An n-subset is possibly deficient when it fails the floor test: its
-    Gram's smallest eigenvalue, from one batched ``np.linalg.eigvalsh``
-    per chunk of the n-subset enumeration, is at most ``GRAM_RTOL`` (plus
-    rounding slack) times the squared norm of all rows, which bounds the
-    largest singular value of any block's Gram.  A tiny negative
-    eigenvalue of a singular Gram counts as possibly deficient, the safe
-    side.  Like the SVD, ``eigvalsh`` is backward stable: on a Gram G both
-    err by O(n*eps*||G||_2), and the slack, 1e-12 times the squared norm
-    of all rows, is about 1000 times that, so a subset that passes holds
-    a full-rank Gram in every block it joins.  A block of b >= n rows
-    whose Gram fails :func:`gram_nonsingular` has every n-subset possibly
-    deficient.  So the bound is n-1 when no n-subset is possibly
-    deficient, and m otherwise, found at the first chunk that holds one.
-    It is m when m < n.  The rows are unit-scaled first.
+    An n-subset of the head is possibly deficient when it fails the floor
+    test: its Gram's smallest eigenvalue, from one batched
+    ``np.linalg.eigvalsh`` per chunk of the head's n-subset enumeration,
+    is at most ``GRAM_RTOL`` (plus rounding slack) times the squared norm
+    of all rows, which bounds the largest singular value of any block's
+    Gram.  A tiny negative eigenvalue of a singular Gram counts as possibly
+    deficient, the safe side.  Like the SVD, ``eigvalsh`` is backward
+    stable: on a Gram G both err by O(n*eps*||G||_2), and the slack, 1e-12
+    times the squared norm of all rows, is about 1000 times that, so a
+    subset that passes holds a full-rank Gram in every block of ``rows``
+    it joins.  A block of b >= n rows whose Gram fails
+    :func:`gram_nonsingular` has every n-subset possibly deficient.  So
+    the bound is n-1 when no n-subset of the head is possibly deficient,
+    and ``head`` otherwise, found at the first chunk that holds one.  It
+    is ``head`` when ``head`` < n.  All rows are unit-scaled first, by the
+    one power of two, so a head subset's Gram and the floor are those of
+    a scan of all rows.
     """
     m, n = rows.shape
-    if m < n:
-        return m
+    head = m if head is None else head
+    if head < n:
+        return head
     rows = _unit_scaled(rows)
     floor = _floor(rows)
-    for _, grams in _subset_grams(rows):
+    for _, grams in _subset_grams(rows[:head]):
         if (np.linalg.eigvalsh(grams)[:, 0] <= floor).any():
-            return m
+            return head
     return n - 1
 
 

@@ -31,7 +31,15 @@ so it is full rank.  No split into fewer than ceil(m/(n-1)) blocks is
 then all-deficient, and the split into that many runs of n-1 consecutive
 rows, the walk's first witness in restricted-growth order, is the
 smallest: it comes in closed form, with no walk and no block
-decomposition.  Every other cluster is walked
+decomposition.  A cluster of m > S(n-1) rows needs only its head, its
+first S(n-1)+1 rows: split the cluster into at most S blocks and, by
+pigeonhole, some block holds n head rows.  So when every n-subset of the
+head clears the floor of the whole cluster, that block is full rank, and
+the cluster has no all-deficient split within S blocks (f is None), as
+the scan of all its n-subsets would find when they clear and the walk
+when they do not.  The scan reads C(S(n-1)+1, n) Grams in place of
+C(m, n).  A head subset that fails the floor fails it in the scan of
+all rows too, which then walks.  Every other cluster is walked
 (``partitions.min_rank_deficient_partition``).  Either way the result is
 the smallest all-deficient split in restricted-growth order, as a brute
 force over all partitions finds it.  ``PartitionCheck.decided_by``
@@ -215,7 +223,8 @@ class PartitionCheck:
     # such split exists with at most S blocks
     min_deficient_blocks: dict[int, int | None] = field(default_factory=dict)
     # per cluster: what decided it; "scan" when the capacity scan cleared
-    # every n-subset, "walk" for the partition walk, "guard" for a cluster
+    # every n-subset, or every n-subset of the first S(n-1)+1 rows of a
+    # larger cluster, "walk" for the partition walk, "guard" for a cluster
     # above MAX_BLOCK_SIZE rows (the clusters the guard left unread have none)
     decided_by: dict[int, str] = field(default_factory=dict)
 
@@ -252,11 +261,15 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
     result UNDECIDED.
 
     Each cluster's f comes from one capacity scan
-    (:func:`partitions.deficient_block_capacity`), the only scan of it.  A
-    cluster whose capacity is below its row count, m >= n rows with every
-    n-subset clear of the scan's floor, is generic: its f is
-    ceil(m/(n-1)), or None above S, in closed form by the capacity argument
-    (module docstring), with no walk and no block decomposition.  Only the
+    (:func:`partitions.deficient_block_capacity`), the only scan of it, of
+    the n-subsets of its head: all m rows, or the first S(n-1)+1 when m is
+    larger, against the floor of all m.  A cluster whose capacity is below
+    its head's row count is settled by the scan: with the whole cluster
+    as its head (m >= n rows, every n-subset clear of the floor) it is
+    generic, and its f is ceil(m/(n-1)), or None above S, in closed form
+    by the capacity argument; with a shorter head every split into at most
+    S blocks puts n head rows in one block, so f is None (module
+    docstring).  Neither takes a walk or a block decomposition.  Only the
     other clusters are walked, by
     :func:`partitions.min_rank_deficient_partition`.  ``decided_by``
     records which path settled each cluster.  ``S`` is a count of at least
@@ -276,8 +289,11 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
     decided_by: dict[int, str] = {}
     for s, idx in members.items():
         rows = data.regressors[idx]
-        capacity = deficient_block_capacity(rows)
-        if capacity < idx.size:
+        head = min(idx.size, S * (data.n - 1) + 1)
+        capacity = deficient_block_capacity(rows, head)
+        if capacity < head:
+            # past a head of S(n-1)+1 rows the runs of n-1 rows number more
+            # than S, so this is None, the pigeonhole's verdict
             decided_by[s] = "scan"
             found = _consecutive_split(idx.size, capacity, S)
         else:

@@ -372,6 +372,8 @@ def test_report_does_not_change_when_more_solves_run():
         ({"S": 2, "max_iters": 0}, "max_iters must be >= 1, got 0"),
         ({"S": 2, "restarts": 0}, "restarts must be >= 1, got 0"),
         ({"S": 2**63}, f"S must be <= {2**63 - 1}, got {2**63}"),
+        ({"S": 2, "restarts": 10_001}, "restarts must be <= 10000, got 10001"),
+        ({"S": 2, "restarts": 10**20}, f"restarts must be <= 10000, got {10**20}"),
     ],
 )
 def test_solver_config_counts_rejected(kwargs, message):
@@ -393,6 +395,17 @@ def test_solver_config_non_integer_counts_rejected(kwargs, error, message):
     # rejected at construction, naming the field, not inside bcd_solve
     with pytest.raises(error, match=message):
         SolverConfig(**kwargs)
+
+
+def test_restart_bound_leaves_room_for_the_warm_start():
+    # MAX_RESTARTS random starts, plus the one from init_labels that
+    # select_order adds to each candidate's count
+    assert bcd.MAX_RESTARTS == 10_000
+    assert SolverConfig(S=2, restarts=10_000).restarts == 10_000
+    labels = Assignment(np.array([1, 2, 1]))
+    assert SolverConfig(S=2, restarts=10_001, init_labels=labels).restarts == 10_001
+    with pytest.raises(ValueError, match="restarts must be <= 10001, got 10002"):
+        SolverConfig(S=2, restarts=10_002, init_labels=labels)
 
 
 def test_solver_config_counts_are_ints():

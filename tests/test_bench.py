@@ -145,6 +145,7 @@ def test_cell_beyond_alignment_limit_rejected():
         ((2, 5, 3), "need at least S=5 samples, got N=3"),
         # n, S, N, sigma, repetitions, restarts
         ((2, 2, 40, 0.1, 20, 0), "restarts must be >= 1, got 0"),
+        ((2, 2, 40, 0.1, 20, 10_001), "restarts must be <= 10000, got 10001"),
     ],
 )
 def test_cell_that_cannot_run_rejected(cell, message):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slsid import Dataset, load_dataset, load_model, oracle_global, save_dataset
+from slsid.bcd import MAX_RESTARTS
 from slsid.cli import main
 from slsid.oracle import unique_optimum
 
@@ -516,6 +517,25 @@ def test_select_order_without_usable_fit_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [["fit", "--S", "2"], ["select-order", "--s-bar", "3"]])
+@pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10**20])
+def test_restarts_past_the_bound_are_usage_error(tmp_path, capsys, monkeypatch, command, restarts):
+    # every restart runs, so an unbounded count could run until killed
+    from slsid import cli, order
+
+    monkeypatch.setattr(cli, "bcd_solve", _refuse_run)
+    monkeypatch.setattr(order, "bcd_solve", _refuse_run)
+    run(["simulate", "--example", "2", "--output", str(tmp_path)])
+    argv = [command[0], "--data", str(tmp_path / "example2.csv"), *command[1:]]
+    assert run(argv + ["--restarts", str(restarts)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: restarts must be <= {MAX_RESTARTS}, got {restarts}"]
+
+
+def _refuse_run(*args, **kwargs):
+    raise AssertionError("a descent ran on a count past the bound")
+
+
+@pytest.mark.parametrize("command", [["fit", "--S", "2"], ["select-order", "--s-bar", "3"]])
 def test_broken_descent_exits_4(tmp_path, capsys, monkeypatch, command):
     # rows whose scales differ by up to 1e12 (test_oracle's _scaled_rows(16)):
     # the exact-fit rule fits them, so the command succeeds; a descent whose
@@ -967,17 +987,18 @@ def test_oracle_cli_contract(kind, size, seed, S):
     st.integers(1, 8),
     st.integers(0, 2**16),
     st.sampled_from(_COUNTS),
-    # a valid count of restarts runs them all (10^6 at S=2 on 8 rows takes
-    # about 36 s), so the large counts are left out
-    st.sampled_from([None, *_COUNTS[:-2]]),
+    # counts past bcd.MAX_RESTARTS are usage errors, run before any restart
+    st.sampled_from([None, *_COUNTS, str(MAX_RESTARTS + 1)]),
 )
 def test_fit_cli_contract(kind, N, seed, S, restarts):
     # any input file and any --S / --restarts; a run that exits 0 found a
-    # finite objective
+    # finite objective, and a count past the bound is a usage error
     argv = ["fit", "--S", S] + ([] if restarts is None else ["--restarts", restarts])
     code, out = _contract(argv, (kind, N, seed))
     if code == 0:
         assert math.isfinite(json.loads(out)["objective"]), argv
+    if restarts is not None and restarts.isdigit() and int(restarts) > MAX_RESTARTS:
+        assert code == 1, argv
 
 
 @settings(max_examples=40, deadline=None)
@@ -986,8 +1007,8 @@ def test_fit_cli_contract(kind, N, seed, S, restarts):
     st.integers(1, 8),
     st.integers(0, 2**16),
     st.sampled_from(_COUNTS),
-    # capped at 9 restarts, as in the fit contract
-    st.sampled_from([None, "abc", "-1", "0", "1", "3", "9"]),
+    # valid counts up to 9, then counts past bcd.MAX_RESTARTS
+    st.sampled_from([None, *_COUNTS, str(MAX_RESTARTS + 1)]),
 )
 def test_select_order_cli_contract(kind, N, seed, s_bar, restarts):
     # any input file and any --s-bar / --restarts; a run that exits 0 chose

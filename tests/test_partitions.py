@@ -328,6 +328,22 @@ class TestCapacity:
         rows[6] = 3.0 * rows[5]
         assert deficient_block_capacity(rows) == 7
 
+    def test_head_bound_reads_the_head_against_the_floor_of_all_rows(self):
+        # the parallel pair lies past a head of 5 rows, which is generic
+        rows = np.random.default_rng(6).normal(size=(7, 2))
+        rows[6] = 3.0 * rows[5]
+        assert deficient_block_capacity(rows, 5) == 1
+        assert deficient_block_capacity(rows, 7) == 7
+        assert deficient_block_capacity(rows, 1) == 1
+        # a head of rows near 1e-9 clears its own floor but not the floor
+        # of a cluster whose other rows are near 1
+        rows[:5] *= 1e-9
+        rows[5:] = np.random.default_rng(7).normal(size=(2, 2))
+        assert deficient_block_capacity(rows[:5]) == 1
+        assert deficient_block_capacity(rows, 5) == 5
+        # scaling every row by one power of two changes no bound
+        assert deficient_block_capacity(np.ldexp(rows, 900), 5) == 5
+
     def test_scan_stops_at_first_deficient_chunk(self, monkeypatch):
         # 60 collinear rows in R^4 have C(60, 4) = 487635 n-subsets, all
         # deficient; the bound is decided by the first chunk alone

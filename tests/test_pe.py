@@ -667,3 +667,122 @@ def test_report_scans_each_cluster_once(monkeypatch):
         report = pe_report(data, model)
         sizes = [size for size in report.sizes if size >= data.n]
         assert scanned == sizes, report.cond3_partition.decided_by
+
+
+def _parent_check(data, S):
+    """``check_partition_condition`` with each cluster's capacity scan over
+    all of its n-subsets, as before the head argument: the closed form on
+    generic clusters, the walk on the rest."""
+    with pytest.MonkeyPatch.context() as mp:
+        full_scan = partitions.deficient_block_capacity
+        mp.setattr(pe, "deficient_block_capacity", lambda rows, head: full_scan(rows))
+        return check_partition_condition(data, data.truth, S)
+
+
+def _head_cluster(rng, kind, n, m):
+    """m rows in R^n of one kind: "first_pair" makes row 2 a multiple of
+    row 1, "last_pair" the last row a multiple of an earlier one, and
+    "last_zero" the last row zero."""
+    rows = rng.normal(size=(m, n))
+    if kind == "first_pair" and m >= 2:
+        rows[1] = rng.choice([-2.0, 0.5, 3.0]) * rows[0]
+    elif kind == "last_pair" and m >= 2:
+        rows[-1] = rng.choice([-2.0, 0.5, 3.0]) * rows[int(rng.integers(0, m - 1))]
+    elif kind == "last_zero":
+        rows[-1] = 0.0
+    elif kind == "hyperplane":
+        rows[:, -1] = rows[:, 0] if n > 1 else 0.0
+    elif kind == "scaled":
+        picked = rng.random(m) < 0.5
+        rows[picked] *= 10.0 ** rng.choice([-6, 6])
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["generic", "first_pair", "last_pair", "last_zero", "hyperplane", "scaled"]
+            ),
+            # a row count, or with None one of head - 1, head and head + 1
+            st.one_of(st.integers(1, 14), st.tuples(st.none(), st.integers(-1, 1))),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_head_scan_matches_the_scan_of_every_subset(n, S, clusters, seed):
+    # a cluster of more than S(n-1) rows is scanned on the n-subsets of its
+    # head, its first S(n-1)+1 rows, only; every verdict, witness and split
+    # count is the one of the scan of all n-subsets, and a walked cluster
+    # may only become one the scan decides
+    S = max(S, len(clusters))
+    rng = np.random.default_rng(seed)
+    head = S * (n - 1) + 1
+    sizes = [m if isinstance(m, int) else min(max(head + m[1], 1), 14) for _, m in clusters]
+    blocks = [_head_cluster(rng, kind, n, m) for (kind, _), m in zip(clusters, sizes)]
+    labels = np.repeat(np.arange(1, len(blocks) + 1), sizes)
+    data = Dataset(np.vstack(blocks), np.zeros(labels.size), Assignment(labels))
+    got, want = check_partition_condition(data, data.truth, S), _parent_check(data, S)
+    assert got.status == want.status
+    assert (got.permutation, got.witness) == (want.permutation, want.witness)
+    assert got.min_deficient_blocks == want.min_deficient_blocks
+    for s, path in want.decided_by.items():
+        assert got.decided_by[s] in {path, "scan"}, (s, path)
+        if got.decided_by[s] != path:
+            assert path == "walk" and sizes[s - 1] > head, (s, path)
+
+
+def _fourteen_rows(pair):
+    """Four clusters of 14 normal rows at (n, S) = (4, 4), with cluster 1's
+    row ``pair[1]`` set to -2 times its row ``pair[0]`` (0-based)."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(56, 4))
+    X[pair[1]] = -2.0 * X[pair[0]]
+    labels = np.repeat(np.arange(1, 5), 14)
+    model = SLModel(rng.uniform(-5, 5, (4, 4)))
+    return model, Dataset(X, X @ np.ones(4), Assignment(labels))
+
+
+class TestHeadScan:
+    def test_pair_past_the_head_needs_no_walk(self, monkeypatch):
+        # rows 13 and 14 parallel: the head, rows 1..13, is generic, so the
+        # scan settles every cluster, though a scan of all 14 rows would not
+        model, data = _fourteen_rows((12, 13))
+        rows = data.regressors[:14]
+        assert partitions.deficient_block_capacity(rows) == 14
+        assert partitions.deficient_block_capacity(rows, 13) == 3
+        monkeypatch.setattr(pe, "min_rank_deficient_partition", _refuse_walk)
+        report = pe_report(data, model)
+        assert report.certified
+        assert report.to_dict()["cond3_decided_by"] == ["scan"] * 4
+        assert report.cluster_pe == (True,) * 4
+
+    def test_pair_inside_the_head_is_walked(self):
+        model, data = _fourteen_rows((0, 1))
+        report = pe_report(data, model)
+        assert report.certified
+        assert report.to_dict()["cond3_decided_by"] == ["walk", "scan", "scan", "scan"]
+
+    def test_scan_reads_the_head_only(self, monkeypatch):
+        # C(13, 4) = 715 Grams per cluster, not C(14, 4) = 1001
+        scan = partitions._subset_grams
+        seen = []
+
+        def counted(rows):
+            for subsets, grams in scan(rows):
+                seen.append((len(rows), len(subsets)))
+                yield subsets, grams
+
+        monkeypatch.setattr(partitions, "_subset_grams", counted)
+        model, data = _fourteen_rows((12, 13))
+        assert pe_report(data, model).certified
+        assert seen == [(13, 715)] * 4
+
+
+def _refuse_walk(*args, **kwargs):
+    raise AssertionError("a cluster with a generic head was walked")
