@@ -11,7 +11,16 @@ times the squared norm of all the rows at hand is full rank, and so is
 every superset of it among those rows.
 One enumeration yields every n-row subset of a set of rows with its Gram
 matrix, chunk by chunk; ``subset_gram_svals`` is its SVD view, one batched
-SVD per chunk, and decides the genericity certificate exactly.
+SVD per chunk, and decides the genericity certificate exactly.  Each
+row's outer product x x^T is formed once, and a subset's Gram is the sum
+of its rows' outer products.  An enumeration of at most ``SCAN_CHUNK``
+subsets and ``_TABLE_INDICES`` indices takes its subset table from a
+cache of at most ``_TABLE_CACHE`` read-only tables, 2 MiB at worst; a
+longer one is built chunk by chunk, so memory stays bounded by one chunk
+and a scan that stops early never enumerates the rest.  A Gram so built
+may differ from the matmul's in its last bit: both err by about n*eps
+times the rows' squared norm, some 1000 times less than the floor's
+rounding slack.
 ``min_rank_deficient_partition`` is the walk, the adversarial search used
 by the excitation checker: the smallest number of nonempty blocks into
 which a set of regressor rows can be split with every block's Gram matrix
@@ -38,7 +47,9 @@ overflowing: every decision is the same for rows and 2^a times them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -47,6 +58,10 @@ GRAM_RTOL = 1e-10
 # n-subsets per chunk of the subset scan, decomposed by one batched call:
 # the chunk's Grams hold n*n floats per subset
 SCAN_CHUNK = 4096
+# subset index tables kept for reuse, and the most indices one may hold:
+# at most 16 * 2**14 intp, 2 MiB on a 64-bit build, stay allocated
+_TABLE_CACHE = 16
+_TABLE_INDICES = 2**14
 # relative room above the rounding of a Gram and of its singular values or
 # eigenvalues, so a subset that clears the floor keeps every superset's Gram
 # full rank; both solvers err by O(n*eps*||G||_2), about 1000x less
@@ -99,23 +114,59 @@ def gram_nonsingular(rows: np.ndarray, n: int) -> bool:
     return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n))
 
 
-def _subset_grams(rows: np.ndarray):
-    """Every n-row subset of ``rows`` and its Gram matrix, chunk by chunk.
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _subset_table(m: int, n: int) -> np.ndarray:
+    """Every n-subset of range(m), shape (C(m, n), n), in
+    :func:`itertools.combinations` order.  Cached, so read-only."""
+    flat = chain.from_iterable(combinations(range(m), n))
+    table = np.fromiter(flat, dtype=np.intp, count=math.comb(m, n) * n).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
-    Yields ``(subsets, grams)``: at most ``SCAN_CHUNK`` subsets as an
-    index array of shape (c, n), in :func:`itertools.combinations` order,
-    and their Grams, shape (c, n, n).  Yields nothing when there are fewer
-    than n rows.
+
+def _subset_chunks(m: int, n: int):
+    """The n-subsets of range(m) as index arrays of at most ``SCAN_CHUNK``
+    rows each, in :func:`itertools.combinations` order.
+
+    An enumeration of at most ``SCAN_CHUNK`` subsets and ``_TABLE_INDICES``
+    indices is one chunk, the cached read-only :func:`_subset_table`; a
+    longer one is built chunk by chunk, so a scan that stops early never
+    enumerates the rest.
     """
-    m, n = rows.shape
+    count = math.comb(m, n)
+    if count <= SCAN_CHUNK and count * n <= _TABLE_INDICES:
+        if count:
+            yield _subset_table(m, n)
+        return
     pending = combinations(range(m), n)
     while True:
         flat = chain.from_iterable(islice(pending, SCAN_CHUNK))
         subsets = np.fromiter(flat, dtype=np.intp).reshape(-1, n)
         if subsets.shape[0] == 0:
             return
-        sub = rows[subsets]
-        yield subsets, np.swapaxes(sub, 1, 2) @ sub
+        yield subsets
+
+
+def _subset_grams(rows: np.ndarray):
+    """Every n-row subset of ``rows`` and its Gram matrix, chunk by chunk.
+
+    Yields ``(subsets, grams)``: at most ``SCAN_CHUNK`` subsets as an
+    index array of shape (c, n), in :func:`itertools.combinations` order,
+    read-only when it comes from the cache (:func:`_subset_chunks`), and
+    their Grams, shape (c, n, n).  Each row's outer product x x^T is formed
+    once, and a subset's Gram is the sum of its rows' outer products, added
+    in subset order: one ``take`` and n-1 ``take``-and-add passes per
+    chunk.  Each entry then errs by at most n*eps times the squared norm of
+    the rows, as a matmul's does, though the two may differ in the last
+    bit.  Yields nothing when there are fewer than n rows.
+    """
+    m, n = rows.shape
+    outer = rows[:, :, None] * rows[:, None, :]
+    for subsets in _subset_chunks(m, n):
+        grams = outer.take(subsets[:, 0], axis=0)
+        for k in range(1, n):
+            grams += outer.take(subsets[:, k], axis=0)
+        yield subsets, grams
 
 
 def subset_gram_svals(rows: np.ndarray):
@@ -123,11 +174,16 @@ def subset_gram_svals(rows: np.ndarray):
 
     Yields ``(subsets, svals)``: the subsets of each chunk of the n-subset
     enumeration, as an index array of shape (c, n) with c at most
-    ``SCAN_CHUNK``, in :func:`itertools.combinations` order, and their
-    Grams' singular values in descending order, shape (c, n), from one
-    batched SVD of the unit-scaled rows' Grams.  ``gram_full_rank(svals,
-    n)`` then gives the same decisions as :func:`gram_nonsingular` on each
-    subset.  Yields nothing when there are fewer than n rows.
+    ``SCAN_CHUNK``, in :func:`itertools.combinations` order (read-only for
+    an enumeration of one cached chunk), and their Grams' singular values
+    in descending order, shape (c, n), from one batched SVD of the
+    unit-scaled rows' Grams.  Each Gram is the sum of its rows' outer
+    products (:func:`_subset_grams`), which errs by O(n*eps) times the
+    squared norm of the rows, as the matmul of :func:`gram_nonsingular`
+    does; ``gram_full_rank(svals, n)`` then gives the same decisions as
+    :func:`gram_nonsingular` on each subset, but for a smallest singular
+    value within that rounding of ``GRAM_RTOL`` times the largest.  Yields
+    nothing when there are fewer than n rows.
     """
     for subsets, grams in _subset_grams(_unit_scaled(rows)):
         yield subsets, np.linalg.svd(grams, compute_uv=False)
@@ -143,20 +199,31 @@ def deficient_block_capacity(rows: np.ndarray, head: int | None = None) -> int:
     is at most ``GRAM_RTOL`` (plus rounding slack) times the squared norm
     of all rows, which bounds the largest singular value of any block's
     Gram.  A tiny negative eigenvalue of a singular Gram counts as possibly
-    deficient, the safe side.  Like the SVD, ``eigvalsh`` is backward
-    stable: on a Gram G both err by O(n*eps*||G||_2), and the slack, 1e-12
-    times the squared norm of all rows, is about 1000 times that, so a
-    subset that passes holds a full-rank Gram in every block of ``rows``
+    deficient, the safe side.  Each Gram is the sum of its n rows' outer
+    products (:func:`_subset_grams`), whose entries err by at most n*eps
+    times the squared norm of all rows, and ``eigvalsh``, like the SVD, is
+    backward stable: on a Gram G it errs by O(n*eps*||G||_2).  The slack,
+    1e-12 times the squared norm of all rows, is about 1000 times both, so
+    a subset that passes holds a full-rank Gram in every block of ``rows``
     it joins.  A block of b >= n rows whose Gram fails
     :func:`gram_nonsingular` has every n-subset possibly deficient.  So
     the bound is n-1 when no n-subset of the head is possibly deficient,
     and ``head`` otherwise, found at the first chunk that holds one.  It
     is ``head`` when ``head`` < n.  All rows are unit-scaled first, by the
     one power of two, so a head subset's Gram and the floor are those of
-    a scan of all rows.
+    a scan of all rows.  ``head`` is an integer in 0..m for m rows: any
+    other value is a TypeError or ValueError naming it.
     """
     m, n = rows.shape
-    head = m if head is None else head
+    if head is None:
+        head = m
+    else:
+        try:
+            head = operator.index(head)
+        except TypeError:
+            raise TypeError(f"head must be an integer, got {head!r}") from None
+        if not 0 <= head <= m:
+            raise ValueError(f"head must be in 0..{m}, got {head}")
     if head < n:
         return head
     rows = _unit_scaled(rows)

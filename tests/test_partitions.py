@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -357,8 +359,31 @@ class TestCapacity:
 
         monkeypatch.setattr(partitions, "_subset_grams", counted)
         rows = np.outer(np.arange(1.0, 61.0), [1.0, 2.0, 0.0, -1.0])
-        assert deficient_block_capacity(rows) == 60
+        cached = partitions._subset_table.cache_info()
+        tracemalloc.start()
+        try:
+            assert deficient_block_capacity(rows) == 60
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert chunks == [partitions.SCAN_CHUNK]
+        # one chunk holds 4096 index rows and two 4096 x 4 x 4 Gram stacks,
+        # 1.2 MB; the whole index table alone would take 15.6 MB, and it is
+        # neither built nor cached
+        assert peak < 4_000_000, peak
+        assert partitions._subset_table.cache_info() == cached
+
+    @pytest.mark.parametrize(
+        "head, error", [(-1, ValueError), (4, ValueError), (10, ValueError), (2.5, TypeError), ("2", TypeError)]
+    )
+    def test_head_outside_the_rows_is_rejected(self, head, error):
+        with pytest.raises(error, match="head"):
+            deficient_block_capacity(np.ones((3, 3)), head)
+
+    def test_head_takes_any_integer_in_range(self):
+        rows = np.eye(3)
+        assert [deficient_block_capacity(rows, h) for h in range(4)] == [0, 1, 2, 2]
+        assert deficient_block_capacity(rows, np.int64(2)) == 2
 
     def test_floor_by_eigenvalues_matches_svd_floor(self):
         # the scan's floor test on Gram eigenvalues decides as the floor
@@ -403,6 +428,58 @@ class TestCapacity:
             for blocks in set_partitions(range(m), 3):
                 if all(not gram_nonsingular(rows[b], n) for b in blocks):
                     assert max(map(len, blocks)) <= capacity, (trial, kind)
+
+
+def _matmul_capacity(rows, head):
+    """The capacity scan with each head subset's Gram built by a matmul of
+    its gathered rows, one ``eigvalsh`` over all of them, against the floor
+    of all rows after the one power-of-two scaling."""
+    m, n = rows.shape
+    if head < n:
+        return head
+    rows = np.ldexp(rows, -math.frexp(np.abs(rows).max(initial=0.0))[1])
+    floor = (partitions.GRAM_RTOL + partitions._ROUNDING_SLACK) * float(np.sum(rows * rows))
+    sub = rows[np.array(list(combinations(range(head), n)))]
+    smallest = np.linalg.eigvalsh(np.swapaxes(sub, 1, 2) @ sub)[:, 0]
+    return head if (smallest <= floor).any() else n - 1
+
+
+CLUSTER_KINDS = ("generic", "pair_in_head", "pair_past_head", "zero_row", "hyperplane", "wide_scale")
+
+
+def _capacity_cluster(rng, kind, m, n):
+    """m rows in R^n of one kind; the pairs lie at rows 0-1 and at the last
+    two rows, past every head of at most m - 2 rows."""
+    rows = rng.normal(size=(m, n))
+    if kind == "pair_in_head" and m >= 2:
+        rows[1] = -2.0 * rows[0]
+    elif kind == "pair_past_head" and m >= 2:
+        rows[-1] = 3.0 * rows[-2]
+    elif kind == "zero_row":
+        rows[rng.integers(m)] = 0.0
+    elif kind == "hyperplane":
+        rows[rng.random(m) < 0.5, 0] = 0.0
+    elif kind == "wide_scale":
+        rows[rng.random(m) < 0.5] *= 10.0 ** rng.choice([-6, 6])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 14),
+    st.integers(1, 6),
+    st.sampled_from(CLUSTER_KINDS),
+    st.sampled_from([0, -600, 600]),
+    st.integers(0, 2**32 - 1),
+)
+def test_capacity_matches_matmul_reference(n, m, S, kind, exponent, seed):
+    # the Grams summed from per-row outer products decide every head subset
+    # as the matmul of its rows does, on the whole cluster and on the head
+    # of S(n-1)+1 rows that pe_report scans, down to rows near 1e-187
+    rows = np.ldexp(_capacity_cluster(np.random.default_rng(seed), kind, m, n), exponent)
+    for head in {m, min(m, S * (n - 1) + 1)}:
+        assert deficient_block_capacity(rows, head) == _matmul_capacity(rows, head), head
 
 
 def _generic_cluster(rng, m, n):
@@ -499,6 +576,11 @@ class TestSubsetScan:
         assert subsets.tolist() == [list(c) for c in combinations(range(7), 3)]
         assert len(whole) == 1
         assert np.array_equal(np.concatenate([sv for _, sv in chunks]), whole[0][1])
+        # one chunk's table is cached and shared, so no caller may write it
+        assert whole[0][0] is partitions._subset_table(7, 3)
+        assert not whole[0][0].flags.writeable
+        with pytest.raises(ValueError):
+            whole[0][0][0, 0] = 1
 
     def test_fewer_rows_than_n_yields_nothing(self):
         assert list(subset_gram_svals(np.ones((2, 3)))) == []
