@@ -125,7 +125,8 @@ class SolverConfig:
     ``MAX_RESTARTS`` restarts start from random labels, so ``restarts`` is
     at most ``MAX_RESTARTS``, or one more with ``init_labels``, whose
     restart is the extra one (``select_order`` adds it to a candidate's
-    count).
+    count).  ``init_labels`` is an :class:`Assignment` or None, and
+    :func:`bcd_solve` checks it against the data before any restart runs.
     """
 
     S: int
@@ -138,6 +139,9 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("S", "max_iters"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
+        if not isinstance(self.init_labels, (Assignment, type(None))):
+            kind = type(self.init_labels).__name__
+            raise TypeError(f"init_labels must be an Assignment or None, got {kind}")
         most = MAX_RESTARTS + (self.init_labels is not None)
         object.__setattr__(self, "restarts", _count("restarts", self.restarts, 1, most))
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -286,7 +290,6 @@ def _start_labels(data: Dataset, cfg: SolverConfig, first: int, count: int) -> n
     init = np.empty((count, data.N), dtype=np.min_scalar_type(cfg.S))
     for i, r in enumerate(range(first, first + count)):
         if cfg.init_labels is not None and r == cfg.restarts - 1:
-            cfg.init_labels.validate(data.N, cfg.S)
             init[i] = cfg.init_labels.labels
         else:
             rng = np.random.default_rng(
@@ -409,9 +412,12 @@ def bcd_solve(data: Dataset, cfg: SolverConfig) -> SolveReport:
     Raises :class:`SolverFailure` when every
     restart degenerates (a cluster emptied twice), :class:`DescentError`
     when a half-step raises the objective, and ValueError when the
-    dataset has fewer samples than subsystems.
+    dataset has fewer samples than subsystems or ``cfg.init_labels`` do
+    not hold one label in 1..S per sample.
     """
     _need_samples(cfg.S, data.N)
+    if cfg.init_labels is not None:
+        cfg.init_labels.validate(data.N, cfg.S)
     table = moment_table(data)
     # with one subsystem every start is all ones and every restart the same
     if cfg.S == 1:

@@ -38,17 +38,27 @@ the exact oracle all fit through it.  The fits agree with a per-cluster
 ``lstsq`` on the rows to rounding, not bitwise, where the Gram has full
 rank.
 
+The rank rule is stated here, beside the fit kernel that applies it, and
+the certificates of ``partitions`` and ``pe`` take it from here.
+``GRAM_RTOL`` is its fixed relative tolerance.  The exact test,
+``gram_full_rank``, decides every rank verdict, the fits' flags and the
+certificates': the Gram matrix of a set of regressor rows has full rank
+when its smallest singular value exceeds ``GRAM_RTOL`` times its largest.
+Fewer than n rows have rank below n, so a block of them is deficient by
+its row count, with no decomposition.
+
 A Gram squares the condition number of its cluster's rows, so on rows of
 widely different scales its solve can miss the least-squares fit by far.
-The exact-fit rule decides where it is trusted, at ``GRAM_RTOL``, the
-tolerance of ``partitions.gram_full_rank``: a cluster of m >= 2 members
-whose Gram has fewer than min(m, n) singular values above ``GRAM_RTOL``
-times its largest is refitted by ``np.linalg.lstsq`` on its own rows.
-With at least n members that is a cluster failing ``gram_full_rank``;
-with fewer, it is one whose rows the Gram cannot tell apart, such as two
-rows 10^12 apart in scale.  A single row fits exactly from its Gram.  ``fit_members`` applies the rule when it is given the
-rows, as the descent's group step, its empty-cluster repair and the
-oracle's full strings give them, and returns the ``gram_full_rank`` flags.
+The exact-fit rule decides where it is trusted, at ``GRAM_RTOL``: a
+cluster of m >= 2 members whose Gram has fewer than min(m, n) singular
+values above ``GRAM_RTOL`` times its largest is refitted by
+``np.linalg.lstsq`` on its own rows.  With at least n members that is a
+cluster failing ``gram_full_rank``; with fewer, it is one whose rows the
+Gram cannot tell apart, such as two rows 10^12 apart in scale.  A single
+row fits exactly from its Gram.  ``fit_members`` applies the rule when it
+is given the rows, as the descent's group step, its empty-cluster repair
+and the oracle's full strings give them, and returns the
+``gram_full_rank`` flags.
 The oracle's prefix bounds take no rows: they count only clusters that
 pass the rank test.
 
@@ -91,7 +101,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import GRAM_RTOL, gram_full_rank
+# the rank rule's relative tolerance (module docstring)
+GRAM_RTOL = 1e-10
 
 
 def _index(name: str, value) -> int:
@@ -610,6 +621,22 @@ def _solve2(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, svals
 
 
+def gram_full_rank(svals: np.ndarray, n: int) -> np.ndarray:
+    """Whether a Gram matrix with singular values ``svals`` has full rank n.
+
+    ``svals`` holds one Gram's values in descending order, or one Gram per
+    row of a 2-D array; the result is a numpy bool, or one per row.  Fewer
+    than n values means rank below n.  Scale-invariant: the smallest value
+    must exceed ``GRAM_RTOL`` times the largest, which a zero Gram's values,
+    all zero, do not.
+    """
+    if svals.shape[-1] != n:
+        return np.zeros(svals.shape[:-1], dtype=bool)
+    # .T[k] reads column k of a stack, or item k of a single Gram's values
+    # as a numpy scalar, which keeps the single-Gram call cheap
+    return svals.T[-1] > GRAM_RTOL * svals.T[0]
+
+
 def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares fits from summed moment-table columns.
 
@@ -617,7 +644,7 @@ def gram_solve(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     with clusters stacked along the leading axes.  One batched symmetric
     eigendecomposition of the Gram matrices gives both the fits and, in
     descending order, the Grams' singular values for
-    ``partitions.gram_full_rank``.  Eigenvalues at or below n * eps times the
+    :func:`gram_full_rank`.  Eigenvalues at or below n * eps times the
     largest are dropped, lstsq's default cutoff for an n x n system, so a
     rank-deficient or empty (zero) Gram gets its minimum-norm solution.
     ``eigh`` returns the eigenvalues w in ascending order, so the largest
@@ -654,7 +681,7 @@ def fit_members(
     slice gets the same bits alone as in any stack.  A call whose samples
     fit in one block is a single matmul; a longer one can differ from a
     single matmul over all its samples in the last bits.  :func:`gram_solve`
-    solves the sums, and a cluster's flag is ``partitions.gram_full_rank``
+    solves the sums, and a cluster's flag is :func:`gram_full_rank`
     of its singular values.  When ``data``, the dataset the table was built
     from, is passed, the exact-fit rule (module docstring) refits, among
     the clusters of at least two members whose flag is False, each whose

@@ -63,7 +63,7 @@ chunk of at least ``model._EIGH2_MIN`` Grams is solved in one pass of
 LAPACK's closed-form 2 x 2 arithmetic, with no eigenvector matrix, on
 the Grams whose off-diagonal entry is far from negligible and which LAPACK
 does not rescale, which gives the ``eigh`` path's bits faster) gives the
-minimum-norm fits and the clusters' ``partitions.gram_full_rank`` flags,
+minimum-norm fits and the clusters' ``model.gram_full_rank`` flags,
 and SSEs are summed from explicit residuals.  Full strings pass the rows
 too, so the exact-fit rule (``model`` docstring) refits their
 ill-conditioned clusters on the rows.
@@ -276,7 +276,7 @@ def oracle_global(
     Every assignment within 1e-9 (absolute) of the global minimum
     contributes one class; the classes are sorted by their canonical label
     sequence, and their ``degenerate`` flags come from
-    ``partitions.gram_full_rank`` at ``GRAM_RTOL``.  The classes
+    ``model.gram_full_rank`` at ``model.GRAM_RTOL``.  The classes
     come as a read-only sequence over the pass's arrays: the
     :class:`SolutionClass` at an index is built when it is read, and
     iterating builds each in turn.

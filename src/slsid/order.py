@@ -38,7 +38,8 @@ class OrderSelectConfig:
     assignment lets surplus clusters absorb an N-independent share of the
     noise variance.  The template's S and init_labels are set per
     candidate, and every S' >= 2 runs one restart more than it.  ``S_bar``
-    is a count of at least 1 (``model`` docstring).
+    is a count of at least 1 (``model`` docstring), and ``solver`` a
+    :class:`SolverConfig`.
     """
 
     S_bar: int
@@ -47,6 +48,8 @@ class OrderSelectConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "S_bar", _count("S_bar", self.S_bar, 1))
+        if not isinstance(self.solver, SolverConfig):
+            raise TypeError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
         if isinstance(self.penalty, str):
             if self.penalty != "auto":
                 raise ValueError("penalty must be a positive number or 'auto'")

@@ -1,14 +1,12 @@
-"""Gram rank test, the n-subset rank scan and the rank-deficient partition search.
+"""Gram nonsingularity, the n-subset rank scan and the rank-deficient partition search.
 
-Two rank rules serve the package, both at the fixed relative tolerance
-``GRAM_RTOL``.  The exact test, ``gram_full_rank``, decides every verdict:
-the Gram matrix of a set of regressor rows has full rank when its smallest
-singular value exceeds ``GRAM_RTOL`` times its largest.  Fewer than n rows
-have rank below n, so a block of them is deficient by its row count, with
-no decomposition.  The floor test only prunes: a set of rows whose
-smallest Gram singular value exceeds ``GRAM_RTOL`` (plus rounding slack)
-times the squared norm of all the rows at hand is full rank, and so is
-every superset of it among those rows.
+Every verdict is the exact rank test, ``model.gram_full_rank`` at
+``model.GRAM_RTOL`` (``model`` docstring), and a block of fewer than n
+rows is deficient by its row count.  ``gram_nonsingular`` is that test on
+one set of rows, and the walk's block test with no floor.  The floor test
+only prunes: a set of rows whose smallest Gram singular value exceeds
+``GRAM_RTOL`` (plus rounding slack) times the squared norm of all the rows
+at hand is full rank, and so is every superset of it among those rows.
 One enumeration yields every n-row subset of a set of rows with its Gram
 matrix, chunk by chunk; ``subset_gram_svals`` is its SVD view, one batched
 SVD per chunk, and decides the genericity certificate exactly.  Each
@@ -49,12 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-GRAM_RTOL = 1e-10
+from .model import GRAM_RTOL, _count, gram_full_rank
+
 # n-subsets per chunk of the subset scan, decomposed by one batched call:
 # the chunk's Grams hold n*n floats per subset
 SCAN_CHUNK = 4096
@@ -84,34 +82,15 @@ def _floor(rows: np.ndarray) -> float:
     return (GRAM_RTOL + _ROUNDING_SLACK) * float(np.einsum("ij,ij->", rows, rows))
 
 
-def gram_full_rank(svals: np.ndarray, n: int) -> np.ndarray:
-    """Whether a Gram matrix with singular values ``svals`` has full rank n.
-
-    ``svals`` holds one Gram's values in descending order, or one Gram per
-    row of a 2-D array; the result is a numpy bool, or one per row.  Fewer
-    than n values means rank below n.  Scale-invariant: the smallest value
-    must exceed ``GRAM_RTOL`` times the largest, which a zero Gram's values,
-    all zero, do not.
-    """
-    if svals.shape[-1] != n:
-        return np.zeros(svals.shape[:-1], dtype=bool)
-    # .T[k] reads column k of a stack, or item k of a single Gram's values
-    # as a numpy scalar, which keeps the single-Gram call cheap
-    return svals.T[-1] > GRAM_RTOL * svals.T[0]
-
-
 def gram_nonsingular(rows: np.ndarray, n: int) -> bool:
     """Whether sum_k x_k x_k^T over the given rows has full rank n.
 
-    Fewer than n rows, none included, are rank-deficient by their count,
-    with no decomposition.  Otherwise the decision is :func:`gram_full_rank`
-    on the singular values of the Gram of the unit-scaled rows.
+    The walk's block test (:func:`_block_state`) on the unit-scaled rows,
+    with no floor: fewer than n rows, none included, are rank-deficient by
+    their count, and otherwise the decision is :func:`gram_full_rank` on the
+    singular values of their Gram.  Rows of another width than n are not.
     """
-    if rows.shape[0] < n:
-        return False
-    rows = _unit_scaled(rows)
-    gram = rows.T @ rows
-    return bool(gram_full_rank(np.linalg.svd(gram, compute_uv=False), n))
+    return bool(rows.shape[1] == n and _block_state(_unit_scaled(rows), math.inf) == _FULL)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -211,19 +190,11 @@ def deficient_block_capacity(rows: np.ndarray, head: int | None = None) -> int:
     and ``head`` otherwise, found at the first chunk that holds one.  It
     is ``head`` when ``head`` < n.  All rows are unit-scaled first, by the
     one power of two, so a head subset's Gram and the floor are those of
-    a scan of all rows.  ``head`` is an integer in 0..m for m rows: any
-    other value is a TypeError or ValueError naming it.
+    a scan of all rows.  ``head`` is a count in 0..m for m rows (``model``
+    docstring).
     """
     m, n = rows.shape
-    if head is None:
-        head = m
-    else:
-        try:
-            head = operator.index(head)
-        except TypeError:
-            raise TypeError(f"head must be an integer, got {head!r}") from None
-        if not 0 <= head <= m:
-            raise ValueError(f"head must be in 0..{m}, got {head}")
+    head = m if head is None else _count("head", head, 0, m)
     if head < n:
         return head
     rows = _unit_scaled(rows)
@@ -260,7 +231,9 @@ def min_rank_deficient_partition(
     first witness in restricted-growth order is returned.  The rows are
     unit-scaled, then walked, one block count at a time from the smallest,
     with one block decomposition per distinct block the walk reaches.
+    ``max_blocks`` is a count of at least 0 (``model`` docstring).
     """
+    max_blocks = _count("max_blocks", max_blocks, 0)
     m = rows.shape[0]
     rows = _unit_scaled(rows)
     floor = _floor(rows)

@@ -17,8 +17,9 @@ sufficient certificate based on n-genericity plus cluster-size thresholds.
 All verdicts are exact; when an enumeration guard (``MAX_BLOCK_SIZE``,
 ``MAX_GENERICITY_SUBSETS``) is hit the result is an explicit "undecided",
 never a guess.  Every rank and angle decision uses the fixed relative
-tolerance ``partitions.GRAM_RTOL``, on rows scaled exactly by a power of
-two, so the verdicts on rows and on 2^a times them are the same.
+tolerance ``model.GRAM_RTOL``, the rank ones through
+``model.gram_full_rank``, on rows scaled exactly by a power of two, so
+the verdicts on rows and on 2^a times them are the same.
 
 Condition 3 is decided per cluster in one place,
 :func:`check_partition_condition`, from one capacity scan
@@ -60,11 +61,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Assignment, Dataset, SLModel, _check_pair, _count
+from .model import GRAM_RTOL, Assignment, Dataset, SLModel, _check_pair, _count, gram_full_rank
 from .partitions import (
-    GRAM_RTOL,
     deficient_block_capacity,
-    gram_full_rank,
     gram_nonsingular,
     min_rank_deficient_partition,
     subset_gram_svals,

@@ -22,9 +22,8 @@ from slsid import (
 )
 from slsid import bcd, fixtures
 from slsid.bcd import DescentError, SolverFailure, assign_step
-from slsid.model import fit_members, gram_solve, moment_table
+from slsid.model import fit_members, gram_full_rank, gram_solve, moment_table
 from slsid.oracle import same_param_set
-from slsid.partitions import gram_full_rank
 
 from claims import is_stationary, one_hot, relaxed_objective
 
@@ -680,6 +679,23 @@ class TestBcdSolve:
         ]:
             with pytest.raises(ValueError, match=message):
                 bcd_solve(data, SolverConfig(S=2, restarts=1, init_labels=init))
+
+    def test_init_labels_checked_before_any_restart(self, monkeypatch):
+        # at N = 100000 and S = 2 the 10 restarts run in groups of one: a
+        # wrong-length Assignment is refused before the first group, and a
+        # list or array when the config is built
+        _, data = generate_random_scenario(2, 2, 100_000, seed=0)
+
+        def no_restart(*args, **kwargs):
+            raise AssertionError("a restart ran before init_labels was checked")
+
+        monkeypatch.setattr(bcd, "_run_group", no_restart)
+        init = Assignment(np.ones(data.N - 1, int))
+        with pytest.raises(ValueError, match=f"{data.N - 1} labels for {data.N} samples"):
+            bcd_solve(data, SolverConfig(S=2, restarts=10, init_labels=init))
+        for labels in (np.ones(data.N, int).tolist(), np.ones(data.N, int)):
+            with pytest.raises(TypeError, match="init_labels must be an Assignment"):
+                bcd_solve(data, SolverConfig(S=2, restarts=10, init_labels=labels))
 
     def test_too_few_samples_rejected(self):
         data = Dataset(np.eye(2), np.ones(2))

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import threading
 import tracemalloc
@@ -21,7 +22,7 @@ from slsid import (
     select_order,
     simulate,
 )
-from slsid import fixtures, model
+from slsid import fixtures, model, partitions, pe
 
 from claims import one_hot, relaxed_objective
 
@@ -610,3 +611,18 @@ def test_results_do_not_depend_on_the_eigh_path(monkeypatch):
         assert bool(calls) == (cutoff == 0)
         assert decomposed
     assert found[0] == found[1]
+
+
+def test_model_is_the_base_layer():
+    # model states the rank rule and imports nothing from slsid; the
+    # certificates take the rule from it
+    names = []
+    for node in ast.walk(ast.parse(open(model.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if name.startswith((".", "slsid"))], names
+    for module in (partitions, pe):
+        assert module.gram_full_rank is model.gram_full_rank
+        assert module.GRAM_RTOL is model.GRAM_RTOL

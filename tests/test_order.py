@@ -244,6 +244,13 @@ def test_non_integer_counts_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("solver", [None, {"S": 1}, 1])
+def test_solver_template_must_be_a_solver_config(solver):
+    # rejected when the config is built, not by replace() inside select_order
+    with pytest.raises(TypeError, match="solver must be a SolverConfig"):
+        OrderSelectConfig(S_bar=2, solver=solver)
+
+
 def test_counts_stored_as_ints():
     assert OrderSelectConfig(S_bar=np.int64(3)).S_bar == 3
     assert type(OrderSelectConfig(S_bar=np.int64(3)).S_bar) is int

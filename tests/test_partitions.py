@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slsid import Assignment, Dataset, SLModel, min_samples_ours, partitions, pe, pe_report
+from slsid import Assignment, Dataset, SLModel, min_samples_ours, model, partitions, pe, pe_report
 from slsid.partitions import (
     deficient_block_capacity,
     gram_full_rank,
@@ -160,6 +160,18 @@ class TestMinRankDeficientPartition:
 
     def test_empty_input(self):
         assert min_rank_deficient_partition(np.zeros((0, 2)), 2) == (0, [])
+
+    @pytest.mark.parametrize(
+        "max_blocks, error, message",
+        [
+            (-1, ValueError, "max_blocks must be >= 0, got -1"),
+            (2.5, TypeError, "max_blocks must be an integer, got 2.5"),
+            ("2", TypeError, "max_blocks must be an integer, got '2'"),
+        ],
+    )
+    def test_max_blocks_must_be_a_count(self, max_blocks, error, message):
+        with pytest.raises(error, match=message):
+            min_rank_deficient_partition(np.eye(2), max_blocks)
 
     def test_witness_blocks_all_deficient_randomized(self):
         rng = np.random.default_rng(0)
@@ -380,6 +392,13 @@ class TestCapacity:
         with pytest.raises(error, match="head"):
             deficient_block_capacity(np.ones((3, 3)), head)
 
+    @pytest.mark.parametrize(
+        "head, message", [(-1, "head must be >= 0, got -1"), (4, "head must be <= 3, got 4")]
+    )
+    def test_head_error_names_the_bound(self, head, message):
+        with pytest.raises(ValueError, match=message):
+            deficient_block_capacity(np.ones((3, 3)), head)
+
     def test_head_takes_any_integer_in_range(self):
         rows = np.eye(3)
         assert [deficient_block_capacity(rows, h) for h in range(4)] == [0, 1, 2, 2]
@@ -480,6 +499,49 @@ def test_capacity_matches_matmul_reference(n, m, S, kind, exponent, seed):
     rows = np.ldexp(_capacity_cluster(np.random.default_rng(seed), kind, m, n), exponent)
     for head in {m, min(m, S * (n - 1) + 1)}:
         assert deficient_block_capacity(rows, head) == _matmul_capacity(rows, head), head
+
+
+def _svd_nonsingular(rows, n):
+    """The nonsingularity test written out: the count rule, then the Gram of
+    the rows scaled by one power of two, its SVD and the GRAM_RTOL rule."""
+    m, width = rows.shape
+    if m < n or width != n:
+        return False
+    rows = np.ldexp(rows, -math.frexp(np.abs(rows).max(initial=0.0))[1])
+    svals = np.linalg.svd(rows.T @ rows, compute_uv=False)
+    return bool(svals[-1] > model.GRAM_RTOL * svals[0])
+
+
+def _nonsingular_case(rng, kind, m, n):
+    """m rows in R^n: generic, with a parallel pair, with a zero row, or all
+    in one hyperplane through the origin."""
+    rows = rng.normal(size=(m, n))
+    if kind == "parallel_pair" and m >= 2:
+        rows[1] = -2.0 * rows[0]
+    elif kind == "zero_row":
+        rows[rng.integers(m)] = 0.0
+    elif kind == "hyperplane":
+        normal = rng.normal(size=n)
+        rows -= np.outer(rows @ normal / (normal @ normal), normal)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 9),
+    st.sampled_from(("generic", "parallel_pair", "zero_row", "hyperplane")),
+    st.sampled_from([0, -600, 600]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_nonsingular_matches_svd_reference(n, m, kind, exponent, seed):
+    # the walk's block test with no floor decides as the written-out rule,
+    # on fewer than n rows, rows of another width and rows near 1e-181 or
+    # 1e+181 as well
+    rows = np.ldexp(_nonsingular_case(np.random.default_rng(seed), kind, m, n), exponent)
+    for width in (n, n + 1):
+        assert gram_nonsingular(rows, width) is _svd_nonsingular(rows, width), width
+    assert gram_nonsingular(rows[:0], n) is False
 
 
 def _generic_cluster(rng, m, n):
