@@ -266,7 +266,8 @@ class Dataset:
     """Regressor rows, outputs, and (optionally) the true label sequence.
 
     NaN and infinite values are rejected, and so are regressors or outputs
-    whose sum of squares overflows."""
+    whose sum of squares overflows.  ``truth`` is an :class:`Assignment` or
+    None; anything else, such as a list of labels, is a TypeError."""
 
     regressors: np.ndarray
     outputs: np.ndarray
@@ -290,6 +291,9 @@ class Dataset:
         for name, values in (("regressors", regressors), ("outputs", outputs)):
             if not np.isfinite(np.vdot(values, values)):
                 raise ValueError(f"the sum of squares of the {name} overflows; rescale them")
+        if not isinstance(self.truth, (Assignment, type(None))):
+            kind = type(self.truth).__name__
+            raise TypeError(f"truth must be an Assignment or None, got {kind}")
         if self.truth is not None:
             self.truth.validate(regressors.shape[0])
         object.__setattr__(self, "regressors", regressors)
@@ -324,7 +328,8 @@ def simulate(
     """Generate outputs from a known model and switching sequence.
 
     Outputs are x_k . theta_{z_k} plus noise drawn per ``noise``; the
-    returned dataset carries ``switching`` as its truth labels.  With a
+    returned dataset carries ``switching`` as its truth labels, which must
+    be an :class:`Assignment` (anything else is a TypeError).  With a
     gaussian spec the draw is deterministic given ``noise.seed``.
     """
     regressors = _as_matrix(regressors, "regressors")
@@ -333,6 +338,8 @@ def simulate(
             f"regressor dimension {regressors.shape[1]} does not match model "
             f"dimension {model.n}"
         )
+    if not isinstance(switching, Assignment):
+        raise TypeError(f"switching must be an Assignment, got {type(switching).__name__}")
     switching.validate(regressors.shape[0], model.S)
     # same computation as residual_matrix, so noise-free truth residuals are
     # exactly zero bit for bit

@@ -229,22 +229,21 @@ def min_rank_deficient_partition(
     or None when every partition with at most ``max_blocks`` nonempty blocks
     contains a block of full rank.  Deterministic: for each block count the
     first witness in restricted-growth order is returned.  The rows are
-    unit-scaled, then walked, one block count at a time from the smallest,
-    with one block decomposition per distinct block the walk reaches.
+    unit-scaled, then walked, one block count at a time from the smallest
+    up to min(``max_blocks``, m) for m rows, since m rows fill at most m
+    blocks, with one block decomposition per distinct block the walk
+    reaches.
     ``max_blocks`` is a count of at least 0 (``model`` docstring).
     """
     max_blocks = _count("max_blocks", max_blocks, 0)
     m = rows.shape[0]
     rows = _unit_scaled(rows)
     floor = _floor(rows)
-    # keyed by the member tuple: the walk appends rows in ascending order
-    state_cache: dict[tuple[int, ...], int] = {}
 
+    # keyed by the member tuple: the walk appends rows in ascending order
+    @functools.cache
     def block_state(members: tuple[int, ...]) -> int:
-        hit = state_cache.get(members)
-        if hit is None:
-            hit = state_cache[members] = _block_state(rows[list(members)], floor)
-        return hit
+        return _block_state(rows[list(members)], floor)
 
     def search(target: int) -> list[list[int]] | None:
         blocks: list[list[int]] = []
@@ -266,7 +265,7 @@ def min_rank_deficient_partition(
         return [list(b) for b in blocks] if rec(0) else None
 
     # count 0 finds a split only for zero rows, (0, [])
-    for count in range(max_blocks + 1):
+    for count in range(min(max_blocks, m) + 1):
         found = search(count)
         if found is not None:
             return len(found), found

@@ -253,7 +253,9 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
     occupy any stage s with block budget S - s + 1 < f.  The condition holds
     iff the clusters can be arranged so every stage is safe, which is decided
     from the f values alone in one greedy pass that places the smallest safe
-    label at each stage.  A cluster safe at one stage stays safe at every
+    label at each stage.  The pass keeps the unplaced clusters in one list
+    in label order and removes each as it is placed, so each cluster is
+    placed once.  A cluster safe at one stage stays safe at every
     later one, so the pass never strands the rest: it fails only when no
     ordering passes, and otherwise reports the lexicographically smallest
     certificate.  A cluster of more than ``MAX_BLOCK_SIZE`` rows makes the
@@ -306,11 +308,10 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
             splits[s] = [[int(idx[i]) + 1 for i in block] for block in blocks]
 
     perm: list[int] = []
-    for stage in range(1, S + 1):
-        budget = S - stage + 1
-        rest = [s for s in members if s not in perm]
-        safe = [s for s in rest if f[s] is None or f[s] > budget]
-        if not safe:
+    rest = list(members)
+    for budget in range(S, 0, -1):
+        safe = next((s for s in rest if f[s] is None or f[s] > budget), None)
+        if safe is None:
             # every cluster safe here is already placed, so no ordering
             # passes this stage; the witness is the remaining cluster with
             # the largest f (all remaining ones are splittable)
@@ -321,7 +322,8 @@ def check_partition_condition(data: Dataset, a: Assignment, S: int) -> Partition
             return PartitionCheck(
                 status=REFUTED, witness=witness, min_deficient_blocks=f, decided_by=decided_by
             )
-        perm.append(safe[0])
+        perm.append(safe)
+        rest.remove(safe)
     return PartitionCheck(
         status=CERTIFIED, permutation=tuple(perm), min_deficient_blocks=f, decided_by=decided_by
     )

@@ -75,6 +75,11 @@ class TestClassificationError:
                 Assignment(np.array([1, 1])), Assignment(np.array([1])), (1,)
             )
 
+    def test_label_outside_the_permutation(self):
+        est = Assignment(np.array([1, 3]))
+        with pytest.raises(ValueError, match="estimate uses a label outside the permutation"):
+            classification_error(est, Assignment(np.array([1, 2])), (2, 1))
+
 
 def test_alignment_beyond_max_S_rejected():
     model = SLModel(np.ones((9, 1)))

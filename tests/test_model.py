@@ -60,9 +60,33 @@ class TestTypes:
         big = np.sqrt(np.finfo(float).max / 20)
         Dataset(np.full((8, 2), big), np.full(8, big))
 
+    def test_dataset_rejects_empty_regressors(self):
+        with pytest.raises(ValueError, match=r"regressors must be nonempty, got shape \(0, 2\)"):
+            Dataset(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("labels", [[1, 2, 1], np.array([1, 2, 1])])
+    def test_labels_must_be_an_assignment(self, labels):
+        # a bare list or array used to fail later, on its missing validate
+        with pytest.raises(TypeError, match="truth must be an Assignment or None, got"):
+            Dataset(np.ones((3, 2)), np.ones(3), truth=labels)
+        with pytest.raises(TypeError, match="switching must be an Assignment, got"):
+            simulate(SLModel(np.ones((2, 2))), np.ones((3, 2)), labels)
+
     def test_assignment_labels_one_based(self):
         with pytest.raises(ValueError):
             Assignment(np.array([0, 1]))
+
+    @pytest.mark.parametrize("labels", [np.ones((2, 2), int), np.array([], int), []])
+    def test_assignment_labels_nonempty_and_1d(self, labels):
+        with pytest.raises(ValueError, match="labels must be a nonempty 1-D integer array"):
+            Assignment(labels)
+
+    def test_assignment_equals_only_an_assignment(self):
+        a = Assignment([1, 2])
+        assert a == Assignment(np.array([1, 2])) and a != Assignment([2, 1])
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        assert a.__eq__(3) is NotImplemented
+        assert not (a == 3) and a != 3
 
     @pytest.mark.parametrize("bad", [1.5, 2.7, np.nan, np.inf])
     def test_assignment_rejects_fractional_labels(self, bad):

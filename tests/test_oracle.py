@@ -48,6 +48,14 @@ def relabeled(a: Assignment, perm: tuple[int, ...]) -> Assignment:
     return Assignment(np.asarray(perm, dtype=int)[a.labels - 1])
 
 
+def test_same_param_set_compares_banks_as_sets():
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert same_param_set(A, A[::-1]) and same_param_set(A, A + 1e-8)
+    assert not same_param_set(A, A + 1e-6)
+    # banks of different shapes are never the same set
+    assert not same_param_set(A, A[:1]) and not same_param_set(A, A.T[:, :1])
+
+
 def test_canonical_labels_permutation_invariant():
     labels = np.array([2, 2, 1, 3, 1])
     assert canonical_labels(labels) == (1, 1, 2, 3, 2)

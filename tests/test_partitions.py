@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -161,6 +162,13 @@ class TestMinRankDeficientPartition:
     def test_empty_input(self):
         assert min_rank_deficient_partition(np.zeros((0, 2)), 2) == (0, [])
 
+    def test_walk_stops_at_the_row_count(self):
+        # m rows fill at most m blocks, so a budget past m searches no
+        # further; walking every count up to 10**6 took about 4 s
+        start = time.perf_counter()
+        assert min_rank_deficient_partition(np.array([[0.0], [1.0], [2.0]]), 10**6) is None
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize(
         "max_blocks, error, message",
         [
@@ -202,11 +210,12 @@ def _mixed_rows(rng, m, n):
 def test_search_matches_brute_force_reference():
     # the search must return the smallest all-deficient block count and,
     # for it, the first witness in restricted-growth order; the second half
-    # of the trials scales rows by 10^k, k in -6..6
+    # of the trials scales rows by 10^k, k in -6..6; budgets past m rows
+    # must give what a budget of m gives
     rng = np.random.default_rng(3)
     for trial in range(300):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
-        max_blocks = int(rng.integers(1, 5))
+        max_blocks = int(rng.integers(1, m + 4))
         rows = _structured_rows(rng, "repeated" if trial < 150 else "wide_scale", m, n)
         expected = None
         for blocks in set_partitions(range(m), max_blocks):
@@ -298,12 +307,12 @@ ROW_KINDS = ("generic", "repeated", "hyperplane", "zero", "integer", "wide_scale
 
 def test_search_matches_unpruned_reference():
     # beyond brute-force range: the same count and first witness as the
-    # search without the capacity bound
+    # search without the capacity bound, at budgets up to m + 3 for m rows
     rng = np.random.default_rng(11)
     for trial in range(240):
         kind = ROW_KINDS[trial % len(ROW_KINDS)]
         m, n = int(rng.integers(0, 12)), int(rng.integers(1, 5))
-        max_blocks = int(rng.integers(1, 6))
+        max_blocks = int(rng.integers(1, max(6, m + 4)))
         rows = _structured_rows(rng, kind, m, n)
         expected = _reference_dfs(rows, max_blocks)
         assert min_rank_deficient_partition(rows, max_blocks) == expected, (trial, kind)

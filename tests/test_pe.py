@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -198,6 +199,20 @@ class TestPartitionCondition:
         at_guard = Dataset(X[:14], np.zeros(14))
         a = Assignment(np.ones(14, int))
         assert check_partition_condition(at_guard, a, 1).status == CERTIFIED
+
+    def test_each_cluster_is_placed_once(self):
+        # S clusters at n = 1, each a zero row then a row of 1.0: every one
+        # is walked and none splits, so all are placed in label order;
+        # rebuilding the unplaced clusters at each stage took 5-6 s here
+        S = 1000
+        data = Dataset(np.tile([[0.0], [1.0]], (S, 1)), np.zeros(2 * S))
+        a = Assignment(np.repeat(np.arange(1, S + 1), 2))
+        start = time.perf_counter()
+        check = check_partition_condition(data, a, S)
+        assert time.perf_counter() - start < 1.5
+        assert check.status == CERTIFIED and check.permutation == tuple(range(1, S + 1))
+        assert set(check.decided_by.values()) == {"walk"}
+        assert set(check.min_deficient_blocks.values()) == {None}
 
     def test_permutation_is_smallest_passing_order(self):
         # against a brute force over all S! orders of the reported f values:
